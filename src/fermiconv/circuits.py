@@ -8,15 +8,18 @@ index n therefore carries register i as ``(n >> (i*b)) & (2**b - 1)``.
 
 Two evaluation routes exist on purpose:
 
-* ``apply_circuit``: the dense engine, works on any gate kind.
-* ``basis_action``: walks one basis state through a permutation-plus-phase
-  circuit in O(#gates) without a statevector. It refuses (NotPermutation)
-  any gate that creates superpositions, and unit tests pin it to the dense
-  engine on small layouts.
+* ``apply_circuit``: the dense engine, works on any gate kind. Only the
+  register unitaries (REGU) of basis changes need it.
+* ``sparse_action``: the one tracer of permutation-plus-phase circuits. It
+  carries a component list (packed int64 indices plus amplitudes) through
+  the gates, branching on H, so every conversion, ladder and merge stage
+  runs without a statevector. ``basis_action`` is its one-component case.
+  Unit tests pin it to the dense engine on small layouts.
 
 Gate counting is a third, purely syntactic route (``count_gates``); counts
 and simulation semantics are decoupled so that counting-only layouts may
-exceed the 26-qubit simulation cap.
+exceed the 26-qubit simulation cap. Packed indices cap the tracer at 62
+qubits.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import BadParam, CapExceeded, DimMismatch, NotPermutation
 
 QUBIT_CAP = 26
+PACKED_CAP = 62  # widest layout whose basis indices fit a signed int64
 
 # Gate kinds and their serialized tokens. U2 carries a 2x2 matrix as
 # (re, im) pairs row-major; REGU a d x d matrix on contiguous qubits.
@@ -361,48 +365,29 @@ def basis_action(circuit: Circuit, index: int) -> tuple[int, complex]:
     Returns (output index, phase). Raises NotPermutation on H/U2/REGU,
     which move basis states into superpositions.
     """
-    idx = index
-    ph = 1.0 + 0.0j
     for g in circuit.gates:
-        k = g.kind
-        if k == "X":
-            idx ^= 1 << g.targets[0]
-        elif k == "Z":
-            if (idx >> g.targets[0]) & 1:
-                ph = -ph
-        elif k == "PHASE":
-            if (idx >> g.targets[0]) & 1:
-                ph *= complex(math.cos(g.params[0]), math.sin(g.params[0]))
-        elif k == "CZ":
-            qa, qb = g.targets
-            if (idx >> qa) & 1 and (idx >> qb) & 1:
-                ph = -ph
-        elif k in ("CNOT", "TOFFOLI", "MCX"):
-            if all((idx >> c) & 1 for c in g.controls):
-                idx ^= 1 << g.targets[0]
-        elif k == "CSWAP":
-            if (idx >> g.controls[0]) & 1:
-                t1, t2 = g.targets
-                b1 = (idx >> t1) & 1
-                b2 = (idx >> t2) & 1
-                if b1 != b2:
-                    idx ^= (1 << t1) | (1 << t2)
-        else:
-            raise NotPermutation(f"{k} gate does not map basis states to basis states")
-    return idx, ph
+        if g.kind == "H":
+            raise NotPermutation("H gate does not map basis states to basis states")
+    idx, amp = sparse_action(circuit, np.array([index]), np.array([1.0 + 0.0j]))
+    return int(idx[0]), complex(amp[0])
 
 
 def sparse_action(
     circuit: Circuit, indices: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """basis_action vectorized over a component list, with H branching.
+    """A permutation+phase circuit on a component list, with H branching.
 
     The pair (indices, amps) describes sum_k amps[k] |indices[k]>. Every
     permutation-phase gate updates the arrays elementwise; an H gate
     doubles the list and merges collisions, so circuits with a small H
     layer stay cheap on layouts far above the dense comfort zone. U2 and
-    REGU raise NotPermutation. Exact: no thresholding is applied.
+    REGU raise NotPermutation. Exact: no thresholding is applied. Layouts
+    wider than PACKED_CAP qubits raise CapExceeded, since their indices
+    would not fit the packed int64 arrays.
     """
+    n = circuit.layout.total_qubits
+    if n > PACKED_CAP:
+        raise CapExceeded(f"{n} qubits > packed-index cap {PACKED_CAP}")
     idx = np.array(indices, dtype=np.int64, copy=True)
     amp = np.array(amps, dtype=complex, copy=True)
     s = 1.0 / math.sqrt(2.0)

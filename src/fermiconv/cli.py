@@ -167,7 +167,7 @@ def cmd_convert(args) -> int:
         expected = _to_fock(enc)
         actual = _to_fock(result)
         fid, dev = _compare(expected, actual, phase_free=True)
-        return _verdict(fid, dev, VERIFY_FIDELITY, 1.0)
+        return _verdict(fid, dev, VERIFY_FIDELITY, VERIFY_DEVIATION)
     return 0
 
 

@@ -10,8 +10,13 @@ Sorted-list-to-antisymmetric seeds the permutation the other way round: a
 uniform superposition over auxiliary registers is sorted without phases to
 mint one record pattern per permutation, a projective measurement discards
 colliding seeds, the records drive the inverse network across the system
-registers (one Z per record supplies the sign), and a replay of network
-prefixes erases the records comparison by comparison.
+registers (one Z per record supplies the sign), and each record is erased
+right after its comparator is undone, by recomputing that comparison.
+
+Every stage is permutation plus phase (the seed's H layer aside, which the
+tracer branches), so all of them run on component lists through
+``sparse_action``; dense vectors appear only in the returned states, at
+their own width.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -28,9 +33,7 @@ import numpy as np
 from .circuits import (
     Circuit,
     GateCount,
-    Gate,
     Statevector,
-    apply_circuit,
     build_layout,
     count_gates,
     cswap,
@@ -80,17 +83,25 @@ class ConversionReport:
     record_state: np.ndarray | None = None
 
 
-def _rank_one_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split A (rows = ancilla patterns) as outer(u, psi) or raise.
+def _rank_one_split(
+    rows: np.ndarray, cols: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split sum_k amps[k] |rows[k]>|cols[k]> as u (x) psi or raise.
 
-    psi is the dominant row normalized; u collects row coefficients. The
-    residual bound keeps the fidelity loss of discarding the ancilla factor
-    below 1e-9.
+    The matrix spans only the distinct row and column keys present, so its
+    size follows the support, not the layout. psi is the dominant row
+    normalized; u collects row coefficients. Returns (row keys, u, column
+    keys, psi). The residual bound keeps the fidelity loss of discarding
+    the row factor below 1e-9.
     """
+    row_keys, ri = np.unique(rows, return_inverse=True)
+    col_keys, ci = np.unique(cols, return_inverse=True)
+    A = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
+    np.add.at(A, (ri, ci), amps)
     norms = np.linalg.norm(A, axis=1)
-    r_star = int(np.argmax(norms))
-    if norms[r_star] == 0:
+    if not np.any(norms):
         raise EntangledAncilla("zero state, nothing to split")
+    r_star = int(np.argmax(norms))
     psi = A[r_star] / norms[r_star]
     u = A @ psi.conj()
     resid = np.linalg.norm(A - np.outer(u, psi))
@@ -98,7 +109,25 @@ def _rank_one_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EntangledAncilla(
             f"ancilla register does not factorize (residual {resid:.2e})"
         )
-    return u, psi
+    return row_keys, u, col_keys, psi
+
+
+def _scatter(keys: np.ndarray, amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Dense vector over n_qubits holding amps at keys."""
+    out = np.zeros(1 << n_qubits, dtype=complex)
+    out[keys] = amps
+    return out
+
+
+def _fq2sl_circuit(M: int, N: int, n_out: int, counting_only: bool = False) -> Circuit:
+    """Sentinel fill of registers N..n_out-1, then the recorded sort."""
+    spec = SortingNetworkSpec.batcher(n_out)
+    layout = build_layout(M, n_out, spec.n_comparators, counting_only=counting_only)
+    circ = Circuit(layout)
+    for r in range(N, n_out):
+        for q in layout.register_qubits(r):
+            circ.add(x(q))  # all-zeros register -> all-ones sentinel
+    return circ + sorting_network_circuit(layout, spec, with_z=True)
 
 
 def first_to_second(
@@ -124,33 +153,26 @@ def first_to_second(
         )
     N = enc.layout.n_reg
     n_out = N + extra_registers
-    spec = SortingNetworkSpec.batcher(n_out)
-    T = spec.n_comparators
-    layout = build_layout(enc.M, n_out, T)
-
-    circ = Circuit(layout)
-    for r in range(N, n_out):
-        for q in layout.register_qubits(r):
-            circ.add(x(q))  # all-zeros register -> all-ones sentinel
-    circ += sorting_network_circuit(layout, spec, with_z=True)
+    circ = _fq2sl_circuit(enc.M, N, n_out)
+    T = circ.layout.n_anc
 
     # pure permutation+phase: trace the components, not the dense vector
     idx0 = np.flatnonzero(enc.state.amps)
     oi, oa = sparse_action(circ, idx0, enc.state.amps[idx0])
-    reg_dim = 1 << (n_out * layout.b)
-    A = np.zeros((1 << T) * reg_dim, dtype=complex)
-    np.add.at(A, oi, oa)
-    A = A.reshape(1 << T, reg_dim)
-    u, psi = _rank_one_split(A)
+    sys_bits = n_out * circ.layout.b
+    rec_keys, u, sys_keys, psi = _rank_one_split(
+        oi >> np.int64(sys_bits), oi & np.int64((1 << sys_bits) - 1), oa
+    )
     out_layout = build_layout(enc.M, n_out, 0)
-    result = EncodedState(Statevector(psi.copy()), SORTED_LIST, out_layout, enc.N)
+    out_amps = _scatter(sys_keys, psi, sys_bits)
+    result = EncodedState(Statevector(out_amps), SORTED_LIST, out_layout, enc.N)
     report = ConversionReport(
         direction="antisymmetric-to-sorted-list",
         gate_count=count_gates(circ),
         record_ancillas=T,
         success_probability=1.0,
         attempts=1,
-        record_state=u / np.linalg.norm(u),
+        record_state=_scatter(rec_keys, u / np.linalg.norm(u), T),
     )
     return result, report
 
@@ -161,15 +183,7 @@ def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     Counting-only layouts may exceed the simulation cap, so this works for
     scaling grids far beyond desk size.
     """
-    n_out = N + extra_registers
-    spec = SortingNetworkSpec.batcher(n_out)
-    layout = build_layout(M, n_out, spec.n_comparators, counting_only=True)
-    circ = Circuit(layout)
-    for r in range(N, n_out):
-        for q in layout.register_qubits(r):
-            circ.add(x(q))
-    circ += sorting_network_circuit(layout, spec, with_z=True)
-    return count_gates(circ)
+    return count_gates(_fq2sl_circuit(M, N, N + extra_registers, counting_only=True))
 
 
 def _occupancies(enc: EncodedState) -> set[int]:
@@ -192,9 +206,10 @@ def second_to_first(
     Pipeline: slice off the all-sentinel tail, put N seed registers in a
     uniform superposition, sort them phase-free while recording comparisons,
     measure away seed collisions (success probability prod_k (1 - k/2^b),
-    retried up to retry_budget times), discard the seed, drive the inverse
-    network over the system with one Z per record, then erase each record by
-    replaying the network prefix and recomputing its comparison.
+    retried up to retry_budget times), discard the seed, then drive the
+    inverse network over the system with one Z per record. Once comparator t
+    is undone the system orders like the seed did before comparator t, so
+    recomputing comparison t right there erases its record.
     """
     if enc.discipline != SORTED_LIST:
         raise BadParam("input must be a sorted list")
@@ -285,47 +300,36 @@ def second_to_first(
 
     # discard the seed: it factorizes as (uniform over distinct sorted
     # values) x (records x system), because record patterns depend only on
-    # the seeding permutation, never on which distinct values were drawn
-    reg_f = 1 << (N * b)
-    seed_vals = (ki >> np.int64(N * b)) & np.int64(reg_f - 1)
-    rec_vals = ki >> np.int64(2 * N * b)
-    sys_vals = ki & np.int64(reg_f - 1)
-    A = np.zeros((reg_f, (1 << T) * reg_f), dtype=complex)
-    np.add.at(A, (seed_vals, rec_vals * reg_f + sys_vals), ka)
-    _, rest = _rank_one_split(A)
+    # the seeding permutation, never on which distinct values were drawn.
+    # (records, system) keys are the unsort layout's indices as they stand
+    sys_mask = np.int64((1 << (N * b)) - 1)
+    _, _, rest_keys, rest = _rank_one_split(
+        (ki >> np.int64(N * b)) & sys_mask,
+        ((ki >> np.int64(2 * N * b)) << np.int64(N * b)) | (ki & sys_mask),
+        ka,
+    )
 
     work2 = build_layout(enc.M, N, T)
-    state2 = Statevector(rest.copy())
-    records2 = [work2.anc_qubit(t) for t in range(T)]
     unsort = Circuit(work2)
     for t in reversed(range(T)):
         i, j = spec.pairs[t]
+        rec = work2.anc_qubit(t)
         qi = list(work2.register_qubits(i))
         qj = list(work2.register_qubits(j))
-        unsort.add(z(records2[t]))
-        unsort.extend(cswap(records2[t], qi[k], qj[k]) for k in range(b))
-    erase = Circuit(work2)
-    for t in reversed(range(T)):
-        prefix: list[Gate] = []
-        for u in range(t):
-            iu, ju = spec.pairs[u]
-            qi = list(work2.register_qubits(iu))
-            qj = list(work2.register_qubits(ju))
-            prefix += [cswap(records2[u], qi[k], qj[k]) for k in range(b)]
-        it, jt = spec.pairs[t]
-        erase.extend(prefix)
-        erase.extend(compute_greater_gates(work2, it, jt, records2[t]))
-        erase.extend(reversed(prefix))
-    final = apply_circuit(state2, unsort + erase)
+        unsort.add(z(rec))
+        unsort.extend(cswap(rec, qi[k], qj[k]) for k in range(b))
+        unsort.extend(compute_greater_gates(work2, i, j, rec))
+    fi, fa = sparse_action(unsort, rest_keys, rest)
 
-    rec_view = final.amps.reshape(1 << T, reg_f)
-    leak = np.linalg.norm(rec_view[1:])
+    clear = (fi >> np.int64(N * b)) == 0
+    leak = np.linalg.norm(fa[~clear])
     if leak > 1e-9:
         raise EntangledAncilla(f"records kept amplitude {leak:.2e} after erasure")
-    out_amps = rec_view[0] / np.linalg.norm(rec_view[0])
+    out_amps = _scatter(fi[clear], fa[clear], N * b)
+    out_amps /= np.linalg.norm(out_amps)
 
-    result = EncodedState(Statevector(out_amps.copy()), FIRST_QUANTIZED, fq_layout, N)
-    total = count_gates(stage1) + count_gates(unsort) + count_gates(erase)
+    result = EncodedState(Statevector(out_amps), FIRST_QUANTIZED, fq_layout, N)
+    total = count_gates(stage1) + count_gates(unsort)
     report = ConversionReport(
         direction="sorted-list-to-antisymmetric",
         gate_count=total,
@@ -406,9 +410,9 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
     idx0 = np.flatnonzero(joint)
     oi, oa = sparse_action(full, idx0, joint[idx0])
 
-    reg_dim = 1 << (n_out * b_width)
+    sys_bits = n_out * b_width
     # scratch = eq + tmp ancilla bits, which must have come back clean
-    scratch = (oi >> np.int64(n_out * b_width + T)) & np.int64((1 << n_out) - 1)
+    scratch = (oi >> np.int64(sys_bits + T)) & np.int64((1 << n_out) - 1)
     keep = scratch == 0
     leak_sq = float(np.sum(np.abs(oa[~keep]) ** 2))
     leak = math.sqrt(max(leak_sq, 0.0))
@@ -416,28 +420,29 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         raise EntangledAncilla(f"scratch ancillas kept amplitude {leak:.2e}")
     ki = oi[keep]
     ka = oa[keep]
-    flag_bits = ki >> np.int64(n_out * b_width + T + n_out)
-    rec_bits = (ki >> np.int64(n_out * b_width)) & np.int64((1 << T) - 1)
-    sys_bits = ki & np.int64(reg_dim - 1)
-    clean = np.zeros((2, 1 << T, reg_dim), dtype=complex)
-    np.add.at(clean, (flag_bits, rec_bits, sys_bits), ka)
-    dup_prob = float(np.linalg.norm(clean[1]) ** 2)
+    flag_bits = ki >> np.int64(sys_bits + T + n_out)
+    rec_bits = (ki >> np.int64(sys_bits)) & np.int64((1 << T) - 1)
+    sys_vals = ki & np.int64((1 << sys_bits) - 1)
+    dup_prob = float(np.linalg.norm(ka[flag_bits == 1]) ** 2)
 
-    A = clean.transpose(1, 0, 2).reshape(1 << T, 2 * reg_dim)
     n_total = a.N + b.N if (a.N is not None and b.N is not None) else None
     try:
-        _, rest = _rank_one_split(A)
+        # (flag, system) keys are the one-ancilla output layout's indices
+        _, _, keys, rest = _rank_one_split(
+            rec_bits, (flag_bits << np.int64(sys_bits)) | sys_vals, ka
+        )
         out_layout = build_layout(M, n_out, 1)
-        state = EncodedState(Statevector(rest.copy()), SORTED_LIST, out_layout, n_total)
         flag_q = out_layout.anc_qubit(0)
         discarded = True
     except EntangledAncilla:
         out_layout = build_layout(M, n_out, T + 1)
         # (flag, records, system) is already the layout's ancilla order
-        kept = clean.reshape(-1).copy()
-        state = EncodedState(Statevector(kept), SORTED_LIST, out_layout, n_total)
+        keys = (flag_bits << np.int64(sys_bits + T)) | (rec_bits << np.int64(sys_bits)) | sys_vals
+        rest = ka
         flag_q = out_layout.anc_qubit(T)
         discarded = False
+    out_amps = _scatter(keys, rest, out_layout.total_qubits)
+    state = EncodedState(Statevector(out_amps), SORTED_LIST, out_layout, n_total)
     return MergeResult(
         state=state,
         flag_qubit=flag_q,

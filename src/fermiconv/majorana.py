@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, Statevector, apply_circuit, sparse_action, z
+from .circuits import Circuit, Gate, Statevector, apply_circuit, build_layout, sparse_action, z
 from .comparators import _le_gates, bubble_gates, swap_values_circuit
 from .encodings import (
     SORTED_LIST,
     AMP_THRESHOLD,
     EncodedState,
-    with_ancillas,
 )
 from .errors import BadConstant, BadParam, DisciplineMismatch, NoSlack
 
@@ -139,34 +138,37 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
             f"{len(bad)} components have all {enc.layout.n_reg} registers "
             f"occupied without orbital {p}; first: {enc.layout.values(bad[0])}"
         )
-    orig_layout = enc.layout
-    work = with_ancillas(enc, N_WORK_ANCILLAS)
-    view = work.state.amps.reshape(1 << work.layout.n_anc, -1)
-    rows = np.arange(1 << work.layout.n_anc)
-    dirty = rows[(rows & ((1 << N_WORK_ANCILLAS) - 1)) != 0]
-    if len(dirty) and np.linalg.norm(view[dirty]) > AMP_THRESHOLD:
+    layout = enc.layout
+    # the input's indices stay valid on the work layout: any ancillas it
+    # already carries sit at the bottom of the work ancillas
+    work = layout
+    if layout.n_anc < N_WORK_ANCILLAS:
+        work = build_layout(enc.M, layout.n_reg, N_WORK_ANCILLAS)
+    idxs = np.flatnonzero(enc.state.amps)
+    vals = enc.state.amps[idxs]
+    reg_bits = layout.n_reg * layout.b
+    dirty = ((idxs >> np.int64(reg_bits)) & np.int64((1 << N_WORK_ANCILLAS) - 1)) != 0
+    if np.linalg.norm(vals[dirty]) > AMP_THRESHOLD:
         raise BadParam("the first three ancillas are work space and must start clear")
-    g_odd = majorana_circuit(work.layout, 2 * p - 1)
-    g_even = majorana_circuit(work.layout, 2 * p)
-    # permutation-phase circuits: trace the sparse support instead of the
-    # dense vector, which matters at the M+2-register working width
-    idxs = np.flatnonzero(work.state.amps)
-    vals = work.state.amps[idxs]
-    dim = work.state.amps.shape[0]
+    g_odd = majorana_circuit(work, 2 * p - 1)
+    g_even = majorana_circuit(work, 2 * p)
     i1, a1 = sparse_action(g_odd.circuit, idxs, vals)
     i2, a2 = sparse_action(g_even.circuit, idxs, vals)
-    a = np.zeros(dim, dtype=complex)
-    b = np.zeros(dim, dtype=complex)
-    np.add.at(a, i1, g_odd.scalar * a1)
-    np.add.at(b, i2, g_even.scalar * a2)
     # a_p^dag = (g1 - i g2)/2, a_p = (g1 + i g2)/2; the scalar i already
     # lives inside the even branch, so these reduce to half sum/difference.
-    out = 0.5 * (a - 1j * b) if kind == "create" else 0.5 * (a + 1j * b)
-    dim_orig = 1 << orig_layout.total_qubits
-    spill = np.linalg.norm(out[dim_orig:])
+    sign = -1j if kind == "create" else 1j
+    keys, inverse = np.unique(np.concatenate([i1, i2]), return_inverse=True)
+    out = np.zeros(len(keys), dtype=complex)
+    np.add.at(out, inverse, np.concatenate(
+        [0.5 * g_odd.scalar * a1, 0.5 * sign * g_even.scalar * a2]
+    ))
+    inside = keys < (1 << layout.total_qubits)
+    spill = np.linalg.norm(out[~inside])
     if spill > 1e-10:
         raise BadParam(f"work ancillas kept amplitude {spill:.2e}")
+    amps = np.zeros(1 << layout.total_qubits, dtype=complex)
+    amps[keys[inside]] = out[inside]
     n = None
     if enc.N is not None:
         n = enc.N + 1 if kind == "create" else enc.N - 1
-    return EncodedState(Statevector(out[:dim_orig].copy()), SORTED_LIST, orig_layout, n)
+    return EncodedState(Statevector(amps), SORTED_LIST, layout, n)

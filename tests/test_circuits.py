@@ -219,6 +219,21 @@ def test_basis_action_rejects_branching():
                       np.array([0]), np.array([1.0 + 0j]))
 
 
+def test_tracers_refuse_packed_index_overflow():
+    # 22 registers of 3 bits: 66 qubits, past what an int64 index can hold
+    lay = build_layout(6, 22, 0, counting_only=True)
+    assert lay.total_qubits == 66
+    for circ in (Circuit(lay, [x(64)]), Circuit(lay, [cnot(64, 0)])):
+        with pytest.raises(CapExceeded):
+            sparse_action(circ, np.array([0]), np.array([1.0 + 0j]))
+        with pytest.raises(CapExceeded):
+            basis_action(circ, 0)
+    # 62 qubits still fit
+    lay = build_layout(6, 20, 2, counting_only=True)
+    out, ph = basis_action(Circuit(lay, [x(61), cnot(61, 0)]), 0)
+    assert out == (1 << 61) | 1 and ph == 1
+
+
 def test_sparse_action_merges_h_branches():
     # H then H: the two branches of the first H recombine exactly
     lay = build_layout(2, 1, 0)

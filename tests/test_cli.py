@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from fermiconv import (
+    EncodedState,
+    OccupationBitstring,
+    Statevector,
+    encode_first_quantized_determinant,
+    first_to_second,
+)
+from fermiconv import cli
 from fermiconv.circuits import (
     Circuit,
     build_layout,
@@ -18,6 +26,7 @@ from fermiconv.cli import (
     _verdict,
     main,
 )
+from fermiconv.stateio import write_state
 
 
 def _run(capsys, argv):
@@ -105,6 +114,34 @@ def test_convert_backward_with_verify(capsys, tmp_path):
     assert rc == 0
     assert "direction sorted-list-to-antisymmetric" in out
     assert out.splitlines()[-1] == "fidelity 1.000000"
+
+
+def test_convert_verify_checks_deviation(capsys, tmp_path, monkeypatch):
+    # a 1e-5 relative phase between two determinants keeps the fidelity at
+    # 1.000000 but moves one amplitude by 3.5e-6, far above VERIFY_DEVIATION
+    a = encode_first_quantized_determinant(OccupationBitstring.from_indices(4, (1, 3)))
+    b = encode_first_quantized_determinant(OccupationBitstring.from_indices(4, (2, 4)))
+    mix = EncodedState(
+        Statevector((a.state.amps + b.state.amps) / np.sqrt(2)),
+        a.discipline, a.layout, 2,
+    )
+    fq = tmp_path / "fq.txt"
+    fq.write_text(write_state(mix))
+
+    def skewed(enc, extra_registers=0):
+        result, rep = first_to_second(enc, extra_registers)
+        k = np.flatnonzero(result.state.amps)[0]
+        result.state.amps[k] *= np.exp(1e-5j)
+        return result, rep
+
+    rc, out, _ = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(fq), "--verify"])
+    assert rc == 0
+    monkeypatch.setattr(cli, "first_to_second", skewed)
+    rc, out, _ = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(fq), "--verify"])
+    assert rc == 4
+    lines = out.splitlines()
+    assert lines[-2] == "fidelity 1.000000"
+    assert lines[-1].startswith("max deviation 3.5")
 
 
 def test_convert_cap_exceeded_exit_5(capsys, tmp_path):

@@ -198,6 +198,20 @@ def test_gate_count_grid_pins():
     assert g.total > 43
 
 
+def test_backward_gate_count_pins():
+    # each record is erased right after its comparator is undone, one
+    # comparison per record; a replay of the network prefix before every
+    # comparator cost 76 Toffoli / 120 CNOT at N=3 and the same at N=2
+    def counts(M, indices):
+        _, rep = second_to_first(_sl(M, indices, len(indices)))
+        g = rep.gate_count
+        return g.toffoli_equiv, g.cnot, g.single_qubit
+
+    assert counts(6, (1, 3, 5)) == (58, 84, 60)
+    assert counts(6, (2, 5)) == (20, 30, 25)
+    assert counts(14, (3, 11)) == (31, 40, 41)
+
+
 def test_merge_sorted_inputs():
     res = tensor_product_merge(_sl(4, (1, 2), 2), _sl(4, (4,), 1))
     want = _sl(4, (1, 2, 4), 3)
