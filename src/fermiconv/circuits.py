@@ -16,10 +16,10 @@ Two evaluation routes exist on purpose:
   runs without a statevector. ``basis_action`` is its one-component case.
   Unit tests pin it to the dense engine on small layouts.
 
-Gate counting is a third, purely syntactic route (``count_gates``); counts
-and simulation semantics are decoupled so that counting-only layouts may
-exceed the 26-qubit simulation cap. Packed indices cap the tracer at 62
-qubits.
+Gate counting is a third, purely syntactic route (``count_gates``).
+Layouts only pack registers; each size cap sits where memory is spent:
+dense vectors in ``Statevector.from_components`` (QUBIT_CAP qubits), the
+tracer in ``sparse_action`` (PACKED_CAP qubits, BRANCH_CAP components).
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .errors import BadParam, CapExceeded, DimMismatch, NotPermutation
 
 QUBIT_CAP = 26
 PACKED_CAP = 62  # widest layout whose basis indices fit a signed int64
+# At ~90 B per traced component (index, amplitude, merge scratch), this many
+# cost no more than the largest dense apply: 2^QUBIT_CAP amplitudes twice.
+BRANCH_CAP = 1 << (QUBIT_CAP - 2)
 
 # Gate kinds and their serialized tokens. U2 carries a 2x2 matrix as
 # (re, im) pairs row-major; REGU a d x d matrix on contiguous qubits.
@@ -50,7 +53,6 @@ class RegisterLayout:
     n_reg: int
     n_anc: int
     b: int
-    simulable: bool = True
 
     @property
     def total_qubits(self) -> int:
@@ -91,11 +93,10 @@ class RegisterLayout:
         return idx
 
 
-def build_layout(M: int, n_reg: int, n_anc: int = 0, counting_only: bool = False) -> RegisterLayout:
+def build_layout(M: int, n_reg: int, n_anc: int = 0) -> RegisterLayout:
     """Layout with b = ceil(log2(M+2)): room for 1..M plus the sentinel.
 
-    counting_only=True skips the 26-qubit cap and yields a layout usable
-    for gate-list construction and counting but not for statevectors.
+    Any width: Statevector.from_components and sparse_action hold the caps.
     """
     if M < 2:
         raise BadParam(f"M={M} < 2")
@@ -103,11 +104,7 @@ def build_layout(M: int, n_reg: int, n_anc: int = 0, counting_only: bool = False
         raise BadParam(f"n_reg={n_reg} < 1")
     if n_anc < 0:
         raise BadParam(f"n_anc={n_anc} < 0")
-    b = math.ceil(math.log2(M + 2))
-    total = n_reg * b + n_anc
-    if total > QUBIT_CAP and not counting_only:
-        raise CapExceeded(f"{total} qubits > cap {QUBIT_CAP}")
-    return RegisterLayout(M=M, n_reg=n_reg, n_anc=n_anc, b=b, simulable=total <= QUBIT_CAP)
+    return RegisterLayout(M=M, n_reg=n_reg, n_anc=n_anc, b=math.ceil(math.log2(M + 2)))
 
 
 @dataclass(frozen=True)
@@ -256,16 +253,22 @@ class Statevector:
         return int(self.amps.shape[0]).bit_length() - 1
 
     @classmethod
+    def from_components(cls, n_qubits: int, keys, amps) -> "Statevector":
+        """Dense vector over n_qubits holding amps at keys; the one place a
+        register state is allocated, refused above QUBIT_CAP beforehand."""
+        if n_qubits > QUBIT_CAP:
+            raise CapExceeded(f"{n_qubits} qubits > dense cap {QUBIT_CAP}")
+        out = np.zeros(1 << n_qubits, dtype=complex)
+        out[np.asarray(keys, dtype=np.int64)] = amps
+        return cls(out)
+
+    @classmethod
     def zero(cls, layout: RegisterLayout) -> "Statevector":
         return cls.basis(layout, 0)
 
     @classmethod
     def basis(cls, layout: RegisterLayout, index: int) -> "Statevector":
-        if not layout.simulable:
-            raise CapExceeded(f"layout has {layout.total_qubits} qubits > cap {QUBIT_CAP}")
-        amps = np.zeros(1 << layout.total_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
+        return cls.from_components(layout.total_qubits, [index], [1.0])
 
     def copy(self) -> "Statevector":
         return Statevector(self.amps.copy())
@@ -383,7 +386,8 @@ def sparse_action(
     layer stay cheap on layouts far above the dense comfort zone. U2 and
     REGU raise NotPermutation. Exact: no thresholding is applied. Layouts
     wider than PACKED_CAP qubits raise CapExceeded, since their indices
-    would not fit the packed int64 arrays.
+    would not fit the packed int64 arrays, and so does an H gate that
+    would grow the list past BRANCH_CAP components.
     """
     n = circuit.layout.total_qubits
     if n > PACKED_CAP:
@@ -415,6 +419,8 @@ def sparse_action(
             on = ((idx >> g.controls[0]) & ((idx >> t1) ^ (idx >> t2)) & 1) == 1
             idx[on] ^= np.int64((1 << t1) | (1 << t2))
         elif k == "H":
+            if 2 * len(idx) > BRANCH_CAP:
+                raise CapExceeded(f"H would branch past {BRANCH_CAP} components")
             q = g.targets[0]
             bit = np.int64(1 << q)
             was1 = (idx & bit) != 0
@@ -505,7 +511,7 @@ def parse_circuit(text: str) -> Circuit:
     if not m:
         raise BadParam(f"bad header line: {lines[0]!r}")
     M, n_reg, b, n_anc = (int(x) for x in m.groups())
-    layout = build_layout(M, n_reg, n_anc, counting_only=True)
+    layout = build_layout(M, n_reg, n_anc)
     if layout.b != b:
         raise BadParam(f"header B={b} inconsistent with M={M} (want {layout.b})")
     circ = Circuit(layout)

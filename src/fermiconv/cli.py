@@ -1,7 +1,7 @@
 """Batch command surface tying the library together for scripted runs.
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure, 4
-verification mismatch, 5 simulation cap exceeded. All output is plain
+verification mismatch, 5 size cap exceeded. All output is plain
 text with no ANSI styling, so NO_COLOR is honored by construction.
 
 State files use the format of stateio; circuit files the format of
@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="write an occupation's encoded state")
-    p.add_argument("--sl", action="store_true", help="sorted-list encoding")
-    p.add_argument("--fq", action="store_true", help="first-quantized encoding")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--sl", action="store_true", help="sorted-list encoding")
+    grp.add_argument("--fq", action="store_true", help="first-quantized encoding")
     p.add_argument("--M", type=int, required=True, help="number of orbitals")
     p.add_argument("--occ", type=_occ_list, default=(),
                    help="comma-separated occupied orbitals, e.g. 1,3")

@@ -15,8 +15,8 @@ right after its comparator is undone, by recomputing that comparison.
 
 Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
-``sparse_action``; dense vectors appear only in the returned states, at
-their own width.
+``sparse_action`` on work layouts of any width up to the packed-index cap;
+dense vectors appear only in the returned states, at their own width.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -112,17 +112,10 @@ def _rank_one_split(
     return row_keys, u, col_keys, psi
 
 
-def _scatter(keys: np.ndarray, amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Dense vector over n_qubits holding amps at keys."""
-    out = np.zeros(1 << n_qubits, dtype=complex)
-    out[keys] = amps
-    return out
-
-
-def _fq2sl_circuit(M: int, N: int, n_out: int, counting_only: bool = False) -> Circuit:
+def _fq2sl_circuit(M: int, N: int, n_out: int) -> Circuit:
     """Sentinel fill of registers N..n_out-1, then the recorded sort."""
     spec = SortingNetworkSpec.batcher(n_out)
-    layout = build_layout(M, n_out, spec.n_comparators, counting_only=counting_only)
+    layout = build_layout(M, n_out, spec.n_comparators)
     circ = Circuit(layout)
     for r in range(N, n_out):
         for q in layout.register_qubits(r):
@@ -153,26 +146,26 @@ def first_to_second(
         )
     N = enc.layout.n_reg
     n_out = N + extra_registers
+    sys_bits = n_out * enc.layout.b
+    out = Statevector.from_components(sys_bits, (), ())  # cap before the network
     circ = _fq2sl_circuit(enc.M, N, n_out)
     T = circ.layout.n_anc
 
     # pure permutation+phase: trace the components, not the dense vector
     idx0 = np.flatnonzero(enc.state.amps)
     oi, oa = sparse_action(circ, idx0, enc.state.amps[idx0])
-    sys_bits = n_out * circ.layout.b
     rec_keys, u, sys_keys, psi = _rank_one_split(
         oi >> np.int64(sys_bits), oi & np.int64((1 << sys_bits) - 1), oa
     )
-    out_layout = build_layout(enc.M, n_out, 0)
-    out_amps = _scatter(sys_keys, psi, sys_bits)
-    result = EncodedState(Statevector(out_amps), SORTED_LIST, out_layout, enc.N)
+    out.amps[sys_keys] = psi
+    result = EncodedState(out, SORTED_LIST, build_layout(enc.M, n_out, 0), enc.N)
     report = ConversionReport(
         direction="antisymmetric-to-sorted-list",
         gate_count=count_gates(circ),
         record_ancillas=T,
         success_probability=1.0,
         attempts=1,
-        record_state=_scatter(rec_keys, u / np.linalg.norm(u), T),
+        record_state=Statevector.from_components(T, rec_keys, u / np.linalg.norm(u)).amps,
     )
     return result, report
 
@@ -180,10 +173,9 @@ def first_to_second(
 def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     """Cost of the forward conversion circuit, no statevector built.
 
-    Counting-only layouts may exceed the simulation cap, so this works for
-    scaling grids far beyond desk size.
+    Layouts carry no cap, so scaling grids may go far beyond desk size.
     """
-    return count_gates(_fq2sl_circuit(M, N, N + extra_registers, counting_only=True))
+    return count_gates(_fq2sl_circuit(M, N, N + extra_registers))
 
 
 def _occupancies(enc: EncodedState) -> set[int]:
@@ -237,19 +229,21 @@ def second_to_first(
         raise MixedParticleNumber(f"N={N} exceeds {layout.n_reg} registers")
 
     # trailing registers hold sentinels on every valid component: slice off
-    if layout.n_reg > N:
-        view = enc.state.amps.reshape(-1, 1 << (N * b))
-        tail = sum(layout.sentinel << (j * b) for j in range(layout.n_reg - N))
-        spill = np.linalg.norm(view[np.arange(view.shape[0]) != tail])
-        if spill > 1e-10:
-            raise MixedParticleNumber(f"non-sentinel tail amplitude {spill:.2e}")
-        amps_sys = view[tail].copy()
-    else:
-        amps_sys = enc.state.amps.copy()
+    idx = np.flatnonzero(enc.state.amps)
+    tail = sum(layout.sentinel << (j * b) for j in range(layout.n_reg - N))
+    on_tail = (idx >> np.int64(N * b)) == tail
+    spill = np.linalg.norm(enc.state.amps[idx[~on_tail]])
+    if spill > 1e-10:
+        raise MixedParticleNumber(f"non-sentinel tail amplitude {spill:.2e}")
+    # the system occupies registers 0..N-1, so its component indices carry
+    # over unchanged into the work layouts below
+    idx0 = idx[on_tail] & np.int64((1 << (N * b)) - 1)
+    amp0 = enc.state.amps[idx[on_tail]]
 
     fq_layout = build_layout(enc.M, N, 0)
     if N == 1:
-        result = EncodedState(Statevector(amps_sys), FIRST_QUANTIZED, fq_layout, N)
+        out = Statevector.from_components(N * b, idx0, amp0)
+        result = EncodedState(out, FIRST_QUANTIZED, fq_layout, N)
         report = ConversionReport(
             direction="sorted-list-to-antisymmetric",
             gate_count=GateCount(),
@@ -279,10 +273,7 @@ def second_to_first(
     for k in range(N - 1):
         stage1.extend(equality_flag_gates(work, N + k, N + k + 1, eqs[k]))
 
-    # the system occupies registers 0..N-1, so its component indices carry
-    # over unchanged; the H layer branches inside the sparse tracer
-    idx0 = np.flatnonzero(amps_sys)
-    oi, oa = sparse_action(stage1, idx0, amps_sys[idx0])
+    oi, oa = sparse_action(stage1, idx0, amp0)  # H branches inside the tracer
 
     eq_field = oi >> np.int64(2 * N * b + T)
     keep = eq_field == 0
@@ -325,10 +316,9 @@ def second_to_first(
     leak = np.linalg.norm(fa[~clear])
     if leak > 1e-9:
         raise EntangledAncilla(f"records kept amplitude {leak:.2e} after erasure")
-    out_amps = _scatter(fi[clear], fa[clear], N * b)
-    out_amps /= np.linalg.norm(out_amps)
-
-    result = EncodedState(Statevector(out_amps), FIRST_QUANTIZED, fq_layout, N)
+    out = Statevector.from_components(N * b, fi[clear], fa[clear])
+    out.amps /= out.norm()
+    result = EncodedState(out, FIRST_QUANTIZED, fq_layout, N)
     total = count_gates(stage1) + count_gates(unsort)
     report = ConversionReport(
         direction="sorted-list-to-antisymmetric",
@@ -388,7 +378,10 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
     tmp = layout.anc_qubit(T + n_out - 1)
     flag = layout.anc_qubit(T + n_out)
 
-    joint = np.kron(b.state.amps, a.state.amps)  # a occupies the low registers
+    # joint input: products of the nonzero components, a in the low registers
+    ia, ib = np.flatnonzero(a.state.amps), np.flatnonzero(b.state.amps)
+    idx0 = ((ib[:, None] << np.int64(a.layout.total_qubits)) | ia).ravel()
+    amp0 = np.outer(b.state.amps[ib], a.state.amps[ia]).ravel()
 
     circ = sorting_network_circuit(
         layout, spec, records, with_z=True, sentinel_exempt=True, exempt_anc=tmp
@@ -407,8 +400,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         orgate.add(x(q))
     full = circ + dup + orgate + dup.inverse()
 
-    idx0 = np.flatnonzero(joint)
-    oi, oa = sparse_action(full, idx0, joint[idx0])
+    oi, oa = sparse_action(full, idx0, amp0)
 
     sys_bits = n_out * b_width
     # scratch = eq + tmp ancilla bits, which must have come back clean
@@ -441,8 +433,8 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         rest = ka
         flag_q = out_layout.anc_qubit(T)
         discarded = False
-    out_amps = _scatter(keys, rest, out_layout.total_qubits)
-    state = EncodedState(Statevector(out_amps), SORTED_LIST, out_layout, n_total)
+    out = Statevector.from_components(out_layout.total_qubits, keys, rest)
+    state = EncodedState(out, SORTED_LIST, out_layout, n_total)
     return MergeResult(
         state=state,
         flag_qubit=flag_q,

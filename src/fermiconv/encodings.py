@@ -123,14 +123,14 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     idx = x.indices()
     N = x.N
     amp = 1.0 / math.sqrt(math.factorial(N))
-    amps = np.zeros(1 << layout.total_qubits, dtype=complex)
+    sv = Statevector.from_components(layout.total_qubits, (), ())  # cap before N! loop
     for perm in permutations(range(N)):
         inv = sum(
             1 for a in range(N) for b in range(a + 1, N) if perm[a] > perm[b]
         )
         values = [idx[perm[r]] for r in range(N)]
-        amps[layout.basis_index(values)] = amp * (1 - 2 * (inv & 1))
-    return EncodedState(Statevector(amps), FIRST_QUANTIZED, layout, N)
+        sv.amps[layout.basis_index(values)] = amp * (1 - 2 * (inv & 1))
+    return EncodedState(sv, FIRST_QUANTIZED, layout, N)
 
 
 def decode_basis_component(component: int, discipline: str, layout: RegisterLayout):
@@ -224,9 +224,8 @@ def with_ancillas(enc: EncodedState, n_anc: int) -> EncodedState:
     if enc.layout.n_anc >= n_anc:
         return enc
     new_layout = build_layout(enc.M, enc.layout.n_reg, n_anc)
-    sv = Statevector.zero(new_layout)
-    old = enc.state.amps
-    sv.amps[: len(old)] = old  # old ancillas (if any) sit below the new ones
+    old = enc.state.amps  # old ancillas (if any) sit below the new ones
+    sv = Statevector.from_components(new_layout.total_qubits, np.arange(len(old)), old)
     return EncodedState(sv, enc.discipline, new_layout, enc.N)
 
 
@@ -241,9 +240,7 @@ def drop_clear_ancillas(enc: EncodedState, tol: float = 1e-10) -> EncodedState:
     if tail > tol:
         raise BadParam(f"ancillas carry amplitude {tail:.2e}")
     new_layout = build_layout(layout.M, layout.n_reg, 0)
-    sv = Statevector.zero(new_layout)
-    sv.amps[:] = view[0]
-    return EncodedState(sv, enc.discipline, new_layout, enc.N)
+    return EncodedState(Statevector(view[0].copy()), enc.discipline, new_layout, enc.N)
 
 
 # --- bridges to the dense Fock oracle ------------------------------------

@@ -14,7 +14,7 @@ class BadParam(FermiconvError):
 
 
 class CapExceeded(FermiconvError):
-    """Requested object exceeds the 26-qubit desk-scale simulation cap."""
+    """Requested object exceeds a desk-scale size cap (dense, packed or branch)."""
 
 
 class DimMismatch(FermiconvError):

@@ -166,9 +166,8 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     spill = np.linalg.norm(out[~inside])
     if spill > 1e-10:
         raise BadParam(f"work ancillas kept amplitude {spill:.2e}")
-    amps = np.zeros(1 << layout.total_qubits, dtype=complex)
-    amps[keys[inside]] = out[inside]
+    state = Statevector.from_components(layout.total_qubits, keys[inside], out[inside])
     n = None
     if enc.N is not None:
         n = enc.N + 1 if kind == "create" else enc.N - 1
-    return EncodedState(Statevector(amps), SORTED_LIST, layout, n)
+    return EncodedState(state, SORTED_LIST, layout, n)

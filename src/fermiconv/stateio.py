@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .circuits import Statevector, build_layout
-from .encodings import AMP_THRESHOLD, FIRST_QUANTIZED, SORTED_LIST, EncodedState
+from .encodings import AMP_THRESHOLD, EncodedState
 from .errors import BadParam, MalformedComponent
 
 _HEADER_RE = re.compile(
@@ -89,7 +89,8 @@ def read_state(text: str) -> EncodedState:
     layout = build_layout(M, n_reg, n_anc)
     if layout.b != b:
         raise BadParam(f"header B={b} but M={M} needs b={layout.b}")
-    amps = np.zeros(1 << layout.total_qubits, dtype=complex)
+    sv = Statevector.from_components(layout.total_qubits, (), ())
+    seen = set()
     for ln in lines[1:]:
         cm = _LINE_RE.match(ln)
         if not cm:
@@ -102,7 +103,9 @@ def read_state(text: str) -> EncodedState:
             raise MalformedComponent(f"expected {n_anc} ancilla bits: {ln!r}")
         values = tuple(int(r, 2) for r in regs)
         anc = int(anc_bits, 2) if anc_bits else 0
-        amps[layout.basis_index(values, anc)] = parse_amplitude(cm.group(3))
-    if discipline not in (SORTED_LIST, FIRST_QUANTIZED):
-        raise BadParam(f"unknown discipline {discipline!r}")
-    return EncodedState(Statevector(amps), discipline, layout, N=N)
+        k = layout.basis_index(values, anc)
+        if k in seen:
+            raise MalformedComponent(f"component listed twice: {ln!r}")
+        seen.add(k)
+        sv.amps[k] = parse_amplitude(cm.group(3))
+    return EncodedState(sv, discipline, layout, N=N)

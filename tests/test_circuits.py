@@ -47,13 +47,13 @@ def test_layout_examples():
 
 
 def test_layout_cap():
-    with pytest.raises(CapExceeded):
-        build_layout(64, 4, 3)
-    # counting-only layouts may exceed the cap but cannot be simulated
-    lay = build_layout(64, 4, 3, counting_only=True)
+    # layouts carry no cap; a dense state on one past 26 qubits is refused
+    lay = build_layout(64, 4, 3)
     assert lay.total_qubits == 31
     with pytest.raises(CapExceeded):
         Statevector.zero(lay)
+    with pytest.raises(CapExceeded):
+        Statevector.from_components(lay.total_qubits, [0], [1.0])
 
 
 def test_layout_bad_params():
@@ -221,7 +221,7 @@ def test_basis_action_rejects_branching():
 
 def test_tracers_refuse_packed_index_overflow():
     # 22 registers of 3 bits: 66 qubits, past what an int64 index can hold
-    lay = build_layout(6, 22, 0, counting_only=True)
+    lay = build_layout(6, 22, 0)
     assert lay.total_qubits == 66
     for circ in (Circuit(lay, [x(64)]), Circuit(lay, [cnot(64, 0)])):
         with pytest.raises(CapExceeded):
@@ -229,7 +229,7 @@ def test_tracers_refuse_packed_index_overflow():
         with pytest.raises(CapExceeded):
             basis_action(circ, 0)
     # 62 qubits still fit
-    lay = build_layout(6, 20, 2, counting_only=True)
+    lay = build_layout(6, 20, 2)
     out, ph = basis_action(Circuit(lay, [x(61), cnot(61, 0)]), 0)
     assert out == (1 << 61) | 1 and ph == 1
 

@@ -57,6 +57,7 @@ def test_encode_first_quantized_stdout(capsys):
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["encode", "--sl", "--M", "4", "--occ", "1,3"],  # --sl without --nreg
+        ["encode", "--sl", "--fq", "--M", "4", "--occ", "1,3", "--nreg", "3"],
         ["encode", "--M", "4", "--occ", "1,x"],
         ["no-such-command"],
         ["convert", "--dir", "sideways", "--in", "x"],
@@ -114,6 +115,18 @@ def test_convert_backward_with_verify(capsys, tmp_path):
     assert rc == 0
     assert "direction sorted-list-to-antisymmetric" in out
     assert out.splitlines()[-1] == "fidelity 1.000000"
+
+
+def test_convert_round_trip_five_electrons(capsys, tmp_path):
+    # the file fq2sl writes at M=6 N=5 converts back: sl2fq traces a
+    # 43-qubit work layout
+    fq, sl = tmp_path / "fq.txt", tmp_path / "sl.txt"
+    rc, _, _ = _run(capsys, ["encode", "--M", "6", "--occ", "1,2,4,5,6", "--out", str(fq)])
+    assert rc == 0
+    rc, _, _ = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(fq), "--out", str(sl)])
+    assert rc == 0
+    rc, out, _ = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(sl), "--verify"])
+    assert rc == 0 and out.splitlines()[-1] == "fidelity 1.000000"
 
 
 def test_convert_verify_checks_deviation(capsys, tmp_path, monkeypatch):

@@ -14,7 +14,12 @@ from fermiconv import (
     second_to_first,
     tensor_product_merge,
 )
-from fermiconv.encodings import FIRST_QUANTIZED, with_ancillas
+from fermiconv.encodings import (
+    FIRST_QUANTIZED,
+    first_quantized_to_fock,
+    sorted_list_to_fock,
+    with_ancillas,
+)
 from fermiconv.errors import (
     BadParam,
     BasisMismatch,
@@ -22,6 +27,7 @@ from fermiconv.errors import (
     NotAntisymmetric,
     RetryBudgetExceeded,
 )
+from fermiconv.fci import FockSpace, creation_string
 
 
 def _sl(M, indices, n_reg):
@@ -36,6 +42,12 @@ def _fq(M, indices):
 
 def _fid(x, y):
     return abs(np.vdot(x, y))
+
+
+def _phase_free_dev(want, got):
+    """Max entrywise deviation once the global phase of got is removed."""
+    ov = np.vdot(want, got)
+    return float(np.max(np.abs(got - ov / abs(ov) * want)))
 
 
 def test_forward_determinant():
@@ -185,6 +197,32 @@ def test_round_trips():
     assert _fid(back.state.amps, sl.state.amps) > 1 - 1e-9
 
 
+@pytest.mark.parametrize("M, kets", [
+    (6, [(1, 2, 3, 4), (1, 3, 5, 6), (2, 3, 4, 6)]),
+    (6, [(1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6)]),
+    (14, [(1, 2, 3), (2, 7, 11), (4, 9, 14)]),
+])
+def test_backward_envelope_matches_fock_oracle(M, kets):
+    # 2N-register work layouts of 32, 43 and 29 qubits: traced, never dense
+    N = len(kets[0])
+    rng = np.random.default_rng(M + N)
+    c = rng.standard_normal(len(kets)) + 1j * rng.standard_normal(len(kets))
+    c /= np.linalg.norm(c)
+    sl = _sl(M, kets[0], N)
+    sl.state.amps[:] = sum(ci * _sl(M, k, N).state.amps for ci, k in zip(c, kets))
+    want = sorted_list_to_fock(sl)
+    fq, _ = second_to_first(sl)
+    assert _phase_free_dev(want, first_quantized_to_fock(fq)) <= 1e-10
+    back, _ = first_to_second(fq)
+    assert _phase_free_dev(want, sorted_list_to_fock(back)) <= 1e-10
+
+
+def test_forward_envelope_matches_fock_oracle():
+    fq = _fq(6, (1, 2, 3, 4, 5, 6))  # 720 components, 30-qubit work layout
+    out, _ = first_to_second(fq)
+    assert _phase_free_dev(first_quantized_to_fock(fq), sorted_list_to_fock(out)) <= 1e-10
+
+
 def test_gate_count_grid_pins():
     totals = [fq2sl_gate_count(m, 2).total for m in (8, 16, 32, 64)]
     assert totals == [43, 61, 82, 106]
@@ -231,6 +269,19 @@ def test_merge_reordering_sign():
         res.state.state.amps[: want.state.amps.size], -want.state.amps, atol=1e-10
     )
     assert res.duplicate_probability < 1e-12
+
+
+def test_merge_envelope_matches_fock_oracle():
+    # 3 + 2 registers at M=6: a 31-qubit work layout; reordering sign -1
+    res = tensor_product_merge(_sl(6, (2, 4, 6), 3), _sl(6, (1, 3), 2))
+    assert res.records_discarded and res.duplicate_probability < 1e-12
+    flag0 = res.state.state.amps.reshape(2, -1)[0]
+    got = sorted_list_to_fock(
+        EncodedState(Statevector(flag0.copy()), "sorted-list", _sl(6, (), 5).layout)
+    )
+    # compared with its phase: the merge fixes the fermionic reordering sign
+    want = creation_string(FockSpace(6), (2, 4, 6, 1, 3))
+    np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_merge_flags_duplicates():

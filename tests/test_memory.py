@@ -2,21 +2,26 @@
 
 Dense vectors are for register unitaries and the oracle only. A stage that
 scattered into a working-width array (records and work ancillas included)
-would peak at hundreds of MiB here, far above each bound.
+would peak at hundreds of MiB here, far above each bound. Size refusals
+come before any large allocation.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fermiconv import (
+    CapExceeded,
     OccupationBitstring,
     apply_ladder,
     encode_first_quantized_determinant,
     encode_sorted_list,
     first_to_second,
     second_to_first,
+    tensor_product_merge,
 )
+from fermiconv import circuits
 
 MIB = 1 << 20
 
@@ -49,3 +54,24 @@ def test_ladder_peak():
 def test_backward_conversion_peak():
     sl = encode_sorted_list(OccupationBitstring.from_indices(6, (1, 3, 5)), 3)
     assert _peak_mib(lambda: second_to_first(sl, rng=np.random.default_rng(0))) <= 16
+
+
+def test_merge_refuses_wide_inputs_without_allocating():
+    # two 16-qubit inputs: a dense joint vector would hold 2^32 amplitudes;
+    # the 69-qubit work layout is refused before anything that large exists
+    a = encode_sorted_list(OccupationBitstring.from_indices(14, (1, 2, 3, 4)), 4)
+    b = encode_sorted_list(OccupationBitstring.from_indices(14, (5, 6, 7, 8)), 4)
+
+    def merge():
+        with pytest.raises(CapExceeded):
+            tensor_product_merge(a, b)
+
+    assert _peak_mib(merge) <= 16
+
+
+def test_branch_cap_refuses_before_growing(monkeypatch):
+    # the seed's 15 H gates would grow the list to 2^15 components
+    monkeypatch.setattr(circuits, "BRANCH_CAP", 1 << 10)
+    sl = encode_sorted_list(OccupationBitstring.from_indices(6, (1, 2, 4, 5, 6)), 5)
+    with pytest.raises(CapExceeded, match="branch"):
+        second_to_first(sl)

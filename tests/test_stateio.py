@@ -117,6 +117,7 @@ def test_component_line_errors():
         "(001,011) 1.0",  # amplitude shape
         "001,011 1.0+0.0i",  # missing parentheses
         "(002,011) 1.0+0.0i",  # non-binary digit
+        "(001,011) 1.0+0.0i\n(001,011) 0.5+0.0i",  # one component twice
     ):
         with pytest.raises(MalformedComponent):
             read_state(head + bad + "\n")
