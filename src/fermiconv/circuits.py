@@ -120,11 +120,7 @@ class Gate:
 
 def _as_params(mat: np.ndarray) -> tuple[float, ...]:
     flat = np.asarray(mat, dtype=complex).reshape(-1)
-    out: list[float] = []
-    for z in flat:
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return tuple(out)
+    return tuple(float(v) for z in flat for v in (z.real, z.imag))
 
 
 def _as_matrix(params: tuple[float, ...], d: int) -> np.ndarray:
@@ -295,13 +291,7 @@ def _ix(n: int, fixed: dict[int, int]) -> tuple:
 def _apply_gate(a: np.ndarray, n: int, g: Gate) -> None:
     v = a.reshape((2,) * n)
     k = g.kind
-    if k == "X":
-        t = g.targets[0]
-        i0, i1 = _ix(n, {t: 0}), _ix(n, {t: 1})
-        tmp = v[i0].copy()
-        v[i0] = v[i1]
-        v[i1] = tmp
-    elif k == "Z":
+    if k == "Z":
         v[_ix(n, {g.targets[0]: 1})] *= -1.0
     elif k == "PHASE":
         v[_ix(n, {g.targets[0]: 1})] *= np.exp(1j * g.params[0])
@@ -322,22 +312,18 @@ def _apply_gate(a: np.ndarray, n: int, g: Gate) -> None:
     elif k == "CZ":
         qa, qb = g.targets
         v[_ix(n, {qa: 1, qb: 1})] *= -1.0
-    elif k in ("CNOT", "TOFFOLI", "MCX"):
+    elif k in ("X", "CNOT", "TOFFOLI", "MCX"):
         t = g.targets[0]
         on = {c: 1 for c in g.controls}
         i0 = _ix(n, {**on, t: 0})
         i1 = _ix(n, {**on, t: 1})
-        tmp = v[i0].copy()
-        v[i0] = v[i1]
-        v[i1] = tmp
+        v[i0], v[i1] = v[i1], v[i0].copy()
     elif k == "CSWAP":
         c = g.controls[0]
         t1, t2 = g.targets
         i01 = _ix(n, {c: 1, t1: 0, t2: 1})
         i10 = _ix(n, {c: 1, t1: 1, t2: 0})
-        tmp = v[i01].copy()
-        v[i01] = v[i10]
-        v[i10] = tmp
+        v[i01], v[i10] = v[i10], v[i01].copy()
     elif k == "REGU":
         lo = g.targets[0]
         w = len(g.targets)
@@ -368,11 +354,16 @@ def basis_action(circuit: Circuit, index: int) -> tuple[int, complex]:
     Returns (output index, phase). Raises NotPermutation on H/U2/REGU,
     which move basis states into superpositions.
     """
-    for g in circuit.gates:
-        if g.kind == "H":
-            raise NotPermutation("H gate does not map basis states to basis states")
+    if any(g.kind == "H" for g in circuit.gates):
+        raise NotPermutation("H gate does not map basis states to basis states")
     idx, amp = sparse_action(circuit, np.array([index]), np.array([1.0 + 0.0j]))
     return int(idx[0]), complex(amp[0])
+
+
+def check_branches(n: int, what: str) -> None:
+    """Refuse a component list, or a matrix over one, of n > BRANCH_CAP entries."""
+    if n > BRANCH_CAP:
+        raise CapExceeded(f"{what}: {n} components > branch cap {BRANCH_CAP}")
 
 
 def sparse_action(
@@ -386,12 +377,13 @@ def sparse_action(
     layer stay cheap on layouts far above the dense comfort zone. U2 and
     REGU raise NotPermutation. Exact: no thresholding is applied. Layouts
     wider than PACKED_CAP qubits raise CapExceeded, since their indices
-    would not fit the packed int64 arrays, and so does an H gate that
-    would grow the list past BRANCH_CAP components.
+    would not fit the packed int64 arrays, and so does a list (given, or
+    grown by an H gate) of more than BRANCH_CAP components.
     """
     n = circuit.layout.total_qubits
     if n > PACKED_CAP:
         raise CapExceeded(f"{n} qubits > packed-index cap {PACKED_CAP}")
+    check_branches(len(indices), "input list")
     idx = np.array(indices, dtype=np.int64, copy=True)
     amp = np.array(amps, dtype=complex, copy=True)
     s = 1.0 / math.sqrt(2.0)
@@ -419,8 +411,7 @@ def sparse_action(
             on = ((idx >> g.controls[0]) & ((idx >> t1) ^ (idx >> t2)) & 1) == 1
             idx[on] ^= np.int64((1 << t1) | (1 << t2))
         elif k == "H":
-            if 2 * len(idx) > BRANCH_CAP:
-                raise CapExceeded(f"H would branch past {BRANCH_CAP} components")
+            check_branches(2 * len(idx), "H branching")
             q = g.targets[0]
             bit = np.int64(1 << q)
             was1 = (idx & bit) != 0

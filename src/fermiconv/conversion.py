@@ -16,7 +16,8 @@ right after its comparator is undone, by recomputing that comparison.
 Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
 ``sparse_action`` on work layouts of any width up to the packed-index cap;
-dense vectors appear only in the returned states, at their own width.
+dense vectors appear only in the returned states, at their own width, and
+the joint merge input and the split matrices obey the tracer's BRANCH_CAP.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -35,6 +36,7 @@ from .circuits import (
     GateCount,
     Statevector,
     build_layout,
+    check_branches,
     count_gates,
     cswap,
     h,
@@ -92,10 +94,11 @@ def _rank_one_split(
     size follows the support, not the layout. psi is the dominant row
     normalized; u collects row coefficients. Returns (row keys, u, column
     keys, psi). The residual bound keeps the fidelity loss of discarding
-    the row factor below 1e-9.
+    the row factor below 1e-9. A matrix past BRANCH_CAP entries is refused.
     """
     row_keys, ri = np.unique(rows, return_inverse=True)
     col_keys, ci = np.unique(cols, return_inverse=True)
+    check_branches(len(row_keys) * len(col_keys), "split matrix")
     A = np.zeros((len(row_keys), len(col_keys)), dtype=complex)
     np.add.at(A, (ri, ci), amps)
     norms = np.linalg.norm(A, axis=1)
@@ -150,6 +153,7 @@ def first_to_second(
     out = Statevector.from_components(sys_bits, (), ())  # cap before the network
     circ = _fq2sl_circuit(enc.M, N, n_out)
     T = circ.layout.n_anc
+    rec = Statevector.from_components(T, (), ())  # and before the trace
 
     # pure permutation+phase: trace the components, not the dense vector
     idx0 = np.flatnonzero(enc.state.amps)
@@ -158,6 +162,7 @@ def first_to_second(
         oi >> np.int64(sys_bits), oi & np.int64((1 << sys_bits) - 1), oa
     )
     out.amps[sys_keys] = psi
+    rec.amps[rec_keys] = u / np.linalg.norm(u)
     result = EncodedState(out, SORTED_LIST, build_layout(enc.M, n_out, 0), enc.N)
     report = ConversionReport(
         direction="antisymmetric-to-sorted-list",
@@ -165,7 +170,7 @@ def first_to_second(
         record_ancillas=T,
         success_probability=1.0,
         attempts=1,
-        record_state=Statevector.from_components(T, rec_keys, u / np.linalg.norm(u)).amps,
+        record_state=rec.amps,
     )
     return result, report
 
@@ -380,6 +385,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
 
     # joint input: products of the nonzero components, a in the low registers
     ia, ib = np.flatnonzero(a.state.amps), np.flatnonzero(b.state.amps)
+    check_branches(len(ia) * len(ib), "merge joint input")
     idx0 = ((ib[:, None] << np.int64(a.layout.total_qubits)) | ia).ravel()
     amp0 = np.outer(b.state.amps[ib], a.state.amps[ia]).ravel()
 

@@ -225,7 +225,8 @@ def with_ancillas(enc: EncodedState, n_anc: int) -> EncodedState:
         return enc
     new_layout = build_layout(enc.M, enc.layout.n_reg, n_anc)
     old = enc.state.amps  # old ancillas (if any) sit below the new ones
-    sv = Statevector.from_components(new_layout.total_qubits, np.arange(len(old)), old)
+    sv = Statevector.from_components(new_layout.total_qubits, (), ())
+    sv.amps[: len(old)] = old
     return EncodedState(sv, enc.discipline, new_layout, enc.N)
 
 

@@ -6,6 +6,7 @@ would peak at hundreds of MiB here, far above each bound. Size refusals
 come before any large allocation.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 
 from fermiconv import (
     CapExceeded,
+    EncodedState,
     OccupationBitstring,
+    Statevector,
     apply_ladder,
     encode_first_quantized_determinant,
     encode_sorted_list,
@@ -21,7 +24,8 @@ from fermiconv import (
     second_to_first,
     tensor_product_merge,
 )
-from fermiconv import circuits
+from fermiconv import circuits, conversion
+from fermiconv.circuits import build_layout
 
 MIB = 1 << 20
 
@@ -75,3 +79,45 @@ def test_branch_cap_refuses_before_growing(monkeypatch):
     sl = encode_sorted_list(OccupationBitstring.from_indices(6, (1, 2, 4, 5, 6)), 5)
     with pytest.raises(CapExceeded, match="branch"):
         second_to_first(sl)
+
+
+def _sl_superposition(M, dets):
+    layout = build_layout(M, len(dets[0]))
+    keys = [layout.basis_index(d) for d in dets]
+    amps = np.full(len(keys), 1 / np.sqrt(len(keys)))
+    sv = Statevector.from_components(layout.total_qubits, keys, amps)
+    return EncodedState(sv, "sorted-list", layout, len(dets[0]))
+
+
+def test_merge_refuses_large_joint_input_without_allocating():
+    # two 18-qubit inputs holding all C(62,3) = 37820 determinants: their
+    # joint list would hold 1.4e9 components on a 58-qubit work layout
+    sl = _sl_superposition(62, list(itertools.combinations(range(1, 63), 3)))
+
+    def merge():
+        with pytest.raises(CapExceeded, match="joint input"):
+            tensor_product_merge(sl, sl)
+
+    assert _peak_mib(merge) <= 16
+
+
+def test_merge_split_matrix_refused_past_branch_cap(monkeypatch):
+    # 9 joint components whose records stay entangled: the rank-1 split
+    # would span 45 (record, system) pairs
+    a = _sl_superposition(6, [(1, 4), (2, 5), (3, 6)])
+    b = _sl_superposition(6, [(1, 2), (3, 5), (4, 6)])
+    monkeypatch.setattr(circuits, "BRANCH_CAP", 16)
+    with pytest.raises(CapExceeded, match="split matrix"):
+        tensor_product_merge(a, b)
+
+
+def test_forward_refuses_record_state_before_tracing(monkeypatch):
+    # 10 registers of 2 bits fit the dense cap, their 32 records do not
+    fq = encode_first_quantized_determinant(OccupationBitstring.from_indices(2, (1,)))
+
+    def no_trace(*args):
+        raise AssertionError("traced before the cap check")
+
+    monkeypatch.setattr(conversion, "sparse_action", no_trace)
+    with pytest.raises(CapExceeded, match="32 qubits"):
+        first_to_second(fq, extra_registers=9)
