@@ -197,6 +197,13 @@ def write_basis_matrix(bm: BasisMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(tok: str, kind):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise BadParam(f"non-numeric token {tok!r} in basis matrix file") from None
+
+
 def read_basis_matrix(text: str) -> BasisMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("DIM "):
@@ -204,13 +211,17 @@ def read_basis_matrix(text: str) -> BasisMatrix:
     tok = lines[0].split()
     if len(tok) != 3:
         raise BadParam(f"bad DIM header: {lines[0]!r}")
-    m1, m2 = int(tok[1]), int(tok[2])
+    m1, m2 = (_number(t, int) for t in tok[1:])
+    if min(m1, m2) < 1:
+        raise BadParam(f"bad DIM header: {lines[0]!r}")
     flat = " ".join(lines[1:]).split()
     if len(flat) != 2 * m1 * m2:
         raise BadParam(
             f"expected {2 * m1 * m2} numbers for a {m1} x {m2} table, got {len(flat)}"
         )
-    vals = np.array([float(t) for t in flat], dtype=float)
+    vals = np.array([_number(t, float) for t in flat], dtype=float)
+    if not np.isfinite(vals).all():
+        raise BadParam("non-finite entry in basis matrix file")
     table = (vals[0::2] + 1j * vals[1::2]).reshape(m1, m2)
     if m1 == m2:
         return BasisMatrix(table)

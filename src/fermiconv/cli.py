@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, help="electron count for sl2fq")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sl2fq measurement draws")
-    p.add_argument("--retry-budget", type=int, default=16)
+    p.add_argument("--retry-budget", type=int,
+                   help="sl2fq attempts (default: fails with probability <= 1e-9)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the dense oracle")
     p.set_defaults(func=cmd_convert, parser=p)

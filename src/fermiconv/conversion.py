@@ -196,17 +196,18 @@ def second_to_first(
     enc: EncodedState,
     N: int | None = None,
     rng: np.random.Generator | None = None,
-    retry_budget: int = 16,
+    retry_budget: int | None = None,
 ) -> tuple[EncodedState, ConversionReport]:
     """Sorted list with a fixed electron count -> antisymmetric N registers.
 
     Pipeline: slice off the all-sentinel tail, put N seed registers in a
     uniform superposition, sort them phase-free while recording comparisons,
     measure away seed collisions (success probability prod_k (1 - k/2^b),
-    retried up to retry_budget times), discard the seed, then drive the
-    inverse network over the system with one Z per record. Once comparator t
-    is undone the system orders like the seed did before comparator t, so
-    recomputing comparison t right there erases its record.
+    retried up to retry_budget times; by default the smallest budget, and at
+    least 16, that runs out with probability <= 1e-9), discard the seed,
+    then drive the inverse network over the system with one Z per record.
+    Once comparator t is undone the system orders like the seed did before
+    comparator t, so recomputing comparison t right there erases its record.
     """
     if enc.discipline != SORTED_LIST:
         raise BadParam("input must be a sorted list")
@@ -283,6 +284,10 @@ def second_to_first(
     eq_field = oi >> np.int64(2 * N * b + T)
     keep = eq_field == 0
     p_success = float(np.sum(np.abs(oa[keep]) ** 2))
+    if retry_budget is None:
+        retry_budget = 16
+        if 0 < p_success < 1:
+            retry_budget = max(16, math.ceil(math.log(1e-9) / math.log1p(-p_success)))
     attempts = 0
     for attempts in range(1, retry_budget + 1):
         if rng.random() < p_success:

@@ -4,18 +4,21 @@ toy Hamiltonians, and ionization/attachment overlap tables.
 This module is deliberately a different algorithm family from the circuit
 side: operators act on the 2^M occupation basis (bit p-1 of a mask is the
 occupation of orbital p, masks in increasing integer order), so agreement
-with the register circuits is evidence rather than tautology.
+with the register circuits is evidence rather than tautology. It imports
+only the standard library, numpy and ``.errors``.
 
-Sign convention (shared with the circuit layer): a creation operator picks
-up (-1)^(#occupied q < p), i.e. a_p^dag |x> = (-1)^par * |x + e_p| when
-orbital p is empty. Under it the ascending product a_1^dag a_2^dag ... |vac>
-carries a plus sign.
+Sign convention (shared with the circuit layer): a_p^dag and a_p pick up
+(-1)^(#occupied q < p), i.e. a_p^dag |x> = (-1)^par * |x + e_p| when orbital
+p is empty. Under it the ascending product a_1^dag a_2^dag ... |vac> carries
+a plus sign. One kernel, ``_string_action``, applies this rule for every
+ladder, creation string, k-RDM and Hamiltonian term, reading parities from
+one popcount table per M.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,11 +33,14 @@ from .errors import (
 FOCK_CAP = 12  # dense 4096-dim cap
 
 
-def _popcount(masks: np.ndarray, M: int) -> np.ndarray:
-    out = np.zeros_like(masks)
-    for s in range(M):
-        out += (masks >> s) & 1
-    return out
+@lru_cache(maxsize=None)
+def _popcounts(M: int) -> np.ndarray:
+    """Read-only table of the occupation count of every mask below 2^M."""
+    table = np.zeros(1 << M, dtype=np.int64)
+    for k in range(M):  # masks with top bit k are the ones below 2^k plus one
+        table[1 << k : 2 << k] = table[: 1 << k] + 1
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -56,57 +62,56 @@ class FockSpace:
 
     def sector_indices(self, n: int) -> np.ndarray:
         """Mask indices of the n-electron sector."""
-        m = self.masks()
-        return m[_popcount(m, self.M) == n]
+        return np.flatnonzero(_popcounts(self.M) == n)
 
     def check_orbital(self, p: int) -> None:
         if not 1 <= p <= self.M:
             raise IndexOutOfRange(f"orbital {p} outside 1..{self.M}")
 
 
+def _string_action(space: FockSpace, ops, masks: np.ndarray):
+    """Apply ("create" | "annihilate", p) pairs, rightmost operator first,
+    to occupation masks. Returns (ok, out, sign): the masks the string does
+    not annihilate, the masks it maps them to and their +-1.0 sign."""
+    count = _popcounts(space.M)
+    ok = np.ones(len(masks), dtype=bool)
+    out = masks.copy()
+    sign = np.ones(len(masks))
+    for kind, p in ops:
+        space.check_orbital(p)
+        bit = 1 << (p - 1)
+        if kind not in ("create", "annihilate"):
+            raise BadParam(f"kind {kind!r} not create/annihilate")
+        ok &= ((out & bit) != 0) == (kind == "annihilate")  # a_p needs p occupied
+        sign *= 1.0 - 2.0 * (count[out & (bit - 1)] & 1)
+        out ^= bit
+    return ok, out, sign
+
+
+def _apply_string(vec: np.ndarray, ops, space: FockSpace) -> np.ndarray:
+    ok, out, sign = _string_action(space, ops, space.masks())
+    res = np.zeros_like(vec, dtype=complex)
+    res[out[ok]] = sign[ok] * vec[ok]
+    return res
+
+
 def apply_ladder_fock(vec: np.ndarray, p: int, kind: str, space: FockSpace) -> np.ndarray:
     """a_p or a_p^dag applied to a Fock vector, O(2^M), no matrix built."""
-    space.check_orbital(p)
-    masks = space.masks()
-    below = masks & ((1 << (p - 1)) - 1)
-    sign = 1.0 - 2.0 * (_popcount(below, space.M) & 1)
-    occ = (masks >> (p - 1)) & 1
-    out = np.zeros_like(vec, dtype=complex)
-    if kind == "create":
-        src = occ == 0
-    elif kind == "annihilate":
-        src = occ == 1
-    else:
-        raise BadParam(f"kind {kind!r} not create/annihilate")
-    flipped = masks ^ (1 << (p - 1))
-    out[flipped[src]] = sign[src] * vec[src]
-    return out
+    return _apply_string(vec, ((kind, p),), space)
 
 
 def ladder_matrix(p: int, kind: str, space: FockSpace) -> np.ndarray:
     """Dense ladder matrix with Jordan-Wigner signs; a_p^dag = a_p^T here
     because all entries are real."""
-    space.check_orbital(p)
-    dim = space.dim
-    mat = np.zeros((dim, dim))
     masks = space.masks()
-    below = masks & ((1 << (p - 1)) - 1)
-    sign = 1.0 - 2.0 * (_popcount(below, space.M) & 1)
-    occ = (masks >> (p - 1)) & 1
-    if kind == "create":
-        src = masks[occ == 0]
-    elif kind == "annihilate":
-        src = masks[occ == 1]
-    else:
-        raise BadParam(f"kind {kind!r} not create/annihilate")
-    mat[src ^ (1 << (p - 1)), src] = sign[occ == (0 if kind == "create" else 1)]
+    ok, out, sign = _string_action(space, ((kind, p),), masks)
+    mat = np.zeros((space.dim, space.dim))
+    mat[out[ok], masks[ok]] = sign[ok]
     return mat
 
 
 def vacuum(space: FockSpace) -> np.ndarray:
-    v = np.zeros(space.dim, dtype=complex)
-    v[0] = 1.0
-    return v
+    return creation_string(space, ())
 
 
 def determinant_vector(space: FockSpace, indices) -> np.ndarray:
@@ -128,16 +133,17 @@ def creation_string(space: FockSpace, indices) -> np.ndarray:
 
     Returns the zero vector when an index repeats (Pauli exclusion).
     """
-    v = vacuum(space)
-    for p in reversed(tuple(indices)):
-        v = apply_ladder_fock(v, p, "create", space)
+    ops = [("create", p) for p in reversed(tuple(indices))]
+    ok, out, sign = _string_action(space, ops, np.zeros(1, dtype=np.int64))
+    v = np.zeros(space.dim, dtype=complex)
+    v[out[ok]] = sign[ok]
     return v
 
 
 def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
     """<a_{p1}^dag ... a_{pk}^dag a_{qk} ... a_{q1}>, exact.
 
-    The operator string is applied to a copy of the state right to left;
+    The operator string is applied to the state right to left in one pass;
     the value is the inner product with the original state.
     """
     ps = tuple(ps)
@@ -146,12 +152,9 @@ def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
         raise BadParam("p and q index lists must have equal length")
     if abs(np.linalg.norm(state) - 1.0) > 1e-8:
         raise BadParam("state must be normalized")
-    v = np.asarray(state, dtype=complex)
-    for q in qs:  # a_{q1} is rightmost: apply first
-        v = apply_ladder_fock(v, q, "annihilate", space)
-    for p in reversed(ps):
-        v = apply_ladder_fock(v, p, "create", space)
-    return complex(np.vdot(state, v))
+    # a_{q1} is rightmost: it acts first
+    ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
+    return complex(np.vdot(state, _apply_string(np.asarray(state), ops, space)))
 
 
 def one_rdm(state: np.ndarray, space: FockSpace) -> np.ndarray:
@@ -226,43 +229,23 @@ class ToyHamiltonian:
     def dense_matrix(self, space: FockSpace) -> np.ndarray:
         if space.M != self.M:
             raise BadParam("space and Hamiltonian disagree on M")
-        dim = space.dim
-        H = np.zeros((dim, dim), dtype=complex)
-        cols = space.masks()
-        for p in range(1, self.M + 1):
-            for q in range(1, self.M + 1):
-                c = self.h1[p - 1, q - 1]
-                if c == 0:
-                    continue
-                _accumulate_term(H, cols, c, (("a", q), ("c", p)), self.M)
-        for p in range(1, self.M + 1):
-            for q in range(1, self.M + 1):
-                for r in range(1, self.M + 1):
-                    for s in range(1, self.M + 1):
-                        c = 0.5 * self.h2[p - 1, q - 1, r - 1, s - 1]
-                        if c == 0:
-                            continue
-                        _accumulate_term(
-                            H, cols, c, (("a", s), ("a", r), ("c", q), ("c", p)), self.M
-                        )
+        H = np.zeros((space.dim, space.dim), dtype=complex)
+        masks = space.masks()
+
+        def add(c, ops):
+            if c != 0:
+                ok, out, sign = _string_action(space, ops, masks)
+                H[out[ok], masks[ok]] += c * sign[ok]
+
+        for p, q in np.ndindex(self.M, self.M):
+            add(self.h1[p, q], (("annihilate", q + 1), ("create", p + 1)))
+        for p, q, r, s in np.ndindex(*(self.M,) * 4):
+            ops = (("annihilate", s + 1), ("annihilate", r + 1),
+                   ("create", q + 1), ("create", p + 1))
+            add(0.5 * self.h2[p, q, r, s], ops)
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise BadParam("dense Hamiltonian is not Hermitian at 1e-10")
         return H
-
-
-def _accumulate_term(H, cols, coef, ops, M):
-    """Add coef * (op string, applied right to left == tuple order) to H."""
-    cur = cols.copy()
-    sign = np.ones(len(cols))
-    ok = np.ones(len(cols), dtype=bool)
-    for op, idx in ops:
-        bit = 1 << (idx - 1)
-        occ = (cur & bit) != 0
-        ok &= occ if op == "a" else ~occ
-        below = cur & (bit - 1)
-        sign *= 1.0 - 2.0 * (_popcount(below, M) & 1)
-        cur = cur ^ bit
-    H[cur[ok], cols[ok]] += coef * sign[ok]
 
 
 def random_toy_hamiltonian(rng: np.random.Generator, M: int, two_body: bool = True) -> ToyHamiltonian:
@@ -351,32 +334,31 @@ def read_toy_hamiltonian(text: str, M: int | None = None) -> ToyHamiltonian:
 
     M defaults to the largest orbital index mentioned.
     """
-    entries1: list[tuple[int, int, complex]] = []
-    entries2: list[tuple[int, int, int, int, complex]] = []
-    seen = 0
+    entries: list[tuple[tuple[int, ...], complex, str]] = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
             continue
         tok = ln.split()
-        if tok[0] == "H1" and len(tok) == 5:
-            p, q = int(tok[1]), int(tok[2])
-            entries1.append((p, q, float(tok[3]) + 1j * float(tok[4])))
-            seen = max(seen, p, q)
-        elif tok[0] == "H2" and len(tok) == 7:
-            p, q, r, s = (int(t) for t in tok[1:5])
-            entries2.append((p, q, r, s, float(tok[5]) + 1j * float(tok[6])))
-            seen = max(seen, p, q, r, s)
-        else:
+        n_idx = {"H1": 2, "H2": 4}.get(tok[0])
+        if n_idx is None or len(tok) != n_idx + 3:
             raise BadParam(f"bad Hamiltonian line: {ln!r}")
+        try:
+            idx = tuple(int(t) for t in tok[1 : n_idx + 1])
+            zv = float(tok[-2]) + 1j * float(tok[-1])
+        except ValueError:
+            raise BadParam(f"non-numeric token in Hamiltonian line: {ln!r}") from None
+        if min(idx) < 1:
+            raise BadParam(f"orbital below 1 in Hamiltonian line: {ln!r}")
+        entries.append((idx, zv, ln))
     if M is None:
-        M = seen
+        M = max((max(idx) for idx, _, _ in entries), default=0)
     if M < 1:
         raise BadParam("no coefficients and no explicit M")
     h1 = np.zeros((M, M), dtype=complex)
     h2 = np.zeros((M,) * 4, dtype=complex)
-    for p, q, zv in entries1:
-        h1[p - 1, q - 1] = zv
-    for p, q, r, s, zv in entries2:
-        h2[p - 1, q - 1, r - 1, s - 1] = zv
+    for idx, zv, ln in entries:
+        if max(idx) > M:
+            raise BadParam(f"orbital above M={M} in Hamiltonian line: {ln!r}")
+        (h1 if len(idx) == 2 else h2)[tuple(i - 1 for i in idx)] = zv
     return ToyHamiltonian(M, h1, h2)

@@ -179,3 +179,6 @@ def test_read_basis_matrix_errors():
         read_basis_matrix("DIM 2\n")
     with pytest.raises(BadParam):
         read_basis_matrix("DIM 2 2\n1.0 0.0\n")
+    for text in ("DIM 0 0\n", "DIM 0 2\n", "DIM 1 1\nnan 0.0\n", "DIM 1 1\n1.0 inf\n"):
+        with pytest.raises(BadParam):
+            read_basis_matrix(text)

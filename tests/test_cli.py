@@ -233,6 +233,11 @@ def test_basis_matrix_file(capsys, tmp_path):
     )
     assert rc == 0 and out.splitlines()[-1] == "fidelity 1.000000"
     assert "0.7071067811865475" in out_state.read_text()
+    # a non-numeric header or entry is a precondition failure naming the token
+    for text, token in (("DIM 2 x\n", "'x'"), (f"DIM 1 1\n{r!r} 0.0j\n", "'0.0j'")):
+        mat.write_text(text)
+        rc, _, err = _run(capsys, ["basis", "--state", str(fq), "--matrix", str(mat)])
+        assert rc == 3 and err.startswith("error:") and token in err
 
 
 def test_count_command(capsys, tmp_path):

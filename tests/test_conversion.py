@@ -175,6 +175,13 @@ def test_backward_retry_budget():
     )
     assert 1 <= rep.attempts <= 50
     np.testing.assert_allclose(out.state.amps, _fq(4, (1, 3)).state.amps, atol=1e-10)
+    # M=6 N=6 succeeds per attempt with p = 2520/32768; seed 3 needs 21
+    # attempts, so a flat budget of 16 would run out
+    sl = _sl(6, range(1, 7), 6)
+    out, rep = second_to_first(sl, rng=np.random.default_rng(3))
+    assert rep.attempts > 16
+    np.testing.assert_allclose(rep.success_probability, 2520 / 32768, rtol=1e-12)
+    np.testing.assert_allclose(sorted_list_to_fock(sl), first_quantized_to_fock(out), atol=1e-10)
 
 
 def test_round_trips():

@@ -1,9 +1,13 @@
 """Dense Fock-space oracle: ladder algebra, RDMs, toy Hamiltonians."""
 
+import ast
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
-from fermiconv import FockSpace, ToyHamiltonian, k_rdm, one_rdm
+from fermiconv import FockSpace, ToyHamiltonian, fci, k_rdm, one_rdm
 from fermiconv.errors import BadParam, IndexOutOfRange, NotUnitary, SectorEmpty
 from fermiconv.fci import (
     creation_string,
@@ -210,3 +214,50 @@ def test_toy_hamiltonian_file_round_trip():
         read_toy_hamiltonian("")
     with pytest.raises(BadParam):
         read_toy_hamiltonian("H3 1 1 0.0 0.0\n")
+    # orbital 0, an orbital past an explicit M and a non-numeric token are
+    # refused with the offending line named
+    for text, M in (
+        ("H1 0 1 1.0 0.0\n", None),
+        ("H1 1 3 1.0 0.0\n", 2),
+        ("H2 1 2 2 5 1.0 0.0\n", 4),
+        ("H1 1 1 1.0 zero\n", None),
+        ("H2 1 x 1 1 1.0 0.0\n", None),
+    ):
+        with pytest.raises(BadParam, match=repr(text.strip())):
+            read_toy_hamiltonian(text, M)
+
+
+def test_two_body_convention_against_ladder_products():
+    M = 3
+    space = FockSpace(M)
+    H = random_toy_hamiltonian(np.random.default_rng(5), M)
+    c = [ladder_matrix(p, "create", space) for p in range(1, M + 1)]
+    a = [ladder_matrix(p, "annihilate", space) for p in range(1, M + 1)]
+    want = sum(H.h1[p, q] * c[p] @ a[q] for p, q in np.ndindex(M, M))
+    want = want + 0.5 * sum(
+        H.h2[p, q, r, s] * c[p] @ c[q] @ a[r] @ a[s] for p, q, r, s in np.ndindex(*(M,) * 4)
+    )
+    np.testing.assert_allclose(H.dense_matrix(space), want, atol=1e-12)
+    # <C_p1 C_p2 A_q2 A_q1> on a ground state mixing several determinants
+    _, vecs = sector_eigensystem(want, space, 2)
+    psi = vecs[:, 0]
+    for p1, p2, q1, q2 in itertools.product(range(M), repeat=4):
+        ref = np.vdot(psi, c[p1] @ c[p2] @ a[q2] @ a[q1] @ psi)
+        got = k_rdm(psi, (p1 + 1, p2 + 1), (q1 + 1, q2 + 1), space)
+        assert abs(got - ref) < 1e-12
+
+
+def test_oracle_imports_no_circuit_code():
+    tree = ast.parse(open(fci.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert (node.level, node.module) == (1, "errors"), ast.dump(node)
+                continue
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        for root in roots:
+            assert root == "numpy" or root in sys.stdlib_module_names, root
