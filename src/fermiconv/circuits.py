@@ -1,25 +1,23 @@
-"""Register layouts, gates, dense statevector simulation, and gate counting.
+"""Register layouts, gates, the sparse gate interpreter, and gate counting.
 
-The simulator is deliberately plain: one dense complex128 amplitude array,
-gates applied in sequence through numpy slice assignments. A layout packs
-N_reg registers of b qubits each, least-significant qubit first, register 0
-in the lowest bits, ancillas above all registers. A computational-basis
-index n therefore carries register i as ``(n >> (i*b)) & (2**b - 1)``.
+A layout packs N_reg registers of b qubits each, least-significant qubit
+first, register 0 in the lowest bits, ancillas above all registers. A
+computational-basis index n therefore carries register i as
+``(n >> (i*b)) & (2**b - 1)``.
 
-Two evaluation routes exist on purpose:
+Circuits are evaluated by one route, ``sparse_action``: it carries a
+component list (packed int64 indices plus amplitudes) through the gates.
+Permutation and phase gates update the list elementwise; H, U2 and REGU
+branch through one kernel that applies their matrix to a contiguous qubit
+run. Every conversion, ladder, merge and basis change runs on it;
+``basis_action`` is its one-component, permutation-only case and
+``apply_circuit`` its wrapper for dense states. Unit tests pin it to a
+dense reference engine kept with the tests.
 
-* ``apply_circuit``: the dense engine, works on any gate kind. Only the
-  register unitaries (REGU) of basis changes need it.
-* ``sparse_action``: the one tracer of permutation-plus-phase circuits. It
-  carries a component list (packed int64 indices plus amplitudes) through
-  the gates, branching on H, so every conversion, ladder and merge stage
-  runs without a statevector. ``basis_action`` is its one-component case.
-  Unit tests pin it to the dense engine on small layouts.
-
-Gate counting is a third, purely syntactic route (``count_gates``).
-Layouts only pack registers; each size cap sits where memory is spent:
-dense vectors in ``Statevector.from_components`` (QUBIT_CAP qubits), the
-tracer in ``sparse_action`` (PACKED_CAP qubits, BRANCH_CAP components).
+Gate counting is purely syntactic (``count_gates``). Layouts only pack
+registers; each size cap sits where memory is spent: dense vectors in
+``Statevector.from_components`` (QUBIT_CAP qubits), the interpreter in
+``sparse_action`` (PACKED_CAP qubits, BRANCH_CAP components).
 """
 
 from __future__ import annotations
@@ -34,8 +32,9 @@ from .errors import BadParam, CapExceeded, DimMismatch, NotPermutation
 
 QUBIT_CAP = 26
 PACKED_CAP = 62  # widest layout whose basis indices fit a signed int64
-# At ~90 B per traced component (index, amplitude, merge scratch), this many
-# cost no more than the largest dense apply: 2^QUBIT_CAP amplitudes twice.
+# At ~90 B per traced component (index, amplitude, branching temporaries),
+# this many hold about 1.5 GiB: no more than a dense QUBIT_CAP state and
+# its copy.
 BRANCH_CAP = 1 << (QUBIT_CAP - 2)
 
 # Gate kinds and their serialized tokens. U2 carries a 2x2 matrix as
@@ -43,6 +42,8 @@ BRANCH_CAP = 1 << (QUBIT_CAP - 2)
 KINDS = ("X", "Z", "H", "PHASE", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP", "U2", "REGU")
 
 _SELF_INVERSE = {"X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP"}
+_BRANCHING = {"H", "U2", "REGU"}
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def regu(mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
     m = np.asarray(mat, dtype=complex)
     if m.shape != (d, d):
         raise BadParam(f"REGU on {len(ts)} qubits wants a {d}x{d} matrix")
-    # contiguous ascending run (a register), required by the dense applier
+    # contiguous ascending run (a register): the branching kernel's field
     if any(ts[k + 1] != ts[k] + 1 for k in range(len(ts) - 1)):
         raise BadParam("REGU targets must be a contiguous ascending qubit run")
     return Gate("REGU", (), ts, _as_params(m))
@@ -280,72 +281,16 @@ class Statevector:
         return abs(self.overlap(other))
 
 
-def _ix(n: int, fixed: dict[int, int]) -> tuple:
-    """Index tuple into a (2,)*n view; qubit q lives on axis n-1-q."""
-    sel: list = [slice(None)] * n
-    for q, v in fixed.items():
-        sel[n - 1 - q] = v
-    return tuple(sel)
-
-
-def _apply_gate(a: np.ndarray, n: int, g: Gate) -> None:
-    v = a.reshape((2,) * n)
-    k = g.kind
-    if k == "Z":
-        v[_ix(n, {g.targets[0]: 1})] *= -1.0
-    elif k == "PHASE":
-        v[_ix(n, {g.targets[0]: 1})] *= np.exp(1j * g.params[0])
-    elif k == "H":
-        t = g.targets[0]
-        i0, i1 = _ix(n, {t: 0}), _ix(n, {t: 1})
-        a0, a1 = v[i0].copy(), v[i1].copy()
-        s = 1.0 / math.sqrt(2.0)
-        v[i0] = (a0 + a1) * s
-        v[i1] = (a0 - a1) * s
-    elif k == "U2":
-        t = g.targets[0]
-        m = _as_matrix(g.params, 2)
-        i0, i1 = _ix(n, {t: 0}), _ix(n, {t: 1})
-        a0, a1 = v[i0].copy(), v[i1].copy()
-        v[i0] = m[0, 0] * a0 + m[0, 1] * a1
-        v[i1] = m[1, 0] * a0 + m[1, 1] * a1
-    elif k == "CZ":
-        qa, qb = g.targets
-        v[_ix(n, {qa: 1, qb: 1})] *= -1.0
-    elif k in ("X", "CNOT", "TOFFOLI", "MCX"):
-        t = g.targets[0]
-        on = {c: 1 for c in g.controls}
-        i0 = _ix(n, {**on, t: 0})
-        i1 = _ix(n, {**on, t: 1})
-        v[i0], v[i1] = v[i1], v[i0].copy()
-    elif k == "CSWAP":
-        c = g.controls[0]
-        t1, t2 = g.targets
-        i01 = _ix(n, {c: 1, t1: 0, t2: 1})
-        i10 = _ix(n, {c: 1, t1: 1, t2: 0})
-        v[i01], v[i10] = v[i10], v[i01].copy()
-    elif k == "REGU":
-        lo = g.targets[0]
-        w = len(g.targets)
-        d = 1 << w
-        m = _as_matrix(g.params, d)
-        block = a.reshape(1 << (n - lo - w), d, 1 << lo)
-        np.einsum("vw,awc->avc", m, block.copy(), out=block)
-    else:
-        raise BadParam(f"unknown gate kind {k}")
-
-
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
-    """Run the gate list left to right on a copy of the state."""
+    """Run the gate list left to right on the state's nonzero components."""
     n = circuit.layout.total_qubits
     if state.amps.shape[0] != (1 << n):
         raise DimMismatch(
             f"state has {state.amps.shape[0]} amplitudes, layout wants {1 << n}"
         )
-    a = state.amps.copy()
-    for g in circuit.gates:
-        _apply_gate(a, n, g)
-    return Statevector(a)
+    keys = np.flatnonzero(state.amps)
+    idx, amp = sparse_action(circuit, keys, state.amps[keys])
+    return Statevector.from_components(n, idx, amp)
 
 
 def basis_action(circuit: Circuit, index: int) -> tuple[int, complex]:
@@ -354,8 +299,9 @@ def basis_action(circuit: Circuit, index: int) -> tuple[int, complex]:
     Returns (output index, phase). Raises NotPermutation on H/U2/REGU,
     which move basis states into superpositions.
     """
-    if any(g.kind == "H" for g in circuit.gates):
-        raise NotPermutation("H gate does not map basis states to basis states")
+    for g in circuit.gates:
+        if g.kind in _BRANCHING:
+            raise NotPermutation(f"{g.kind} gate does not map basis states to basis states")
     idx, amp = sparse_action(circuit, np.array([index]), np.array([1.0 + 0.0j]))
     return int(idx[0]), complex(amp[0])
 
@@ -366,19 +312,41 @@ def check_branches(n: int, what: str) -> None:
         raise CapExceeded(f"{what}: {n} components > branch cap {BRANCH_CAP}")
 
 
+def _branch(
+    idx: np.ndarray, amp: np.ndarray, lo: int, w: int, mat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the 2^w x 2^w matrix mat to qubits lo..lo+w-1 of every component.
+
+    Components that agree outside the run form one group; each group's
+    amplitudes fill one row of a (groups x 2^w) block, summing any repeated
+    key, and the block times mat.T is the group's output. Exact zeros are
+    dropped; nothing else is.
+    """
+    d = 1 << w
+    run = np.int64((d - 1) << lo)
+    rest, group = np.unique(idx & ~run, return_inverse=True)
+    check_branches(len(rest) * d, f"{w}-qubit branching")
+    block = np.zeros(len(rest) * d, dtype=complex)
+    np.add.at(block, group * d + ((idx & run) >> lo), amp)
+    out = (block.reshape(-1, d) @ mat.T).ravel()
+    keep = np.flatnonzero(out)
+    return rest[keep >> w] | ((keep & (d - 1)) << lo), out[keep]
+
+
 def sparse_action(
     circuit: Circuit, indices: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A permutation+phase circuit on a component list, with H branching.
+    """Any circuit on a component list: the one gate interpreter.
 
-    The pair (indices, amps) describes sum_k amps[k] |indices[k]>. Every
-    permutation-phase gate updates the arrays elementwise; an H gate
-    doubles the list and merges collisions, so circuits with a small H
-    layer stay cheap on layouts far above the dense comfort zone. U2 and
-    REGU raise NotPermutation. Exact: no thresholding is applied. Layouts
-    wider than PACKED_CAP qubits raise CapExceeded, since their indices
-    would not fit the packed int64 arrays, and so does a list (given, or
-    grown by an H gate) of more than BRANCH_CAP components.
+    The pair (indices, amps) describes sum_k amps[k] |indices[k]>.
+    Permutation and phase gates update the arrays elementwise; H, U2 and
+    REGU go through one branching kernel that applies their matrix to a
+    contiguous qubit run and merges collisions, so a circuit with a small
+    branching layer stays cheap on layouts far above the dense comfort
+    zone. Exact: only exact zeros are dropped. Layouts wider than
+    PACKED_CAP qubits raise CapExceeded, since their indices would not fit
+    the packed int64 arrays, and so does a list (given, or grown by a
+    branching gate) of more than BRANCH_CAP components.
     """
     n = circuit.layout.total_qubits
     if n > PACKED_CAP:
@@ -386,7 +354,6 @@ def sparse_action(
     check_branches(len(indices), "input list")
     idx = np.array(indices, dtype=np.int64, copy=True)
     amp = np.array(amps, dtype=complex, copy=True)
-    s = 1.0 / math.sqrt(2.0)
     for g in circuit.gates:
         k = g.kind
         if k == "X":
@@ -411,19 +378,12 @@ def sparse_action(
             on = ((idx >> g.controls[0]) & ((idx >> t1) ^ (idx >> t2)) & 1) == 1
             idx[on] ^= np.int64((1 << t1) | (1 << t2))
         elif k == "H":
-            check_branches(2 * len(idx), "H branching")
-            q = g.targets[0]
-            bit = np.int64(1 << q)
-            was1 = (idx & bit) != 0
-            low = idx & ~bit
-            idx = np.concatenate([low, low | bit])
-            amp = np.concatenate([amp * s, np.where(was1, -s, s) * amp])
-            idx, inverse = np.unique(idx, return_inverse=True)
-            merged = np.zeros(len(idx), dtype=complex)
-            np.add.at(merged, inverse, amp)
-            amp = merged
+            idx, amp = _branch(idx, amp, g.targets[0], 1, _HADAMARD)
+        elif k in ("U2", "REGU"):
+            w = len(g.targets)
+            idx, amp = _branch(idx, amp, g.targets[0], w, _as_matrix(g.params, 1 << w))
         else:
-            raise NotPermutation(f"{k} gate does not map basis states to basis states")
+            raise BadParam(f"unknown gate kind {k}")
     return idx, amp
 
 
@@ -451,8 +411,10 @@ class GateCount:
 def count_gates(circuit: Circuit) -> GateCount:
     """Deterministic cost bookkeeping.
 
-    MultiControlledX with k controls counts k-1 Toffoli equivalents (linear
-    ancilla-free ladder convention); ControlledSwap counts 1 Toffoli + 2
+    MultiControlledX with k controls counts k-1 Toffoli equivalents (the
+    clean-ancilla AND ladder with measurement-based uncomputation, Gidney,
+    "Halving the cost of quantum addition", Quantum 2, 74 (2018));
+    ControlledSwap counts 1 Toffoli + 2
     CNOTs (standard decomposition); CZ counts as one entangling two-qubit
     gate alongside CNOT; every single-qubit gate counts 1.
     """

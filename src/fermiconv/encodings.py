@@ -260,7 +260,7 @@ def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
     if not rep.ok:
         raise MalformedComponent(f"{len(rep.violations)} invalid components: "
                                  f"{rep.violations[0][2]}")
-    fock = np.zeros(1 << enc.M, dtype=complex)
+    fock = Statevector.from_components(enc.M, (), ()).amps
     amps = enc.state.amps
     for comp in np.nonzero(np.abs(amps) > AMP_THRESHOLD)[0]:
         x = decode_basis_component(int(comp), SORTED_LIST, enc.layout)
@@ -283,7 +283,7 @@ def first_quantized_to_fock(enc: EncodedState) -> np.ndarray:
     layout = enc.layout
     N = layout.n_reg
     scale = math.sqrt(math.factorial(N))
-    fock = np.zeros(1 << enc.M, dtype=complex)
+    fock = Statevector.from_components(enc.M, (), ()).amps
     amps = enc.state.amps
     for comp in np.nonzero(np.abs(amps) > AMP_THRESHOLD)[0]:
         values = layout.values(int(comp))

@@ -215,6 +215,8 @@ class ToyHamiltonian:
         self.h1 = np.asarray(self.h1, dtype=complex)
         if self.h1.shape != (self.M, self.M):
             raise BadParam(f"h1 must be {self.M}x{self.M}")
+        if not np.isfinite(self.h1).all():
+            raise BadParam("non-finite coefficient in h1")
         if np.max(np.abs(self.h1 - self.h1.conj().T)) > 1e-10:
             raise BadParam("h1 is not Hermitian at 1e-10")
         if self.h2 is None:
@@ -222,6 +224,8 @@ class ToyHamiltonian:
         self.h2 = np.asarray(self.h2, dtype=complex)
         if self.h2.shape != (self.M,) * 4:
             raise BadParam(f"h2 must be {self.M}^4")
+        if not np.isfinite(self.h2).all():
+            raise BadParam("non-finite coefficient in h2")
         dev = _h2_orbit_deviation(self.h2)
         if dev > 1e-10:
             raise BadParam(f"h2 violates h_pqrs = conj(h_qpsr) by {dev:.2e}")

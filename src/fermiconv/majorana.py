@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, Statevector, apply_circuit, build_layout, sparse_action, z
+from .circuits import Circuit, Gate, Statevector, build_layout, sparse_action, z
 from .comparators import _le_gates, bubble_gates, swap_values_circuit
 from .encodings import (
     SORTED_LIST,
@@ -84,11 +84,6 @@ class ScaledCircuit:
 
     circuit: Circuit
     scalar: complex
-
-    def apply(self, state: Statevector) -> Statevector:
-        out = apply_circuit(state, self.circuit)
-        out.amps *= self.scalar
-        return out
 
 
 def majorana_circuit(layout, mu: int) -> ScaledCircuit:

@@ -35,6 +35,8 @@ from fermiconv.circuits import (
 )
 from fermiconv.errors import BadParam, DimMismatch, NotPermutation
 
+from dense_reference import apply_dense
+
 
 def test_layout_examples():
     lay = build_layout(4, 3, 2)
@@ -138,12 +140,22 @@ def test_mcx_normalizes_small_fanin():
 N_RAND = 7  # qubits for the random-circuit properties
 
 
+def _random_unitary(draw, d):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _random_gate(draw, n):
     kind = draw(st.sampled_from(
-        ["X", "Z", "H", "PHASE", "CNOT", "CZ", "TOFFOLI", "CSWAP", "MCX"]
+        ["X", "Z", "H", "PHASE", "CNOT", "CZ", "TOFFOLI", "CSWAP", "MCX", "U2", "REGU"]
     ))
+    if kind == "REGU":
+        w = draw(st.integers(1, 3))
+        lo = draw(st.integers(0, n - w))
+        return regu(_random_unitary(draw, 1 << w), tuple(range(lo, lo + w)))
     need = {"X": 1, "Z": 1, "H": 1, "PHASE": 1, "CNOT": 2, "CZ": 2,
-            "TOFFOLI": 3, "CSWAP": 3, "MCX": 4}[kind]
+            "TOFFOLI": 3, "CSWAP": 3, "MCX": 4, "U2": 1}[kind]
     qs = draw(st.lists(st.integers(0, n - 1), unique=True,
                        min_size=need, max_size=need))
     if kind == "X":
@@ -162,6 +174,8 @@ def _random_gate(draw, n):
         return toffoli(qs[0], qs[1], qs[2])
     if kind == "CSWAP":
         return cswap(qs[0], qs[1], qs[2])
+    if kind == "U2":
+        return u2(_random_unitary(draw, 2), qs[0])
     return mcx(qs[:3], qs[3])
 
 
@@ -186,25 +200,30 @@ def random_states(draw):
 def test_unitarity(circ, state):
     out = apply_circuit(state, circ)
     assert abs(out.norm() - 1.0) < 1e-10
+    np.testing.assert_allclose(out.amps, apply_dense(state, circ).amps, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(circ=random_circuits(), state=random_states())
 def test_reversibility(circ, state):
-    back = apply_circuit(apply_circuit(state, circ), circ.inverse())
+    fwd = apply_circuit(state, circ)
+    back = apply_circuit(fwd, circ.inverse())
     assert np.linalg.norm(back.amps - state.amps) < 1e-10
+    np.testing.assert_allclose(
+        back.amps, apply_dense(fwd, circ.inverse()).amps, atol=1e-10
+    )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(circ=random_circuits(), index=st.integers(0, (1 << N_RAND) - 1))
 def test_tracers_match_dense(circ, index):
     lay = circ.layout
-    dense = apply_circuit(Statevector.basis(lay, index), circ)
+    dense = apply_dense(Statevector.basis(lay, index), circ)
     oi, oa = sparse_action(circ, np.array([index]), np.array([1.0 + 0.0j]))
     rebuilt = np.zeros_like(dense.amps)
     rebuilt[oi] = oa
     np.testing.assert_allclose(rebuilt, dense.amps, atol=1e-10)
-    if not any(g.kind == "H" for g in circ.gates):
+    if not any(g.kind in ("H", "U2", "REGU") for g in circ.gates):
         out, ph = basis_action(circ, index)
         assert len(oi) == 1 and oi[0] == out
         assert abs(oa[0] - ph) < 1e-12
@@ -212,11 +231,9 @@ def test_tracers_match_dense(circ, index):
 
 def test_basis_action_rejects_branching():
     lay = build_layout(2, 1, 0)
-    with pytest.raises(NotPermutation):
-        basis_action(Circuit(lay, [h(0)]), 0)
-    with pytest.raises(NotPermutation):
-        sparse_action(Circuit(lay, [u2(np.eye(2), 0)]),
-                      np.array([0]), np.array([1.0 + 0j]))
+    for g in (h(0), u2(np.eye(2), 0), regu(np.eye(4), (0, 1))):
+        with pytest.raises(NotPermutation):
+            basis_action(Circuit(lay, [x(1), g]), 0)
 
 
 def test_tracers_refuse_packed_index_overflow():
@@ -242,6 +259,10 @@ def test_sparse_action_merges_h_branches():
     keep = np.abs(oa) > 0
     assert list(oi[keep]) == [2]
     np.testing.assert_allclose(oa[keep], [1.0], atol=1e-12)
+    # a key listed twice carries the sum of its amplitudes
+    oi, oa = sparse_action(Circuit(lay, [h(0)]), np.array([0, 0]), np.array([0.5, 0.5]))
+    assert list(oi) == [0, 1]
+    np.testing.assert_allclose(oa, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_serialization_round_trip():
@@ -252,7 +273,7 @@ def test_serialization_round_trip():
     circ = Circuit(lay, [
         x(0), z(3), h(5), phase(0.75, 2), cnot(1, 4), cz(2, 5),
         toffoli(0, 1, 6), mcx([0, 2, 4], 7), cswap(6, 0, 3),
-        u2(mat, 5),
+        u2(mat, 5), regu(np.kron(mat, mat.T), (3, 4)),
     ])
     text = serialize_circuit(circ)
     back = parse_circuit(text)
@@ -260,7 +281,7 @@ def test_serialization_round_trip():
     assert back.layout.M == 4 and back.layout.n_reg == 2 and back.layout.n_anc == 3
     state = Statevector(np.exp(2j * np.pi * rng.random(1 << 9)) / math.sqrt(1 << 9))
     np.testing.assert_allclose(
-        apply_circuit(state, back).amps, apply_circuit(state, circ).amps,
+        apply_circuit(state, back).amps, apply_dense(state, circ).amps,
         atol=1e-12,
     )
 

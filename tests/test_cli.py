@@ -167,6 +167,17 @@ def test_convert_cap_exceeded_exit_5(capsys, tmp_path):
     assert rc == 5 and err.startswith("error:")
 
 
+def test_fock_bridges_cap_exceeded_exit_5(capsys, tmp_path):
+    # 12 register qubits, but a 2^40 Fock vector for the oracle check
+    sl = tmp_path / "m40.txt"
+    _run(capsys, ["encode", "--sl", "--M", "40", "--occ", "3,17", "--nreg", "2",
+                  "--out", str(sl)])
+    for argv in (["convert", "--dir", "sl2fq", "--verify", "--in", str(sl)],
+                 ["rdm", "--state", str(sl)]):
+        rc, _, err = _run(capsys, argv)
+        assert rc == 5 and err.startswith("error:")
+
+
 def test_rdm_trace(capsys, tmp_path):
     sl = tmp_path / "one.txt"
     _run(capsys, ["encode", "--sl", "--M", "2", "--occ", "1", "--nreg", "1",

@@ -123,6 +123,15 @@ def test_toy_hamiltonian_symmetry_enforcement():
     h2[0, 1, 0, 1] = 1.0  # orbit partner (1,0,1,0) missing
     with pytest.raises(BadParam):
         ToyHamiltonian(2, np.eye(2), h2)
+    # non-finite coefficients pass both symmetry checks; they are refused too
+    with pytest.raises(BadParam, match="non-finite"):
+        read_toy_hamiltonian("H1 1 1 nan 0.0\nH1 2 2 1.0 0.0\n")
+    with pytest.raises(BadParam, match="non-finite"):
+        ToyHamiltonian(2, np.array([[np.inf, 0], [0, 1]]))
+    h2 = np.zeros((2,) * 4)
+    h2[0, 0, 0, 0] = np.inf
+    with pytest.raises(BadParam, match="non-finite"):
+        ToyHamiltonian(2, np.eye(2), h2)
     rng = np.random.default_rng(0)
     H = random_toy_hamiltonian(rng, 3)
     space = FockSpace(3)

@@ -20,8 +20,10 @@ from fermiconv import (
     apply_ladder,
     encode_first_quantized_determinant,
     encode_sorted_list,
+    first_quantized_to_fock,
     first_to_second,
     second_to_first,
+    sorted_list_to_fock,
     tensor_product_merge,
 )
 from fermiconv import circuits, conversion
@@ -121,3 +123,17 @@ def test_forward_refuses_record_state_before_tracing(monkeypatch):
     monkeypatch.setattr(conversion, "sparse_action", no_trace)
     with pytest.raises(CapExceeded, match="32 qubits"):
         first_to_second(fq, extra_registers=9)
+
+
+def test_fock_bridges_refuse_wide_orbital_spaces_without_allocating():
+    # M=40 registers fit 12 qubits, but the Fock vector would hold 2^40 amplitudes
+    occ = OccupationBitstring.from_indices(40, (3, 17))
+    sl = encode_sorted_list(occ, 2)
+    fq = encode_first_quantized_determinant(occ)
+    for bridge, enc in ((sorted_list_to_fock, sl), (first_quantized_to_fock, fq)):
+
+        def to_fock():
+            with pytest.raises(CapExceeded, match="40 qubits"):
+                bridge(enc)
+
+        assert _peak_mib(to_fock) <= 16
