@@ -25,6 +25,7 @@ from .conversion import (
     first_to_second,
     fq2sl_gate_count,
     second_to_first,
+    sl2fq_gate_count,
     tensor_product_merge,
 )
 from .encodings import (
@@ -87,6 +88,7 @@ __all__ = [
     "read_state",
     "second_to_first",
     "serialize_circuit",
+    "sl2fq_gate_count",
     "sorted_list_to_fock",
     "tensor_product_merge",
     "validate",

@@ -38,7 +38,7 @@ from .encodings import (
     sorted_list_to_fock,
 )
 from .errors import CapExceeded, FermiconvError
-from .fci import FockSpace, creation_string, k_rdm, rotate_determinants
+from .fci import FOCK_CAP, FockSpace, creation_string, k_rdm, rotate_determinants
 from .report import (
     FORMULAS,
     MODEL_LINLOG,
@@ -141,6 +141,12 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _check_fock_cap(M: int) -> None:
+    """Refuse an oracle run past FockSpace's range before any Fock vector."""
+    if M > FOCK_CAP:
+        raise CapExceeded(f"M={M} exceeds the Fock oracle's cap of {FOCK_CAP}")
+
+
 def _to_fock(enc: EncodedState) -> np.ndarray:
     if enc.discipline == SORTED_LIST:
         return sorted_list_to_fock(enc)
@@ -173,6 +179,7 @@ def cmd_convert(args) -> int:
 
 def cmd_rdm(args) -> int:
     enc = read_state(_read(args.state))
+    _check_fock_cap(enc.M)
     fock = _to_fock(enc)
     space = FockSpace(enc.M)
     buf = io.StringIO()
@@ -220,6 +227,7 @@ def cmd_tensor(args) -> int:
                   file=sys.stderr)
             return 3
         M = a.M
+        _check_fock_cap(M)
         space = FockSpace(M)
         fock_a = sorted_list_to_fock(a)
         fock_b = sorted_list_to_fock(b)
@@ -265,6 +273,7 @@ def cmd_basis(args) -> int:
         _emit(args.out, write_state(result))
     if args.verify:
         M = enc.M
+        _check_fock_cap(M)
         U = np.eye(M, dtype=complex)
         d = core.shape[0]
         U[:d, :d] = core

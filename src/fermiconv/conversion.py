@@ -7,11 +7,11 @@ register provably factorizes (outcomes depend only on the ordering
 permutation, and the per-branch phase cancels the permutation sign).
 
 Sorted-list-to-antisymmetric seeds the permutation the other way round: a
-uniform superposition over auxiliary registers is sorted without phases to
-mint one record pattern per permutation, a projective measurement discards
-colliding seeds, the records drive the inverse network across the system
-registers (one Z per record supplies the sign), and each record is erased
-right after its comparator is undone, by recomputing that comparison.
+seed stage, traced once from |0> on N seed registers alone, sorts a uniform
+superposition without phases to mint one record pattern per permutation,
+a projective measurement discards colliding seeds, the records (x) system
+drive the inverse network (one Z per record supplies the sign), and each
+record is erased right after its comparator is undone, by recomputing it.
 
 Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
@@ -47,7 +47,6 @@ from .circuits import (
 )
 from .comparators import (
     SortingNetworkSpec,
-    compare_swap_gates,
     compute_greater_gates,
     equality_flag_gates,
     sorting_network_circuit,
@@ -126,6 +125,30 @@ def _fq2sl_circuit(M: int, N: int, n_out: int) -> Circuit:
     return circ + sorting_network_circuit(layout, spec, with_z=True)
 
 
+def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
+    """(seed stage, unsort) for N >= 2: H on N seed registers, their phase-free
+    recorded sort and N - 1 collision flags; then the inverse network over N
+    system registers, driven by the same records, which supplies the sign."""
+    spec = SortingNetworkSpec.batcher(N)
+    T = spec.n_comparators
+    seed = build_layout(M, N, T + N - 1)
+    seed_stage = Circuit(seed).extend(h(q) for q in range(N * seed.b))
+    seed_stage = seed_stage + sorting_network_circuit(seed, spec, with_z=False)
+    for k in range(N - 1):
+        seed_stage.extend(equality_flag_gates(seed, k, k + 1, seed.anc_qubit(T + k)))
+    work = build_layout(M, N, T)
+    unsort = Circuit(work)
+    for t in reversed(range(T)):
+        i, j = spec.pairs[t]
+        rec = work.anc_qubit(t)
+        qi = list(work.register_qubits(i))
+        qj = list(work.register_qubits(j))
+        unsort.add(z(rec))
+        unsort.extend(cswap(rec, qi[k], qj[k]) for k in range(work.b))
+        unsort.extend(compute_greater_gates(work, i, j, rec))
+    return seed_stage, unsort
+
+
 def first_to_second(
     enc: EncodedState, extra_registers: int = 0
 ) -> tuple[EncodedState, ConversionReport]:
@@ -183,6 +206,13 @@ def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     return count_gates(_fq2sl_circuit(M, N, N + extra_registers))
 
 
+def sl2fq_gate_count(M: int, N: int) -> GateCount:
+    """Cost of the backward conversion circuits, no statevector built."""
+    if N == 1:  # second_to_first passes a single register through
+        return GateCount()
+    return sum(map(count_gates, _sl2fq_circuits(M, N)), GateCount())
+
+
 def _occupancies(enc: EncodedState) -> set[int]:
     layout = enc.layout
     occ = set()
@@ -200,12 +230,12 @@ def second_to_first(
 ) -> tuple[EncodedState, ConversionReport]:
     """Sorted list with a fixed electron count -> antisymmetric N registers.
 
-    Pipeline: slice off the all-sentinel tail, put N seed registers in a
-    uniform superposition, sort them phase-free while recording comparisons,
+    Pipeline: slice off the all-sentinel tail; trace the seed stage (H on N
+    seed registers, phase-free recorded sort, collision flags) once from |0>;
     measure away seed collisions (success probability prod_k (1 - k/2^b),
     retried up to retry_budget times; by default the smallest budget, and at
-    least 16, that runs out with probability <= 1e-9), discard the seed,
-    then drive the inverse network over the system with one Z per record.
+    least 16, that runs out with probability <= 1e-9); split off the seed;
+    drive the inverse network over records (x) system, one Z per record.
     Once comparator t is undone the system orders like the seed did before
     comparator t, so recomputing comparison t right there erases its record.
     """
@@ -224,15 +254,15 @@ def second_to_first(
     if occs and N is not None and occs != {N}:
         raise MixedParticleNumber(f"state occupies {occs.pop()} registers, not {N}")
     if N is None:
-        if not occs:
-            raise BadParam("zero state has no electron count")
-        N = occs.pop()
+        N = max(occs, default=0)
     if N < 1:
         raise BadParam("antisymmetric encoding needs N >= 1")
     layout = enc.layout
     b = layout.b
     if N > layout.n_reg:
         raise MixedParticleNumber(f"N={N} exceeds {layout.n_reg} registers")
+    if not occs:
+        raise BadParam("zero state has nothing to convert")
 
     # trailing registers hold sentinels on every valid component: slice off
     idx = np.flatnonzero(enc.state.amps)
@@ -242,7 +272,7 @@ def second_to_first(
     if spill > 1e-10:
         raise MixedParticleNumber(f"non-sentinel tail amplitude {spill:.2e}")
     # the system occupies registers 0..N-1, so its component indices carry
-    # over unchanged into the work layouts below
+    # over unchanged into the unsort layout
     idx0 = idx[on_tail] & np.int64((1 << (N * b)) - 1)
     amp0 = enc.state.amps[idx[on_tail]]
 
@@ -261,28 +291,12 @@ def second_to_first(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    spec = SortingNetworkSpec.batcher(N)
-    T = spec.n_comparators
-    work = build_layout(enc.M, 2 * N, T + (N - 1))
+    seed_stage, unsort = _sl2fq_circuits(enc.M, N)
+    T = unsort.layout.n_anc
+    # the seed stage never touches the system, so it runs once from |0>
+    oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
 
-    records = [work.anc_qubit(t) for t in range(T)]
-    eqs = [work.anc_qubit(T + k) for k in range(N - 1)]
-    stage1 = Circuit(work)
-    for r in range(N, 2 * N):
-        for q in work.register_qubits(r):
-            stage1.add(h(q))
-    for t, (i, j) in enumerate(spec.pairs):
-        # seed sort is phase-free: the sign enters once, on the system pass
-        stage1.extend(
-            compare_swap_gates(work, N + i, N + j, records[t], with_z=False)
-        )
-    for k in range(N - 1):
-        stage1.extend(equality_flag_gates(work, N + k, N + k + 1, eqs[k]))
-
-    oi, oa = sparse_action(stage1, idx0, amp0)  # H branches inside the tracer
-
-    eq_field = oi >> np.int64(2 * N * b + T)
-    keep = eq_field == 0
+    keep = (oi >> np.int64(N * b + T)) == 0  # no collision flag raised
     p_success = float(np.sum(np.abs(oa[keep]) ** 2))
     if retry_budget is None:
         retry_budget = 16
@@ -296,31 +310,18 @@ def second_to_first(
         raise RetryBudgetExceeded(
             f"{retry_budget} attempts at success probability {p_success:.3f}"
         )
-    ki = oi[keep]
-    ka = oa[keep] / math.sqrt(p_success)
 
     # discard the seed: it factorizes as (uniform over distinct sorted
-    # values) x (records x system), because record patterns depend only on
-    # the seeding permutation, never on which distinct values were drawn.
-    # (records, system) keys are the unsort layout's indices as they stand
-    sys_mask = np.int64((1 << (N * b)) - 1)
-    _, _, rest_keys, rest = _rank_one_split(
-        (ki >> np.int64(N * b)) & sys_mask,
-        ((ki >> np.int64(2 * N * b)) << np.int64(N * b)) | (ki & sys_mask),
-        ka,
+    # values) x records, because record patterns depend only on the seeding
+    # permutation, never on which distinct values were drawn
+    ki = oi[keep]
+    _, _, rec_keys, rec = _rank_one_split(
+        ki & np.int64((1 << (N * b)) - 1), ki >> np.int64(N * b), oa[keep]
     )
-
-    work2 = build_layout(enc.M, N, T)
-    unsort = Circuit(work2)
-    for t in reversed(range(T)):
-        i, j = spec.pairs[t]
-        rec = work2.anc_qubit(t)
-        qi = list(work2.register_qubits(i))
-        qj = list(work2.register_qubits(j))
-        unsort.add(z(rec))
-        unsort.extend(cswap(rec, qi[k], qj[k]) for k in range(b))
-        unsort.extend(compute_greater_gates(work2, i, j, rec))
-    fi, fa = sparse_action(unsort, rest_keys, rest)
+    # records x system holds at most N! C(M, N) <= 2^(N b) components, which
+    # the seed's H branching has already checked against BRANCH_CAP
+    keys = (rec_keys[:, None] << np.int64(N * b)) | idx0
+    fi, fa = sparse_action(unsort, keys.ravel(), np.outer(rec, amp0).ravel())
 
     clear = (fi >> np.int64(N * b)) == 0
     leak = np.linalg.norm(fa[~clear])
@@ -329,10 +330,9 @@ def second_to_first(
     out = Statevector.from_components(N * b, fi[clear], fa[clear])
     out.amps /= out.norm()
     result = EncodedState(out, FIRST_QUANTIZED, fq_layout, N)
-    total = count_gates(stage1) + count_gates(unsort)
     report = ConversionReport(
         direction="sorted-list-to-antisymmetric",
-        gate_count=total,
+        gate_count=count_gates(seed_stage) + count_gates(unsort),
         record_ancillas=T,
         success_probability=p_success,
         attempts=attempts,

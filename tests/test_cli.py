@@ -178,6 +178,21 @@ def test_fock_bridges_cap_exceeded_exit_5(capsys, tmp_path):
         assert rc == 5 and err.startswith("error:")
 
 
+def test_fock_oracle_cap_exceeded_exit_5(capsys, tmp_path):
+    # past FockSpace's 12 orbitals, refused before any Fock vector is built
+    sl, one, fq = tmp_path / "m20.txt", tmp_path / "one.txt", tmp_path / "m16.txt"
+    _run(capsys, ["encode", "--sl", "--M", "20", "--occ", "3,17", "--nreg", "2",
+                  "--out", str(sl)])
+    _run(capsys, ["encode", "--sl", "--M", "20", "--occ", "5", "--nreg", "1",
+                  "--out", str(one)])
+    _run(capsys, ["encode", "--M", "16", "--occ", "2,9", "--out", str(fq)])
+    for argv in (["rdm", "--state", str(sl)],
+                 ["tensor", "--a", str(sl), "--b", str(one), "--verify"],
+                 ["basis", "--state", str(fq), "--qft", "forward", "--verify"]):
+        rc, _, err = _run(capsys, argv)
+        assert rc == 5 and err.startswith("error:")
+
+
 def test_rdm_trace(capsys, tmp_path):
     sl = tmp_path / "one.txt"
     _run(capsys, ["encode", "--sl", "--M", "2", "--occ", "1", "--nreg", "1",

@@ -12,6 +12,7 @@ from fermiconv import (
     first_to_second,
     fq2sl_gate_count,
     second_to_first,
+    sl2fq_gate_count,
     tensor_product_merge,
 )
 from fermiconv.encodings import (
@@ -117,6 +118,15 @@ def test_backward_determinant():
     assert rep.attempts >= 1 and rep.record_ancillas == 1
 
 
+def test_backward_success_probability_ignores_input_norm():
+    # the seed alone decides it: (1 - 1/8)(1 - 2/8) at M=6 N=3
+    sl = _sl(6, (1, 3, 5), 3)
+    for scale in (1.0, 0.5):
+        amps = Statevector(scale * sl.state.amps)
+        _, rep = second_to_first(EncodedState(amps, sl.discipline, sl.layout))
+        assert abs(rep.success_probability - 0.65625) < 1e-12
+
+
 def test_backward_slices_sentinel_tail():
     out, _ = second_to_first(_sl(4, (2, 4), 3))
     assert out.layout.n_reg == 2
@@ -208,9 +218,10 @@ def test_round_trips():
     (6, [(1, 2, 3, 4), (1, 3, 5, 6), (2, 3, 4, 6)]),
     (6, [(1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6)]),
     (14, [(1, 2, 3), (2, 7, 11), (4, 9, 14)]),
+    (14, [(1, 2, 3, 4), (2, 5, 9, 13), (3, 7, 11, 14)]),
 ])
 def test_backward_envelope_matches_fock_oracle(M, kets):
-    # 2N-register work layouts of 32, 43 and 29 qubits: traced, never dense
+    # seed layouts of 20, 28, 17 and 24 qubits: traced, never dense
     N = len(kets[0])
     rng = np.random.default_rng(M + N)
     c = rng.standard_normal(len(kets)) + 1j * rng.standard_normal(len(kets))
@@ -255,6 +266,16 @@ def test_backward_gate_count_pins():
     assert counts(6, (1, 3, 5)) == (58, 84, 60)
     assert counts(6, (2, 5)) == (20, 30, 25)
     assert counts(14, (3, 11)) == (31, 40, 41)
+
+    # the count-only builder is the one the conversion traces
+    def built(M, N):
+        g = sl2fq_gate_count(M, N)
+        return g.toffoli_equiv, g.cnot, g.single_qubit
+
+    assert built(6, 3) == (58, 84, 60)
+    assert built(6, 2) == (20, 30, 25)
+    assert built(14, 2) == (31, 40, 41)
+    assert built(64, 32) == (13556, 11130, 16893)  # builds in 0.1 s
 
 
 def test_merge_sorted_inputs():

@@ -91,6 +91,12 @@ def _sl_superposition(M, dets):
     return EncodedState(sv, "sorted-list", layout, len(dets[0]))
 
 
+def test_backward_superposition_peak():
+    # the seed stage is traced once from |0>, not once per input determinant
+    sl = _sl_superposition(14, [(1, 2, 3, 4), (2, 5, 9, 13), (3, 7, 11, 14)])
+    assert _peak_mib(lambda: second_to_first(sl, rng=np.random.default_rng(0))) <= 8
+
+
 def test_merge_refuses_large_joint_input_without_allocating():
     # two 18-qubit inputs holding all C(62,3) = 37820 determinants: their
     # joint list would hold 1.4e9 components on a 58-qubit work layout
