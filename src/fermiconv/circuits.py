@@ -6,18 +6,25 @@ computational-basis index n therefore carries register i as
 ``(n >> (i*b)) & (2**b - 1)``.
 
 Circuits are evaluated by one route, ``sparse_action``: it carries a
-component list (packed int64 indices plus amplitudes) through the gates.
-Permutation and phase gates update the list elementwise; H, U2 and REGU
-branch through one kernel that applies their matrix to a contiguous qubit
-run. Every conversion, ladder, merge and basis change runs on it;
-``basis_action`` is its one-component, permutation-only case and
-``apply_circuit`` its wrapper for dense states. Unit tests pin it to a
-dense reference engine kept with the tests.
+component list (packed int64 indices plus amplitudes) through a compiled
+``Program``. ``compile_circuit`` reduces each permutation or phase gate to
+one mask test and an action (flip bits, swap two bits, negate, or
+multiply by a phase), folding X gates into the tests that follow them.
+The runs of such gates between branching gates take one of two loops over
+the same masks: Python ints, one component at a time, for lists of up to
+SCALAR_MAX_COMPONENTS (the measured crossover), and one numpy pass per
+gate above it. H, U2 and REGU branch through one kernel that applies
+their matrix to a contiguous qubit run. Every conversion, ladder, merge
+and basis change runs on it, the fixed ones as programs their modules
+cache per builder key; ``basis_action`` is its one-component,
+permutation-only case and ``apply_circuit`` its wrapper for dense states.
+Unit tests pin it to a dense reference engine kept with the tests.
 
-Gate counting is purely syntactic (``count_gates``). Layouts only pack
-registers; each size cap sits where memory is spent: dense vectors in
-``Statevector.from_components`` (QUBIT_CAP qubits), the interpreter in
-``sparse_action`` (PACKED_CAP qubits, BRANCH_CAP components).
+Gate counting is purely syntactic (``count_gates``) and reads the
+Circuit, never a Program. Layouts only pack registers; each size cap sits
+where memory is spent: dense vectors in ``Statevector.from_components``
+(QUBIT_CAP qubits), compiled masks in ``compile_circuit`` (PACKED_CAP
+qubits), the interpreter in ``sparse_action`` (BRANCH_CAP components).
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ PACKED_CAP = 62  # widest layout whose basis indices fit a signed int64
 # this many hold about 1.5 GiB: no more than a dense QUBIT_CAP state and
 # its copy.
 BRANCH_CAP = 1 << (QUBIT_CAP - 2)
+# Longest list that a permutation-plus-phase run traces one component at a
+# time in Python ints; longer lists take one numpy pass per gate instead.
+# A gate costs about 70 ns per component in the first loop and about 5 us
+# per list in the second, so the two meet at 66-79 components on the
+# ladder, conversion and merge programs (Python 3.11, numpy 2.4, x86-64).
+SCALAR_MAX_COMPONENTS = 64
 
 # Gate kinds and their serialized tokens. U2 carries a 2x2 matrix as
 # (re, im) pairs row-major; REGU a d x d matrix on contiguous qubits.
@@ -44,6 +57,7 @@ KINDS = ("X", "Z", "H", "PHASE", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP", "U2", 
 _SELF_INVERSE = {"X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP"}
 _BRANCHING = {"H", "U2", "REGU"}
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+_HADAMARD.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -333,57 +347,152 @@ def _branch(
     return rest[keep >> w] | ((keep & (d - 1)) << lo), out[keep]
 
 
-def sparse_action(
-    circuit: Circuit, indices: np.ndarray, amps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Any circuit on a component list: the one gate interpreter.
+# Opcodes of a compiled permutation-plus-phase gate; see Program.
+_FLIP, _SIGN, _PHASE, _SWAP = range(4)
 
-    The pair (indices, amps) describes sum_k amps[k] |indices[k]>.
-    Permutation and phase gates update the arrays elementwise; H, U2 and
-    REGU go through one branching kernel that applies their matrix to a
-    contiguous qubit run and merges collisions, so a circuit with a small
-    branching layer stays cheap on layouts far above the dense comfort
-    zone. Exact: only exact zeros are dropped. Layouts wider than
-    PACKED_CAP qubits raise CapExceeded, since their indices would not fit
-    the packed int64 arrays, and so does a list (given, or grown by a
-    branching gate) of more than BRANCH_CAP components.
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A circuit compiled to integer masks: the form sparse_action runs.
+
+    Each row of gates is (op, cmask, cval, fmask), and acts on index i
+    where ``i & cmask == cval``: _FLIP sets ``i ^= fmask`` (CNOT, TOFFOLI,
+    MCX), _SIGN negates the amplitude (Z, CZ), _PHASE multiplies it by
+    ``phases[fmask]``, and _SWAP (CSWAP) flips the two bits of fmask where
+    ``i & fmask`` is neither 0 nor fmask. X gates get no row of their own:
+    a pending flip mask absorbs them, later tests read a flipped control
+    as 0 through cval, and one unconditional _FLIP row applies the pending
+    bits before a branching gate, before a swap of a flipped qubit, and at
+    the end. Each branching gate (H, U2, REGU) is (pos, lo, w, mat) in
+    branches: mat applies to qubits lo..lo+w-1 before row pos. Arrays are
+    read-only, so a cached program cannot be edited.
     """
+
+    n_qubits: int
+    gates: np.ndarray
+    phases: tuple[complex, ...]
+    branches: tuple[tuple[int, int, int, np.ndarray], ...]
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def compile_circuit(circuit: Circuit) -> Program:
+    """Reduce every gate to masks; layouts past PACKED_CAP raise CapExceeded."""
     n = circuit.layout.total_qubits
     if n > PACKED_CAP:
         raise CapExceeded(f"{n} qubits > packed-index cap {PACKED_CAP}")
+    rows: list[tuple[int, int, int, int]] = []
+    phases: list[complex] = []
+    branches = []
+    pending = 0  # X flips not yet applied to the index
+
+    def flush(bits: int) -> None:
+        nonlocal pending
+        if pending & bits:
+            rows.append((_FLIP, 0, 0, pending & bits))
+            pending &= ~bits
+
+    for g in circuit.gates:
+        k = g.kind
+        controls = sum(1 << q for q in g.controls)
+        targets = sum(1 << q for q in g.targets)
+        if k == "X":
+            pending ^= targets
+            continue
+        if k in _BRANCHING:
+            flush(pending)
+            w = len(g.targets)
+            mat = _HADAMARD if k == "H" else _frozen(_as_matrix(g.params, 1 << w), complex)
+            branches.append((len(rows), g.targets[0], w, mat))
+            continue
+        if k in ("CNOT", "TOFFOLI", "MCX"):
+            op, c, f = _FLIP, controls, targets
+        elif k in ("Z", "CZ"):
+            op, c, f = _SIGN, targets, 0
+        elif k == "PHASE":
+            op, c, f = _PHASE, targets, len(phases)
+            phases.append(complex(math.cos(g.params[0]), math.sin(g.params[0])))
+        elif k == "CSWAP":
+            flush(targets)
+            op, c, f = _SWAP, controls, targets
+        else:
+            raise BadParam(f"unknown gate kind {k}")
+        rows.append((op, c, c & ~pending, f))
+    flush(pending)
+    return Program(
+        n, _frozen(rows, np.int64).reshape(-1, 4), tuple(phases), tuple(branches)
+    )
+
+
+def sparse_action(
+    circuit: Circuit | Program, indices: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Any circuit on a component list: the one gate interpreter.
+
+    The pair (indices, amps) describes sum_k amps[k] |indices[k]>. A
+    Circuit is compiled first (compile_circuit); a Program runs as given.
+    Between branching gates the program is a run of permutation-plus-phase
+    gates, and each run takes one of two loops over the same masks, chosen
+    by the list's length when the run starts: up to SCALAR_MAX_COMPONENTS
+    components, a loop over Python ints, one component at a time through
+    the whole run; above it, one numpy pass per gate over the whole list.
+    The loops agree bit for bit, except that a PHASE product may differ in
+    the last bit (CPython and numpy round complex products differently).
+    H, U2 and REGU go through one branching kernel that applies their
+    matrix to a contiguous qubit run and merges collisions, so a circuit
+    with a small branching layer stays cheap on layouts far above the
+    dense comfort zone. Exact: only exact zeros are dropped. Layouts wider
+    than PACKED_CAP qubits raise CapExceeded, since their indices would not
+    fit the packed int64 arrays, and so does a list (given, or grown by a
+    branching gate) of more than BRANCH_CAP components.
+    """
+    prog = circuit if isinstance(circuit, Program) else compile_circuit(circuit)
     check_branches(len(indices), "input list")
     idx = np.array(indices, dtype=np.int64, copy=True)
     amp = np.array(amps, dtype=complex, copy=True)
-    for g in circuit.gates:
-        k = g.kind
-        if k == "X":
-            idx ^= np.int64(1 << g.targets[0])
-        elif k == "Z":
-            on = ((idx >> g.targets[0]) & 1) == 1
-            amp[on] = -amp[on]
-        elif k == "PHASE":
-            on = ((idx >> g.targets[0]) & 1) == 1
-            amp[on] *= complex(math.cos(g.params[0]), math.sin(g.params[0]))
-        elif k == "CZ":
-            qa, qb = g.targets
-            on = (((idx >> qa) & (idx >> qb)) & 1) == 1
-            amp[on] = -amp[on]
-        elif k in ("CNOT", "TOFFOLI", "MCX"):
-            on = np.ones(idx.shape, dtype=bool)
-            for c in g.controls:
-                on &= ((idx >> c) & 1) == 1
-            idx[on] ^= np.int64(1 << g.targets[0])
-        elif k == "CSWAP":
-            t1, t2 = g.targets
-            on = ((idx >> g.controls[0]) & ((idx >> t1) ^ (idx >> t2)) & 1) == 1
-            idx[on] ^= np.int64((1 << t1) | (1 << t2))
-        elif k == "H":
-            idx, amp = _branch(idx, amp, g.targets[0], 1, _HADAMARD)
-        elif k in ("U2", "REGU"):
-            w = len(g.targets)
-            idx, amp = _branch(idx, amp, g.targets[0], w, _as_matrix(g.params, 1 << w))
-        else:
-            raise BadParam(f"unknown gate kind {k}")
+    start = 0
+    for pos, lo, w, mat in prog.branches + ((len(prog.gates), 0, 0, None),):
+        run = prog.gates[start:pos].tolist()
+        if run and len(idx) <= SCALAR_MAX_COMPONENTS:
+            out_i, out_a = [], []
+            for i, a in zip(idx.tolist(), amp.tolist()):
+                for op, c, v, f in run:
+                    if (i & c) == v:
+                        if op == _FLIP:
+                            i ^= f
+                        elif op == _SWAP:
+                            if 0 != (i & f) != f:
+                                i ^= f
+                        elif op == _SIGN:
+                            a = -a
+                        else:
+                            a *= prog.phases[f]
+                out_i.append(i)
+                out_a.append(a)
+            idx = np.array(out_i, dtype=np.int64)
+            amp = np.array(out_a, dtype=complex)
+        elif run:
+            for op, c, v, f in run:
+                if op == _FLIP and not c:
+                    idx ^= f
+                    continue
+                on = (idx & c) == v
+                if op == _SWAP:
+                    m = idx & f
+                    on &= (m != 0) & (m != f)
+                if op in (_FLIP, _SWAP):
+                    np.bitwise_xor(idx, f, out=idx, where=on)
+                elif op == _SIGN:
+                    np.negative(amp, out=amp, where=on)
+                else:
+                    np.multiply(amp, prog.phases[f], out=amp, where=on)
+        if mat is not None:
+            idx, amp = _branch(idx, amp, lo, w, mat)
+        start = pos
     return idx, amp
 
 

@@ -26,6 +26,7 @@ duplicate orbitals via adjacent equality tests on the sorted result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +35,11 @@ import numpy as np
 from .circuits import (
     Circuit,
     GateCount,
+    Program,
     Statevector,
     build_layout,
     check_branches,
+    compile_circuit,
     count_gates,
     cswap,
     h,
@@ -125,6 +128,12 @@ def _fq2sl_circuit(M: int, N: int, n_out: int) -> Circuit:
     return circ + sorting_network_circuit(layout, spec, with_z=True)
 
 
+@functools.lru_cache(maxsize=32)
+def _fq2sl_program(M: int, N: int, n_out: int) -> tuple[Program, GateCount]:
+    circ = _fq2sl_circuit(M, N, n_out)
+    return compile_circuit(circ), count_gates(circ)
+
+
 def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
     """(seed stage, unsort) for N >= 2: H on N seed registers, their phase-free
     recorded sort and N - 1 collision flags; then the inverse network over N
@@ -147,6 +156,14 @@ def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
         unsort.extend(cswap(rec, qi[k], qj[k]) for k in range(work.b))
         unsort.extend(compute_greater_gates(work, i, j, rec))
     return seed_stage, unsort
+
+
+@functools.lru_cache(maxsize=32)
+def _sl2fq_programs(M: int, N: int) -> tuple[Program, Program, GateCount]:
+    """(seed stage, unsort, their summed count), compiled."""
+    seed_stage, unsort = _sl2fq_circuits(M, N)
+    gc = count_gates(seed_stage) + count_gates(unsort)
+    return compile_circuit(seed_stage), compile_circuit(unsort), gc
 
 
 def first_to_second(
@@ -174,13 +191,13 @@ def first_to_second(
     n_out = N + extra_registers
     sys_bits = n_out * enc.layout.b
     out = Statevector.from_components(sys_bits, (), ())  # cap before the network
-    circ = _fq2sl_circuit(enc.M, N, n_out)
-    T = circ.layout.n_anc
+    prog, gate_count = _fq2sl_program(enc.M, N, n_out)
+    T = prog.n_qubits - sys_bits
     rec = Statevector.from_components(T, (), ())  # and before the trace
 
     # pure permutation+phase: trace the components, not the dense vector
     idx0 = np.flatnonzero(enc.state.amps)
-    oi, oa = sparse_action(circ, idx0, enc.state.amps[idx0])
+    oi, oa = sparse_action(prog, idx0, enc.state.amps[idx0])
     rec_keys, u, sys_keys, psi = _rank_one_split(
         oi >> np.int64(sys_bits), oi & np.int64((1 << sys_bits) - 1), oa
     )
@@ -189,7 +206,7 @@ def first_to_second(
     result = EncodedState(out, SORTED_LIST, build_layout(enc.M, n_out, 0), enc.N)
     report = ConversionReport(
         direction="antisymmetric-to-sorted-list",
-        gate_count=count_gates(circ),
+        gate_count=gate_count,
         record_ancillas=T,
         success_probability=1.0,
         attempts=1,
@@ -291,8 +308,8 @@ def second_to_first(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    seed_stage, unsort = _sl2fq_circuits(enc.M, N)
-    T = unsort.layout.n_anc
+    seed_stage, unsort, gate_count = _sl2fq_programs(enc.M, N)
+    T = unsort.n_qubits - N * b
     # the seed stage never touches the system, so it runs once from |0>
     oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
 
@@ -332,12 +349,48 @@ def second_to_first(
     result = EncodedState(out, FIRST_QUANTIZED, fq_layout, N)
     report = ConversionReport(
         direction="sorted-list-to-antisymmetric",
-        gate_count=count_gates(seed_stage) + count_gates(unsort),
+        gate_count=gate_count,
         record_ancillas=T,
         success_probability=p_success,
         attempts=attempts,
     )
     return result, report
+
+
+def _merge_circuit(M: int, n_out: int) -> Circuit:
+    """Adjacent-only resort of n_out registers, then the duplicate flag.
+
+    Ancillas: T records, n_out - 1 equality flags, 1 sentinel marker, 1 flag.
+    """
+    spec = SortingNetworkSpec.adjacent(n_out)
+    T = spec.n_comparators
+    layout = build_layout(M, n_out, T + n_out + 1)
+    records = [layout.anc_qubit(t) for t in range(T)]
+    eqs = [layout.anc_qubit(T + k) for k in range(n_out - 1)]
+    tmp = layout.anc_qubit(T + n_out - 1)
+    flag = layout.anc_qubit(T + n_out)
+    circ = sorting_network_circuit(
+        layout, spec, records, with_z=True, sentinel_exempt=True, exempt_anc=tmp
+    )
+    dup = Circuit(layout)
+    for k in range(n_out - 1):
+        dup.extend(equality_flag_gates(layout, k, k + 1, eqs[k]))
+        both = list(layout.register_qubits(k)) + list(layout.register_qubits(k + 1))
+        dup.add(mcx(both, eqs[k]))  # subtract the sentinel-sentinel case
+    orgate = Circuit(layout)
+    for q in eqs:
+        orgate.add(x(q))
+    orgate.add(mcx(eqs, flag))
+    orgate.add(x(flag))
+    for q in eqs:
+        orgate.add(x(q))
+    return circ + dup + orgate + dup.inverse()
+
+
+@functools.lru_cache(maxsize=16)
+def _merge_program(M: int, n_out: int) -> tuple[Program, GateCount]:
+    circ = _merge_circuit(M, n_out)
+    return compile_circuit(circ), count_gates(circ)
 
 
 @dataclass
@@ -378,15 +431,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         raise BasisMismatch(f"orbital counts differ: {a.M} vs {b.M}")
     M = a.M
     n_out = a.layout.n_reg + b.layout.n_reg
-    spec = SortingNetworkSpec.adjacent(n_out)
-    T = spec.n_comparators
-    # ancillas: T records, n_out-1 equality flags, 1 sentinel marker, 1 flag
-    layout = build_layout(M, n_out, T + n_out + 1)
-    b_width = layout.b
-    records = [layout.anc_qubit(t) for t in range(T)]
-    eqs = [layout.anc_qubit(T + k) for k in range(n_out - 1)]
-    tmp = layout.anc_qubit(T + n_out - 1)
-    flag = layout.anc_qubit(T + n_out)
+    T = SortingNetworkSpec.adjacent(n_out).n_comparators
 
     # joint input: products of the nonzero components, a in the low registers
     ia, ib = np.flatnonzero(a.state.amps), np.flatnonzero(b.state.amps)
@@ -394,26 +439,10 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
     idx0 = ((ib[:, None] << np.int64(a.layout.total_qubits)) | ia).ravel()
     amp0 = np.outer(b.state.amps[ib], a.state.amps[ia]).ravel()
 
-    circ = sorting_network_circuit(
-        layout, spec, records, with_z=True, sentinel_exempt=True, exempt_anc=tmp
-    )
-    dup = Circuit(layout)
-    for k in range(n_out - 1):
-        dup.extend(equality_flag_gates(layout, k, k + 1, eqs[k]))
-        both = list(layout.register_qubits(k)) + list(layout.register_qubits(k + 1))
-        dup.add(mcx(both, eqs[k]))  # subtract the sentinel-sentinel case
-    orgate = Circuit(layout)
-    for q in eqs:
-        orgate.add(x(q))
-    orgate.add(mcx(eqs, flag))
-    orgate.add(x(flag))
-    for q in eqs:
-        orgate.add(x(q))
-    full = circ + dup + orgate + dup.inverse()
+    prog, gate_count = _merge_program(M, n_out)
+    oi, oa = sparse_action(prog, idx0, amp0)
 
-    oi, oa = sparse_action(full, idx0, amp0)
-
-    sys_bits = n_out * b_width
+    sys_bits = n_out * a.layout.b
     # scratch = eq + tmp ancilla bits, which must have come back clean
     scratch = (oi >> np.int64(sys_bits + T)) & np.int64((1 << n_out) - 1)
     keep = scratch == 0
@@ -451,5 +480,5 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         flag_qubit=flag_q,
         duplicate_probability=dup_prob,
         records_discarded=discarded,
-        gate_count=count_gates(full),
+        gate_count=gate_count,
     )

@@ -21,11 +21,14 @@ trade are involutions conditioned on exchange-symmetric predicates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, Statevector, build_layout, sparse_action, z
+from .circuits import (
+    Circuit, Gate, Program, Statevector, build_layout, compile_circuit, sparse_action, z,
+)
 from .comparators import _le_gates, bubble_gates, swap_values_circuit
 from .encodings import (
     SORTED_LIST,
@@ -100,15 +103,19 @@ def majorana_circuit(layout, mu: int) -> ScaledCircuit:
     return ScaledCircuit(circ, scalar)
 
 
-def _no_slack_components(enc: EncodedState, p: int) -> list[int]:
-    layout = enc.layout
-    bad = []
-    for comp in np.nonzero(np.abs(enc.state.amps) > AMP_THRESHOLD)[0]:
-        values = layout.values(int(comp))
-        occupied = sum(1 for v in values if v != layout.sentinel)
-        if occupied == layout.n_reg and p not in values:
-            bad.append(int(comp))
-    return bad
+@functools.lru_cache(maxsize=64)
+def _majorana_program(layout, mu: int) -> tuple[Program, complex]:
+    """majorana_circuit compiled, with its scalar."""
+    g = majorana_circuit(layout, mu)
+    return compile_circuit(g.circuit), g.scalar
+
+
+def _no_slack_components(layout, keys: np.ndarray, p: int) -> np.ndarray:
+    """The keys with every register occupied and none holding p."""
+    shifts = np.arange(layout.n_reg, dtype=np.int64) * layout.b
+    values = (keys[:, None] >> shifts) & layout.sentinel
+    full = np.all(values != layout.sentinel, axis=1)
+    return keys[full & ~np.any(values == p, axis=1)]
 
 
 def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
@@ -127,35 +134,35 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
         raise BadParam(f"kind {kind!r} not create/annihilate")
     if not 1 <= p <= enc.M:
         raise BadConstant(f"orbital {p} not in 1..{enc.M}")
-    bad = _no_slack_components(enc, p)
-    if bad:
-        raise NoSlack(
-            f"{len(bad)} components have all {enc.layout.n_reg} registers "
-            f"occupied without orbital {p}; first: {enc.layout.values(bad[0])}"
-        )
     layout = enc.layout
+    idxs = np.flatnonzero(enc.state.amps != 0)  # on a bool mask: twice as fast
+    vals = enc.state.amps[idxs]
+    bad = _no_slack_components(layout, idxs[np.abs(vals) > AMP_THRESHOLD], p)
+    if len(bad):
+        raise NoSlack(
+            f"{len(bad)} components have all {layout.n_reg} registers "
+            f"occupied without orbital {p}; first: {layout.values(int(bad[0]))}"
+        )
     # the input's indices stay valid on the work layout: any ancillas it
     # already carries sit at the bottom of the work ancillas
     work = layout
     if layout.n_anc < N_WORK_ANCILLAS:
         work = build_layout(enc.M, layout.n_reg, N_WORK_ANCILLAS)
-    idxs = np.flatnonzero(enc.state.amps)
-    vals = enc.state.amps[idxs]
     reg_bits = layout.n_reg * layout.b
     dirty = ((idxs >> np.int64(reg_bits)) & np.int64((1 << N_WORK_ANCILLAS) - 1)) != 0
     if np.linalg.norm(vals[dirty]) > AMP_THRESHOLD:
         raise BadParam("the first three ancillas are work space and must start clear")
-    g_odd = majorana_circuit(work, 2 * p - 1)
-    g_even = majorana_circuit(work, 2 * p)
-    i1, a1 = sparse_action(g_odd.circuit, idxs, vals)
-    i2, a2 = sparse_action(g_even.circuit, idxs, vals)
+    odd, odd_scalar = _majorana_program(work, 2 * p - 1)
+    even, even_scalar = _majorana_program(work, 2 * p)
+    i1, a1 = sparse_action(odd, idxs, vals)
+    i2, a2 = sparse_action(even, idxs, vals)
     # a_p^dag = (g1 - i g2)/2, a_p = (g1 + i g2)/2; the scalar i already
     # lives inside the even branch, so these reduce to half sum/difference.
     sign = -1j if kind == "create" else 1j
     keys, inverse = np.unique(np.concatenate([i1, i2]), return_inverse=True)
     out = np.zeros(len(keys), dtype=complex)
     np.add.at(out, inverse, np.concatenate(
-        [0.5 * g_odd.scalar * a1, 0.5 * sign * g_even.scalar * a2]
+        [0.5 * odd_scalar * a1, 0.5 * sign * even_scalar * a2]
     ))
     inside = keys < (1 << layout.total_qubits)
     spill = np.linalg.norm(out[~inside])

@@ -21,6 +21,7 @@ from fermiconv import (
 )
 from fermiconv.circuits import (
     cnot,
+    compile_circuit,
     cswap,
     cz,
     h,
@@ -36,6 +37,7 @@ from fermiconv.circuits import (
 from fermiconv.errors import BadParam, DimMismatch, NotPermutation
 
 from dense_reference import apply_dense
+from loops import run_both_loops
 
 
 def test_layout_examples():
@@ -227,6 +229,21 @@ def test_tracers_match_dense(circ, index):
         out, ph = basis_action(circ, index)
         assert len(oi) == 1 and oi[0] == out
         assert abs(oa[0] - ph) < 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(circ=random_circuits(), state=random_states(), k=st.sampled_from([1, 4, 64, 128]))
+def test_scalar_and_numpy_loops_agree(circ, state, k):
+    keys = np.random.default_rng(k).permutation(1 << N_RAND)[:k]
+    (ni, na), (si, sa) = run_both_loops(compile_circuit(circ), keys, state.amps[keys])
+    if any(g.kind == "PHASE" for g in circ.gates):
+        # CPython and numpy round a complex product differently in the last bit
+        dense = [np.zeros(1 << N_RAND, dtype=complex) for _ in range(2)]
+        dense[0][ni], dense[1][si] = na, sa
+        np.testing.assert_allclose(dense[1], dense[0], rtol=0, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(si, ni)
+        assert sa.tobytes() == na.tobytes()
 
 
 def test_basis_action_rejects_branching():

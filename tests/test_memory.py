@@ -26,7 +26,7 @@ from fermiconv import (
     sorted_list_to_fock,
     tensor_product_merge,
 )
-from fermiconv import circuits, conversion
+from fermiconv import circuits, conversion, majorana
 from fermiconv.circuits import build_layout
 
 MIB = 1 << 20
@@ -143,3 +143,31 @@ def test_fock_bridges_refuse_wide_orbital_spaces_without_allocating():
                 bridge(enc)
 
         assert _peak_mib(to_fock) <= 16
+
+
+def test_compiled_ladder_programs_stay_compact():
+    # the cache keeps masks, not Circuit objects: the 16 Majorana circuits at
+    # this size hold about 0.9 MiB, their compiled programs about 0.13 MiB
+    lay = build_layout(8, 4, majorana.N_WORK_ANCILLAS)
+    majorana._majorana_program(lay, 1)  # warm: imports and lazy tables
+    majorana._majorana_program.cache_clear()
+    tracemalloc.start()
+    try:
+        for mu in range(1, 17):
+            majorana._majorana_program(lay, mu)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / MIB <= 0.25
+    assert peak / MIB <= 1
+
+
+def test_program_caches_are_bounded():
+    for cached in (
+        majorana._majorana_program,
+        conversion._fq2sl_program,
+        conversion._sl2fq_programs,
+        conversion._merge_program,
+    ):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize <= 64
