@@ -97,6 +97,12 @@ class RegisterLayout:
     def values(self, basis_index: int) -> tuple[int, ...]:
         return tuple(self.reg_value(basis_index, i) for i in range(self.n_reg))
 
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """values() of every key at once, as a (len(keys), n_reg) matrix of
+        the keys' dtype (int64 for index arrays)."""
+        shifts = np.arange(self.n_reg, dtype=np.int64) * self.b
+        return (np.asarray(keys)[:, None] >> shifts) & self.sentinel
+
     def basis_index(self, values: tuple[int, ...], anc: int = 0) -> int:
         if len(values) != self.n_reg:
             raise BadParam("value tuple length != n_reg")
@@ -302,7 +308,7 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         raise DimMismatch(
             f"state has {state.amps.shape[0]} amplitudes, layout wants {1 << n}"
         )
-    keys = np.flatnonzero(state.amps)
+    keys = np.flatnonzero(state.amps != 0)
     idx, amp = sparse_action(circuit, keys, state.amps[keys])
     return Statevector.from_components(n, idx, amp)
 

@@ -182,11 +182,7 @@ def first_to_second(
         raise BadParam("input must not carry ancillas")
     if extra_registers < 0:
         raise BadParam("extra_registers must be >= 0")
-    rep = validate(enc)
-    if not rep.ok:
-        raise NotAntisymmetric(
-            f"{len(rep.violations)} bad components; first: {rep.violations[0][2]}"
-        )
+    validate(enc).require(NotAntisymmetric, "bad components; first:")
     N = enc.layout.n_reg
     n_out = N + extra_registers
     sys_bits = n_out * enc.layout.b
@@ -196,7 +192,7 @@ def first_to_second(
     rec = Statevector.from_components(T, (), ())  # and before the trace
 
     # pure permutation+phase: trace the components, not the dense vector
-    idx0 = np.flatnonzero(enc.state.amps)
+    idx0 = np.flatnonzero(enc.state.amps != 0)
     oi, oa = sparse_action(prog, idx0, enc.state.amps[idx0])
     rec_keys, u, sys_keys, psi = _rank_one_split(
         oi >> np.int64(sys_bits), oi & np.int64((1 << sys_bits) - 1), oa
@@ -215,6 +211,7 @@ def first_to_second(
     return result, report
 
 
+@functools.lru_cache(maxsize=64)
 def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     """Cost of the forward conversion circuit, no statevector built.
 
@@ -223,20 +220,12 @@ def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     return count_gates(_fq2sl_circuit(M, N, N + extra_registers))
 
 
+@functools.lru_cache(maxsize=64)
 def sl2fq_gate_count(M: int, N: int) -> GateCount:
     """Cost of the backward conversion circuits, no statevector built."""
     if N == 1:  # second_to_first passes a single register through
         return GateCount()
     return sum(map(count_gates, _sl2fq_circuits(M, N)), GateCount())
-
-
-def _occupancies(enc: EncodedState) -> set[int]:
-    layout = enc.layout
-    occ = set()
-    for comp in np.nonzero(np.abs(enc.state.amps) > AMP_THRESHOLD)[0]:
-        values = layout.values(int(comp))
-        occ.add(sum(1 for v in values if v != layout.sentinel))
-    return occ
 
 
 def second_to_first(
@@ -260,12 +249,14 @@ def second_to_first(
         raise BadParam("input must be a sorted list")
     if enc.layout.n_anc:
         raise BadParam("input must not carry ancillas")
-    rep = validate(enc)
-    if not rep.ok:
-        raise MalformedComponent(
-            f"{len(rep.violations)} bad components; first: {rep.violations[0][2]}"
-        )
-    occs = _occupancies(enc)
+    validate(enc).require(MalformedComponent, "bad components; first:")
+    layout = enc.layout
+    b = layout.b
+    idx = np.flatnonzero(enc.state.amps != 0)
+    amps = enc.state.amps[idx]
+    values = layout.decode(idx)
+    occupied = values[np.abs(amps) > AMP_THRESHOLD] != layout.sentinel
+    occs = set(np.count_nonzero(occupied, axis=1).tolist())
     if len(occs) > 1:
         raise MixedParticleNumber(f"occupancies {sorted(occs)} present")
     if occs and N is not None and occs != {N}:
@@ -274,24 +265,20 @@ def second_to_first(
         N = max(occs, default=0)
     if N < 1:
         raise BadParam("antisymmetric encoding needs N >= 1")
-    layout = enc.layout
-    b = layout.b
     if N > layout.n_reg:
         raise MixedParticleNumber(f"N={N} exceeds {layout.n_reg} registers")
     if not occs:
         raise BadParam("zero state has nothing to convert")
 
     # trailing registers hold sentinels on every valid component: slice off
-    idx = np.flatnonzero(enc.state.amps)
-    tail = sum(layout.sentinel << (j * b) for j in range(layout.n_reg - N))
-    on_tail = (idx >> np.int64(N * b)) == tail
-    spill = np.linalg.norm(enc.state.amps[idx[~on_tail]])
+    on_tail = np.all(values[:, N:] == layout.sentinel, axis=1)
+    spill = np.linalg.norm(amps[~on_tail])
     if spill > 1e-10:
         raise MixedParticleNumber(f"non-sentinel tail amplitude {spill:.2e}")
     # the system occupies registers 0..N-1, so its component indices carry
     # over unchanged into the unsort layout
     idx0 = idx[on_tail] & np.int64((1 << (N * b)) - 1)
-    amp0 = enc.state.amps[idx[on_tail]]
+    amp0 = amps[on_tail]
 
     fq_layout = build_layout(enc.M, N, 0)
     if N == 1:
@@ -422,11 +409,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
             raise BadParam("merge inputs must be sorted lists")
         if s.layout.n_anc:
             raise BadParam("merge inputs must not carry ancillas")
-        rep = validate(s)
-        if not rep.ok:
-            raise MalformedComponent(
-                f"{len(rep.violations)} bad components; first: {rep.violations[0][2]}"
-            )
+        validate(s).require(MalformedComponent, "bad components; first:")
     if a.M != b.M:
         raise BasisMismatch(f"orbital counts differ: {a.M} vs {b.M}")
     M = a.M
@@ -434,7 +417,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
     T = SortingNetworkSpec.adjacent(n_out).n_comparators
 
     # joint input: products of the nonzero components, a in the low registers
-    ia, ib = np.flatnonzero(a.state.amps), np.flatnonzero(b.state.amps)
+    ia, ib = np.flatnonzero(a.state.amps != 0), np.flatnonzero(b.state.amps != 0)
     check_branches(len(ia) * len(ib), "merge joint input")
     idx0 = ((ib[:, None] << np.int64(a.layout.total_qubits)) | ia).ravel()
     amp0 = np.outer(b.state.amps[ib], a.state.amps[ia]).ravel()

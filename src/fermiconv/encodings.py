@@ -8,9 +8,12 @@ orbitals 1..M, value 0 unused, all-ones sentinel read as "empty slot"):
 - first-quantized: N registers, fully antisymmetrized with the 1/sqrt(N!)
   normalization; the ascending component carries a plus sign.
 
-Conversions between register states and dense 2^M Fock vectors live here
-too so the circuit layer can be checked against the Fock oracle without
-either side importing the other.
+Validation and the maps to dense 2^M Fock vectors read every component's
+register values from one array decode (``RegisterLayout.decode``); each
+discipline rule is one array check over it, and the antisymmetry check
+lists at most one broken register pair per leading register. The Fock maps
+live here so the circuit layer can be checked against the Fock oracle
+without either side importing the other.
 """
 
 from __future__ import annotations
@@ -133,41 +136,63 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     return EncodedState(sv, FIRST_QUANTIZED, layout, N)
 
 
+# Rule messages by code. A component reports the first rule it breaks: set
+# ancilla bits, else the leftmost register that breaks one, ranked in this order.
+_RULES = (None, "ancilla bits set", "value {v} after a sentinel in {values}",
+          "register value {v} outside 1..{M}", "values not strictly ascending in {values}",
+          "repeated orbital in {values}")
+_ANCILLA, _AFTER_SENTINEL, _OUTSIDE, _NOT_ASCENDING, _REPEATED = range(1, 6)
+
+
+def _component_violations(keys, values, discipline, layout) -> list:
+    """(key, values, message) for each of keys that breaks a rule of the
+    discipline, in key order; values is layout.decode(keys)."""
+    real = values != layout.sentinel
+    outside = (values < 1) | (values > layout.M)
+    code = np.zeros_like(values)
+    if discipline == SORTED_LIST:
+        down = np.zeros_like(real)
+        down[:, 1:] = values[:, 1:] <= values[:, :-1]
+        after = np.cumsum(~real, axis=1) > 0
+        code = real * np.where(after, _AFTER_SENTINEL,
+                               np.where(outside, _OUTSIDE, down * _NOT_ASCENDING))
+    elif discipline == FIRST_QUANTIZED:
+        code = outside * _OUTSIDE
+    reg = np.argmax(code != 0, axis=1)
+    rule = code[np.arange(len(keys)), reg]
+    if discipline == FIRST_QUANTIZED:
+        ordered = np.sort(values, axis=1)
+        rule[(rule == 0) & np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)] = _REPEATED
+    rule[keys >> (layout.n_reg * layout.b) != 0] = _ANCILLA
+    out = []
+    for k in np.flatnonzero(rule):
+        vals = tuple(values[k].tolist())
+        msg = _RULES[rule[k]].format(v=vals[reg[k]], values=vals, M=layout.M)
+        out.append((int(keys[k]), vals, msg))
+    return out
+
+
 def decode_basis_component(component: int, discipline: str, layout: RegisterLayout):
     """Read one basis index back into orbital language.
 
     Sorted-list components decode to an OccupationBitstring; first-quantized
     components decode to the tuple of register values. Ancilla bits must be
-    clear. Raises MalformedComponent with the specific violated rule.
+    clear. Raises MalformedComponent with the specific violated rule: this
+    is validate's rule code run on one key.
     """
     if not 0 <= component < (1 << layout.total_qubits):
         raise MalformedComponent(f"index {component} outside the layout")
-    if component >> (layout.n_reg * layout.b):
-        raise MalformedComponent("ancilla bits set")
+    keys = np.array([component], dtype=object)  # Python ints: any layout width
+    broken = _component_violations(keys, layout.decode(keys), discipline, layout)
+    if broken:
+        raise MalformedComponent(broken[0][2])
     values = layout.values(component)
-    sent = layout.sentinel
     if discipline == FIRST_QUANTIZED:
-        for v in values:
-            if not 1 <= v <= layout.M:
-                raise MalformedComponent(f"register value {v} outside 1..{layout.M}")
-        if len(set(values)) != len(values):
-            raise MalformedComponent(f"repeated orbital in {values}")
         return values
     if discipline == SORTED_LIST:
-        seen_sentinel = False
-        occupied = []
-        for v in values:
-            if v == sent:
-                seen_sentinel = True
-                continue
-            if seen_sentinel:
-                raise MalformedComponent(f"value {v} after a sentinel in {values}")
-            if not 1 <= v <= layout.M:
-                raise MalformedComponent(f"register value {v} outside 1..{layout.M}")
-            if occupied and v <= occupied[-1]:
-                raise MalformedComponent(f"values not strictly ascending in {values}")
-            occupied.append(v)
-        return OccupationBitstring.from_indices(layout.M, occupied)
+        return OccupationBitstring.from_indices(
+            layout.M, [v for v in values if v != layout.sentinel]
+        )
     raise BadParam(f"unknown discipline {discipline!r}")
 
 
@@ -181,6 +206,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def require(self, error: type, lead: str) -> None:
+        """Raise error("<count> <lead> <first message>") unless ok."""
+        if self.violations:
+            raise error(f"{len(self.violations)} {lead} {self.violations[0][2]}")
+
 
 def validate(enc: EncodedState) -> ValidationReport:
     """Check every nonzero component against its discipline's invariants.
@@ -188,34 +218,29 @@ def validate(enc: EncodedState) -> ValidationReport:
     Sorted-list: values strictly ascending, sentinels only as a suffix.
     First-quantized: values are distinct orbitals and amplitudes change
     sign under every register transposition (checked pairwise at 1e-10).
+
+    Every rule is an array check over one decode of the register values.
+    Violations come in key order. Antisymmetry, checked only when no
+    component breaks a rule, takes one gather of the swapped keys per
+    register pair and lists at most one violation per leading register r:
+    the smallest key that breaks the first pair (r, s) any key breaks.
     """
     layout = enc.layout
     amps = enc.state.amps
-    nz = np.nonzero(np.abs(amps) > AMP_THRESHOLD)[0]
-    violations = []
-    for comp in nz:
-        try:
-            decode_basis_component(int(comp), enc.discipline, layout)
-        except MalformedComponent as e:
-            violations.append((int(comp), layout.values(int(comp)), str(e)))
+    keys = np.flatnonzero(np.abs(amps) > AMP_THRESHOLD)
+    values = layout.decode(keys)
+    violations = _component_violations(keys, values, enc.discipline, layout)
     if enc.discipline == FIRST_QUANTIZED and not violations:
-        b = layout.b
         for r in range(layout.n_reg):
             for s in range(r + 1, layout.n_reg):
-                for comp in nz:
-                    comp = int(comp)
-                    vr = layout.reg_value(comp, r)
-                    vs = layout.reg_value(comp, s)
-                    swapped = layout.with_reg(layout.with_reg(comp, r, vs), s, vr)
-                    if abs(amps[swapped] + amps[comp]) > 1e-10:
-                        violations.append(
-                            (comp, layout.values(comp),
-                             f"amplitude not antisymmetric under registers {r},{s}")
-                        )
-                        break
-                else:
-                    continue
-                break
+                d = values[:, r] ^ values[:, s]
+                swapped = keys ^ (d << (r * layout.b)) ^ (d << (s * layout.b))
+                bad = np.flatnonzero(np.abs(amps[swapped] + amps[keys]) > 1e-10)
+                if len(bad):
+                    k = int(keys[bad[0]])
+                    msg = f"amplitude not antisymmetric under registers {r},{s}"
+                    violations.append((k, layout.values(k), msg))
+                    break
     return ValidationReport(violations)
 
 
@@ -256,15 +281,12 @@ def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
     if enc.discipline != SORTED_LIST:
         raise DisciplineMismatch("expected a sorted-list state")
     enc = drop_clear_ancillas(enc)
-    rep = validate(enc)
-    if not rep.ok:
-        raise MalformedComponent(f"{len(rep.violations)} invalid components: "
-                                 f"{rep.violations[0][2]}")
+    validate(enc).require(MalformedComponent, "invalid components:")
     fock = Statevector.from_components(enc.M, (), ()).amps
-    amps = enc.state.amps
-    for comp in np.nonzero(np.abs(amps) > AMP_THRESHOLD)[0]:
-        x = decode_basis_component(int(comp), SORTED_LIST, enc.layout)
-        fock[x.mask] += amps[comp]
+    keys = np.flatnonzero(np.abs(enc.state.amps) > AMP_THRESHOLD)
+    values = enc.layout.decode(keys)
+    bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
+    np.add.at(fock, np.bitwise_or.reduce(bits, axis=1), enc.state.amps[keys])
     return fock
 
 
@@ -276,19 +298,13 @@ def first_quantized_to_fock(enc: EncodedState) -> np.ndarray:
     """
     if enc.discipline != FIRST_QUANTIZED:
         raise DisciplineMismatch("expected a first-quantized state")
-    rep = validate(enc)
-    if not rep.ok:
-        raise NotAntisymmetric(f"{len(rep.violations)} invalid components: "
-                               f"{rep.violations[0][2]}")
-    layout = enc.layout
-    N = layout.n_reg
-    scale = math.sqrt(math.factorial(N))
+    validate(enc).require(NotAntisymmetric, "invalid components:")
+    scale = math.sqrt(math.factorial(enc.layout.n_reg))
     fock = Statevector.from_components(enc.M, (), ()).amps
-    amps = enc.state.amps
-    for comp in np.nonzero(np.abs(amps) > AMP_THRESHOLD)[0]:
-        values = layout.values(int(comp))
-        if list(values) != sorted(values):
-            continue  # each determinant read off its ascending component
-        mask = sum(1 << (v - 1) for v in values)
-        fock[mask] += scale * amps[comp]
+    keys = np.flatnonzero(np.abs(enc.state.amps) > AMP_THRESHOLD)
+    values = enc.layout.decode(keys)
+    # each determinant is read off its one ascending component
+    up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
+    masks = np.bitwise_or.reduce(1 << (values[up] - 1), axis=1)
+    np.add.at(fock, masks, scale * enc.state.amps[keys[up]])
     return fock

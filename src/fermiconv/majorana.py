@@ -110,14 +110,6 @@ def _majorana_program(layout, mu: int) -> tuple[Program, complex]:
     return compile_circuit(g.circuit), g.scalar
 
 
-def _no_slack_components(layout, keys: np.ndarray, p: int) -> np.ndarray:
-    """The keys with every register occupied and none holding p."""
-    shifts = np.arange(layout.n_reg, dtype=np.int64) * layout.b
-    values = (keys[:, None] >> shifts) & layout.sentinel
-    full = np.all(values != layout.sentinel, axis=1)
-    return keys[full & ~np.any(values == p, axis=1)]
-
-
 def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     """a_p (kind='annihilate') or a_p^dag (kind='create') on a sorted-list
     state, as the half sum/difference of the two Majorana branches.
@@ -137,7 +129,10 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     layout = enc.layout
     idxs = np.flatnonzero(enc.state.amps != 0)  # on a bool mask: twice as fast
     vals = enc.state.amps[idxs]
-    bad = _no_slack_components(layout, idxs[np.abs(vals) > AMP_THRESHOLD], p)
+    keys = idxs[np.abs(vals) > AMP_THRESHOLD]
+    values = layout.decode(keys)
+    # every register occupied and none holding p: no slack to toggle p into
+    bad = keys[np.all(values != layout.sentinel, axis=1) & np.all(values != p, axis=1)]
     if len(bad):
         raise NoSlack(
             f"{len(bad)} components have all {layout.n_reg} registers "

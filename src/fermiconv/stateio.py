@@ -63,16 +63,13 @@ def write_state(enc: EncodedState, threshold: float = AMP_THRESHOLD) -> str:
         f"STATE M={lay.M} NREG={lay.n_reg} B={lay.b} NANC={lay.n_anc} "
         f"DISCIPLINE={enc.discipline} N={n_txt}"
     ]
-    amps = enc.state.amps
-    for idx in np.flatnonzero(np.abs(amps) > threshold):
-        idx = int(idx)
-        regs = ",".join(
-            format(lay.reg_value(idx, i), f"0{lay.b}b") for i in range(lay.n_reg)
-        )
+    keys = np.flatnonzero(np.abs(enc.state.amps) > threshold)
+    ancs = (keys >> (lay.n_reg * lay.b)).tolist()
+    for values, anc, z in zip(lay.decode(keys).tolist(), ancs, enc.state.amps[keys].tolist()):
+        regs = ",".join(format(v, f"0{lay.b}b") for v in values)
         if lay.n_anc:
-            anc = idx >> (lay.n_reg * lay.b)
             regs += "|" + format(anc, f"0{lay.n_anc}b")
-        lines.append(f"({regs}) {format_amplitude(complex(amps[idx]))}")
+        lines.append(f"({regs}) {format_amplitude(z)}")
     return "\n".join(lines) + "\n"
 
 
