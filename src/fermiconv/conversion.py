@@ -211,7 +211,6 @@ def first_to_second(
     return result, report
 
 
-@functools.lru_cache(maxsize=64)
 def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     """Cost of the forward conversion circuit, no statevector built.
 
@@ -220,7 +219,6 @@ def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     return count_gates(_fq2sl_circuit(M, N, N + extra_registers))
 
 
-@functools.lru_cache(maxsize=64)
 def sl2fq_gate_count(M: int, N: int) -> GateCount:
     """Cost of the backward conversion circuits, no statevector built."""
     if N == 1:  # second_to_first passes a single register through

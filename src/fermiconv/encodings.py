@@ -136,12 +136,17 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     return EncodedState(sv, FIRST_QUANTIZED, layout, N)
 
 
-# Rule messages by code. A component reports the first rule it breaks: set
-# ancilla bits, else the leftmost register that breaks one, ranked in this order.
-_RULES = (None, "ancilla bits set", "value {v} after a sentinel in {values}",
-          "register value {v} outside 1..{M}", "values not strictly ascending in {values}",
-          "repeated orbital in {values}")
-_ANCILLA, _AFTER_SENTINEL, _OUTSIDE, _NOT_ASCENDING, _REPEATED = range(1, 6)
+# Rule codes and their messages. A component reports one rule: set ancilla
+# bits first, else the rule its leftmost offending register breaks (after a
+# sentinel before outside 1..M before not ascending), else a repeated orbital.
+_ANCILLA, _AFTER_SENTINEL, _OUTSIDE, _NOT_ASCENDING, _REPEATED = 1, 2, 3, 4, 5
+_RULES = {
+    _ANCILLA: "ancilla bits set",
+    _AFTER_SENTINEL: "value {v} after a sentinel in {values}",
+    _OUTSIDE: "register value {v} outside 1..{M}",
+    _NOT_ASCENDING: "values not strictly ascending in {values}",
+    _REPEATED: "repeated orbital in {values}",
+}
 
 
 def _component_violations(keys, values, discipline, layout) -> list:
@@ -149,21 +154,25 @@ def _component_violations(keys, values, discipline, layout) -> list:
     discipline, in key order; values is layout.decode(keys)."""
     real = values != layout.sentinel
     outside = (values < 1) | (values > layout.M)
-    code = np.zeros_like(values)
+    code = np.zeros(values.shape, np.int64)  # an unknown discipline has no rule
     if discipline == SORTED_LIST:
-        down = np.zeros_like(real)
+        down = np.zeros(values.shape, bool)
         down[:, 1:] = values[:, 1:] <= values[:, :-1]
-        after = np.cumsum(~real, axis=1) > 0
-        code = real * np.where(after, _AFTER_SENTINEL,
-                               np.where(outside, _OUTSIDE, down * _NOT_ASCENDING))
+        after = real > np.minimum.accumulate(real, axis=1)  # a sentinel to the left
+        code = np.where(after, _AFTER_SENTINEL,
+                        real * np.where(outside, _OUTSIDE, down * _NOT_ASCENDING))
     elif discipline == FIRST_QUANTIZED:
         code = outside * _OUTSIDE
-    reg = np.argmax(code != 0, axis=1)
-    rule = code[np.arange(len(keys)), reg]
+    rule = np.zeros(len(keys), np.int64)
+    reg = np.zeros(len(keys), np.int64)
+    if code.any():
+        reg = np.argmax(code != 0, axis=1)
+        rule = code[np.arange(len(keys)), reg]
     if discipline == FIRST_QUANTIZED:
         ordered = np.sort(values, axis=1)
         rule[(rule == 0) & np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)] = _REPEATED
-    rule[keys >> (layout.n_reg * layout.b) != 0] = _ANCILLA
+    if layout.n_anc:  # keys fit the layout, so without ancillas none is set
+        rule[keys >> (layout.n_reg * layout.b) != 0] = _ANCILLA
     out = []
     for k in np.flatnonzero(rule):
         vals = tuple(values[k].tolist())
@@ -183,10 +192,11 @@ def decode_basis_component(component: int, discipline: str, layout: RegisterLayo
     if not 0 <= component < (1 << layout.total_qubits):
         raise MalformedComponent(f"index {component} outside the layout")
     keys = np.array([component], dtype=object)  # Python ints: any layout width
-    broken = _component_violations(keys, layout.decode(keys), discipline, layout)
+    decoded = layout.decode(keys)
+    broken = _component_violations(keys, decoded, discipline, layout)
     if broken:
         raise MalformedComponent(broken[0][2])
-    values = layout.values(component)
+    values = tuple(decoded[0].tolist())
     if discipline == FIRST_QUANTIZED:
         return values
     if discipline == SORTED_LIST:
@@ -225,6 +235,12 @@ def validate(enc: EncodedState) -> ValidationReport:
     register pair and lists at most one violation per leading register r:
     the smallest key that breaks the first pair (r, s) any key breaks.
     """
+    return ValidationReport(_checked_components(enc)[2])
+
+
+def _checked_components(enc: EncodedState) -> tuple:
+    """validate's nonzero keys, their decoded register values and its
+    violations, so the Fock bridges decode the keys once."""
     layout = enc.layout
     amps = enc.state.amps
     keys = np.flatnonzero(np.abs(amps) > AMP_THRESHOLD)
@@ -237,11 +253,10 @@ def validate(enc: EncodedState) -> ValidationReport:
                 swapped = keys ^ (d << (r * layout.b)) ^ (d << (s * layout.b))
                 bad = np.flatnonzero(np.abs(amps[swapped] + amps[keys]) > 1e-10)
                 if len(bad):
-                    k = int(keys[bad[0]])
                     msg = f"amplitude not antisymmetric under registers {r},{s}"
-                    violations.append((k, layout.values(k), msg))
+                    violations.append((int(keys[bad[0]]), tuple(values[bad[0]].tolist()), msg))
                     break
-    return ValidationReport(violations)
+    return keys, values, violations
 
 
 def with_ancillas(enc: EncodedState, n_anc: int) -> EncodedState:
@@ -281,10 +296,9 @@ def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
     if enc.discipline != SORTED_LIST:
         raise DisciplineMismatch("expected a sorted-list state")
     enc = drop_clear_ancillas(enc)
-    validate(enc).require(MalformedComponent, "invalid components:")
+    keys, values, violations = _checked_components(enc)
+    ValidationReport(violations).require(MalformedComponent, "invalid components:")
     fock = Statevector.from_components(enc.M, (), ()).amps
-    keys = np.flatnonzero(np.abs(enc.state.amps) > AMP_THRESHOLD)
-    values = enc.layout.decode(keys)
     bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
     np.add.at(fock, np.bitwise_or.reduce(bits, axis=1), enc.state.amps[keys])
     return fock
@@ -298,11 +312,10 @@ def first_quantized_to_fock(enc: EncodedState) -> np.ndarray:
     """
     if enc.discipline != FIRST_QUANTIZED:
         raise DisciplineMismatch("expected a first-quantized state")
-    validate(enc).require(NotAntisymmetric, "invalid components:")
+    keys, values, violations = _checked_components(enc)
+    ValidationReport(violations).require(NotAntisymmetric, "invalid components:")
     scale = math.sqrt(math.factorial(enc.layout.n_reg))
     fock = Statevector.from_components(enc.M, (), ()).amps
-    keys = np.flatnonzero(np.abs(enc.state.amps) > AMP_THRESHOLD)
-    values = enc.layout.decode(keys)
     # each determinant is read off its one ascending component
     up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
     masks = np.bitwise_or.reduce(1 << (values[up] - 1), axis=1)

@@ -168,8 +168,6 @@ def test_program_caches_are_bounded():
         conversion._fq2sl_program,
         conversion._sl2fq_programs,
         conversion._merge_program,
-        conversion.fq2sl_gate_count,
-        conversion.sl2fq_gate_count,
     ):
         maxsize = cached.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize <= 64
