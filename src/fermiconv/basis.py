@@ -98,11 +98,7 @@ def apply_register_transform(enc: EncodedState, U) -> tuple[EncodedState, GateCo
     circ = register_transform_circuit(enc.layout, U)
     out = apply_circuit(enc.state, circ)
     result = EncodedState(out, FIRST_QUANTIZED, enc.layout, enc.N)
-    rep = validate(result)
-    if not rep.ok:
-        raise NotAntisymmetric(
-            f"transform broke the encoding: {rep.violations[0][2]}"
-        )
+    validate(result).require(NotAntisymmetric, "transform broke the encoding: {first}")
     return result, count_gates(circ)
 
 

@@ -182,7 +182,7 @@ def first_to_second(
         raise BadParam("input must not carry ancillas")
     if extra_registers < 0:
         raise BadParam("extra_registers must be >= 0")
-    validate(enc).require(NotAntisymmetric, "bad components; first:")
+    validate(enc).require(NotAntisymmetric, "{count} bad components; first: {first}")
     N = enc.layout.n_reg
     n_out = N + extra_registers
     sys_bits = n_out * enc.layout.b
@@ -247,7 +247,7 @@ def second_to_first(
         raise BadParam("input must be a sorted list")
     if enc.layout.n_anc:
         raise BadParam("input must not carry ancillas")
-    validate(enc).require(MalformedComponent, "bad components; first:")
+    validate(enc).require(MalformedComponent, "{count} bad components; first: {first}")
     layout = enc.layout
     b = layout.b
     idx = np.flatnonzero(enc.state.amps != 0)
@@ -407,7 +407,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
             raise BadParam("merge inputs must be sorted lists")
         if s.layout.n_anc:
             raise BadParam("merge inputs must not carry ancillas")
-        validate(s).require(MalformedComponent, "bad components; first:")
+        validate(s).require(MalformedComponent, "{count} bad components; first: {first}")
     if a.M != b.M:
         raise BasisMismatch(f"orbital counts differ: {a.M} vs {b.M}")
     M = a.M

@@ -8,12 +8,10 @@ orbitals 1..M, value 0 unused, all-ones sentinel read as "empty slot"):
 - first-quantized: N registers, fully antisymmetrized with the 1/sqrt(N!)
   normalization; the ascending component carries a plus sign.
 
-Validation and the maps to dense 2^M Fock vectors read every component's
-register values from one array decode (``RegisterLayout.decode``); each
-discipline rule is one array check over it, and the antisymmetry check
-lists at most one broken register pair per leading register. The Fock maps
-live here so the circuit layer can be checked against the Fock oracle
-without either side importing the other.
+Validation and the maps to dense 2^M Fock vectors live here, so the circuit
+layer can be checked against the Fock oracle without either side importing
+the other. Every rule is an array check over one decode of the register
+values; antisymmetry lists at most one violation per leading register.
 """
 
 from __future__ import annotations
@@ -136,9 +134,8 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     return EncodedState(sv, FIRST_QUANTIZED, layout, N)
 
 
-# Rule codes and their messages. A component reports one rule: set ancilla
-# bits first, else the rule its leftmost offending register breaks (after a
-# sentinel before outside 1..M before not ascending), else a repeated orbital.
+# Rule codes and messages. A component reports set ancilla bits, else the rule its
+# leftmost offending register breaks (lowest code first), else a repeated orbital.
 _ANCILLA, _AFTER_SENTINEL, _OUTSIDE, _NOT_ASCENDING, _REPEATED = 1, 2, 3, 4, 5
 _RULES = {
     _ANCILLA: "ancilla bits set",
@@ -154,17 +151,15 @@ def _component_violations(keys, values, discipline, layout) -> list:
     discipline, in key order; values is layout.decode(keys)."""
     real = values != layout.sentinel
     outside = (values < 1) | (values > layout.M)
-    code = np.zeros(values.shape, np.int64)  # an unknown discipline has no rule
+    # first-quantized registers break only the range rule; unknown ones none
+    code = outside * (_OUTSIDE * (discipline == FIRST_QUANTIZED))
     if discipline == SORTED_LIST:
         down = np.zeros(values.shape, bool)
         down[:, 1:] = values[:, 1:] <= values[:, :-1]
         after = real > np.minimum.accumulate(real, axis=1)  # a sentinel to the left
         code = np.where(after, _AFTER_SENTINEL,
                         real * np.where(outside, _OUTSIDE, down * _NOT_ASCENDING))
-    elif discipline == FIRST_QUANTIZED:
-        code = outside * _OUTSIDE
-    rule = np.zeros(len(keys), np.int64)
-    reg = np.zeros(len(keys), np.int64)
+    rule, reg = np.zeros((2, len(keys)), np.int64)
     if code.any():
         reg = np.argmax(code != 0, axis=1)
         rule = code[np.arange(len(keys)), reg]
@@ -186,8 +181,7 @@ def decode_basis_component(component: int, discipline: str, layout: RegisterLayo
 
     Sorted-list components decode to an OccupationBitstring; first-quantized
     components decode to the tuple of register values. Ancilla bits must be
-    clear. Raises MalformedComponent with the specific violated rule: this
-    is validate's rule code run on one key.
+    clear. Raises MalformedComponent with the rule validate reports for it.
     """
     if not 0 <= component < (1 << layout.total_qubits):
         raise MalformedComponent(f"index {component} outside the layout")
@@ -216,10 +210,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def require(self, error: type, lead: str) -> None:
-        """Raise error("<count> <lead> <first message>") unless ok."""
+    def require(self, error: type, message: str) -> None:
+        """Raise error(message) unless ok; message may name the {count} of
+        violations and the {first} one's rule."""
         if self.violations:
-            raise error(f"{len(self.violations)} {lead} {self.violations[0][2]}")
+            raise error(message.format(count=len(self.violations), first=self.violations[0][2]))
 
 
 def validate(enc: EncodedState) -> ValidationReport:
@@ -239,8 +234,7 @@ def validate(enc: EncodedState) -> ValidationReport:
 
 
 def _checked_components(enc: EncodedState) -> tuple:
-    """validate's nonzero keys, their decoded register values and its
-    violations, so the Fock bridges decode the keys once."""
+    """validate's nonzero keys, their register values and its violations."""
     layout = enc.layout
     amps = enc.state.amps
     keys = np.flatnonzero(np.abs(amps) > AMP_THRESHOLD)
@@ -297,7 +291,7 @@ def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
         raise DisciplineMismatch("expected a sorted-list state")
     enc = drop_clear_ancillas(enc)
     keys, values, violations = _checked_components(enc)
-    ValidationReport(violations).require(MalformedComponent, "invalid components:")
+    ValidationReport(violations).require(MalformedComponent, "{count} invalid components: {first}")
     fock = Statevector.from_components(enc.M, (), ()).amps
     bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
     np.add.at(fock, np.bitwise_or.reduce(bits, axis=1), enc.state.amps[keys])
@@ -313,7 +307,7 @@ def first_quantized_to_fock(enc: EncodedState) -> np.ndarray:
     if enc.discipline != FIRST_QUANTIZED:
         raise DisciplineMismatch("expected a first-quantized state")
     keys, values, violations = _checked_components(enc)
-    ValidationReport(violations).require(NotAntisymmetric, "invalid components:")
+    ValidationReport(violations).require(NotAntisymmetric, "{count} invalid components: {first}")
     scale = math.sqrt(math.factorial(enc.layout.n_reg))
     fock = Statevector.from_components(enc.M, (), ()).amps
     # each determinant is read off its one ascending component
