@@ -38,7 +38,7 @@ from .encodings import (
     sorted_list_to_fock,
 )
 from .errors import CapExceeded, FermiconvError
-from .fci import FOCK_CAP, FockSpace, creation_string, k_rdm, rotate_determinants
+from .fci import FOCK_CAP, FockSpace, creation_string, k_rdm_tensor, rotate_determinants
 from .report import (
     FORMULAS,
     MODEL_LINLOG,
@@ -187,25 +187,15 @@ def cmd_rdm(args) -> int:
     trace = 0.0
     if args.k == 1:
         writer.writerow(("p", "q", "re", "im"))
-        for p in range(1, enc.M + 1):
-            for q in range(1, enc.M + 1):
-                v = k_rdm(fock, (p,), (q,), space)
-                writer.writerow((p, q, repr(v.real), repr(v.imag)))
-                if p == q:
-                    trace += v.real
     else:
         writer.writerow(("p1", "p2", "q1", "q2", "re", "im"))
-        rng1 = range(1, enc.M + 1)
-        for p1 in rng1:
-            for p2 in rng1:
-                for q1 in rng1:
-                    for q2 in rng1:
-                        v = k_rdm(fock, (p1, p2), (q1, q2), space)
-                        writer.writerow(
-                            (p1, p2, q1, q2, repr(v.real), repr(v.imag))
-                        )
-                        if (p1, p2) == (q1, q2):
-                            trace += v.real
+    rdm = k_rdm_tensor(fock, args.k, space)
+    for idx in np.ndindex(rdm.shape):
+        orbs = tuple(i + 1 for i in idx)
+        v = complex(rdm[idx])
+        writer.writerow((*orbs, repr(v.real), repr(v.imag)))
+        if orbs[: args.k] == orbs[args.k :]:
+            trace += v.real
     _emit(args.out, buf.getvalue())
     print(f"trace {trace!r}")
     return 0

@@ -11,8 +11,10 @@ Sign convention (shared with the circuit layer): a_p^dag and a_p pick up
 (-1)^(#occupied q < p), i.e. a_p^dag |x> = (-1)^par * |x + e_p| when orbital
 p is empty. Under it the ascending product a_1^dag a_2^dag ... |vac> carries
 a plus sign. One kernel, ``_string_action``, applies this rule for every
-ladder, creation string, k-RDM and Hamiltonian term, reading parities from
-one popcount table per M.
+ladder, creation string, k-RDM and Hamiltonian term, reading signs from one
+parity table per M. It takes an array of orbitals per operator slot, so the
+Hamiltonian and the k-RDM tensor apply a batch of strings to every mask in
+one call.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ def _popcounts(M: int) -> np.ndarray:
     table = np.zeros(1 << M, dtype=np.int64)
     for k in range(M):  # masks with top bit k are the ones below 2^k plus one
         table[1 << k : 2 << k] = table[: 1 << k] + 1
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _parity_signs(M: int) -> np.ndarray:
+    """Read-only table of (-1)^(occupation count) of every mask below 2^M."""
+    table = 1.0 - 2.0 * (_popcounts(M) & 1)
     table.flags.writeable = False
     return table
 
@@ -71,20 +81,33 @@ class FockSpace:
 
 def _string_action(space: FockSpace, ops, masks: np.ndarray):
     """Apply ("create" | "annihilate", p) pairs, rightmost operator first,
-    to occupation masks. Returns (ok, out, sign): the masks the string does
-    not annihilate, the masks it maps them to and their +-1.0 sign."""
-    count = _popcounts(space.M)
-    ok = np.ones(len(masks), dtype=bool)
-    out = masks.copy()
-    sign = np.ones(len(masks))
+    to occupation masks. Returns (ok, out, sign): whether the string keeps
+    each mask, the mask it maps it to and its +-1.0 sign.
+
+    Each p is one orbital or an array with one orbital per term. Arrays run
+    along a leading term axis and masks along the last, so a batch of
+    strings acts on every mask in one pass: the outputs are (terms, masks)
+    when any p is an array and (masks,) otherwise.
+    """
+    parity = _parity_signs(space.M)
+    ok = np.ones(masks.shape, dtype=bool)
+    out = masks
+    sign = np.ones(masks.shape)
     for kind, p in ops:
-        space.check_orbital(p)
-        bit = 1 << (p - 1)
         if kind not in ("create", "annihilate"):
             raise BadParam(f"kind {kind!r} not create/annihilate")
-        ok &= ((out & bit) != 0) == (kind == "annihilate")  # a_p needs p occupied
-        sign *= 1.0 - 2.0 * (count[out & (bit - 1)] & 1)
-        out ^= bit
+        if np.ndim(p):
+            p = np.asarray(p, dtype=np.int64)[:, None]
+            outside = p[(p < 1) | (p > space.M)]
+            if outside.size:
+                space.check_orbital(int(outside[0]))
+        else:
+            space.check_orbital(p)
+        bit = 1 << (p - 1)
+        occupied = (out & bit) != 0
+        ok = ok & (occupied if kind == "annihilate" else ~occupied)  # a_p needs p occupied
+        sign = sign * parity[out & (bit - 1)]
+        out = out ^ bit
     return ok, out, sign
 
 
@@ -140,6 +163,11 @@ def creation_string(space: FockSpace, indices) -> np.ndarray:
     return v
 
 
+def _check_normalized(state: np.ndarray) -> None:
+    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
+        raise BadParam("state must be normalized")
+
+
 def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
     """<a_{p1}^dag ... a_{pk}^dag a_{qk} ... a_{q1}>, exact.
 
@@ -150,19 +178,38 @@ def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
     qs = tuple(qs)
     if len(ps) != len(qs):
         raise BadParam("p and q index lists must have equal length")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
-        raise BadParam("state must be normalized")
+    _check_normalized(state)
     # a_{q1} is rightmost: it acts first
     ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
     return complex(np.vdot(state, _apply_string(np.asarray(state), ops, space)))
 
 
+def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
+    """Every k-RDM entry at once: entry [p1-1, ..., pk-1, q1-1, ..., qk-1]
+    is ``k_rdm(state, (p1, ..., pk), (q1, ..., qk), space)``.
+
+    One kernel call per (p1, ..., pk) covers all M^k q tuples, so a chunk
+    holds M^k x 2^M entries. Sums run in another order than k_rdm's, so
+    entries agree with it to rounding, not bit for bit.
+    """
+    if k < 1:
+        raise BadParam(f"RDM rank k={k} below 1")
+    _check_normalized(state)
+    state = np.asarray(state)
+    M = space.M
+    masks = space.masks()
+    bra = np.conj(state)
+    qs = np.indices((M,) * k).reshape(k, -1) + 1
+    rdm = np.empty((M,) * (2 * k), dtype=complex)
+    for ps in np.ndindex(*(M,) * k):
+        ops = [("annihilate", q) for q in qs] + [("create", p + 1) for p in reversed(ps)]
+        ok, out, sign = _string_action(space, ops, masks)
+        rdm[ps] = ((ok * sign * bra[out]) @ state).reshape((M,) * k)
+    return rdm
+
+
 def one_rdm(state: np.ndarray, space: FockSpace) -> np.ndarray:
-    d = np.empty((space.M, space.M), dtype=complex)
-    for p in range(1, space.M + 1):
-        for q in range(1, space.M + 1):
-            d[p - 1, q - 1] = k_rdm(state, (p,), (q,), space)
-    return d
+    return k_rdm_tensor(state, 1, space)
 
 
 def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> np.ndarray:
@@ -177,19 +224,20 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
         raise BadParam(f"U must be {space.M}x{space.M}")
     if np.linalg.norm(U.conj().T @ U - np.eye(space.M), ord=2) > 1e-10:
         raise NotUnitary("single-particle matrix fails unitarity at 1e-10")
-    out = np.zeros_like(np.asarray(state, dtype=complex))
+    state = np.asarray(state, dtype=complex)
+    out = np.zeros_like(state)
     out[0] = state[0]
     for n in range(1, space.M + 1):
-        sets = list(combinations(range(space.M), n))
-        amps = {s: state[sum(1 << p for p in s)] for s in sets}
-        for T in sets:
-            acc = 0.0 + 0.0j
-            for S in sets:
-                c = amps[S]
-                if c == 0:
-                    continue
-                acc += np.linalg.det(U[np.ix_(T, S)]) * c
-            out[sum(1 << p for p in T)] = acc
+        sets = np.array(list(combinations(range(space.M), n)))
+        keys = (1 << sets).sum(axis=1)
+        amps = state[keys]
+        src = amps != 0
+        S, c = sets[src], amps[src]
+        if not len(c):
+            continue
+        for T, key in zip(sets, keys):
+            # det(U[T, S]) stacked over the nonzero source sets S
+            out[key] = np.linalg.det(U[T[:, None], S[:, None, :]]) @ c
     return out
 
 
@@ -231,22 +279,32 @@ class ToyHamiltonian:
             raise BadParam(f"h2 violates h_pqrs = conj(h_qpsr) by {dev:.2e}")
 
     def dense_matrix(self, space: FockSpace) -> np.ndarray:
+        """Dense H on the Fock space, built term by term in (p, q[, r, s])
+        order: the one-body terms in one kernel call, then each (p, q) slice
+        of the two-body terms in one call over its M^2 (r, s) terms, so a
+        chunk holds M^2 x 2^M entries. Zero coefficients are skipped."""
         if space.M != self.M:
             raise BadParam("space and Hamiltonian disagree on M")
         H = np.zeros((space.dim, space.dim), dtype=complex)
         masks = space.masks()
 
         def add(c, ops):
-            if c != 0:
+            # c[t] scales the string that ops' orbital arrays spell at t
+            if len(c):
                 ok, out, sign = _string_action(space, ops, masks)
-                H[out[ok], masks[ok]] += c * sign[ok]
+                # term-major, and no entry repeats within a term: each entry
+                # of H sums its terms in the order a per-term loop would
+                cols = np.broadcast_to(masks, ok.shape)[ok]
+                np.add.at(H, (out[ok], cols), (c[:, None] * sign)[ok])
 
+        p, q = np.nonzero(self.h1)
+        add(self.h1[p, q], (("annihilate", q + 1), ("create", p + 1)))
         for p, q in np.ndindex(self.M, self.M):
-            add(self.h1[p, q], (("annihilate", q + 1), ("create", p + 1)))
-        for p, q, r, s in np.ndindex(*(self.M,) * 4):
+            c = 0.5 * self.h2[p, q]
+            r, s = np.nonzero(c)
             ops = (("annihilate", s + 1), ("annihilate", r + 1),
                    ("create", q + 1), ("create", p + 1))
-            add(0.5 * self.h2[p, q, r, s], ops)
+            add(c[r, s], ops)
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise BadParam("dense Hamiltonian is not Hermitian at 1e-10")
         return H

@@ -4,6 +4,7 @@ import ast
 import itertools
 import sys
 
+import fock_reference as ref
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from fermiconv.fci import (
     creation_string,
     determinant_vector,
     ionization_attachment_probabilities,
+    k_rdm_tensor,
     ladder_matrix,
     random_toy_hamiltonian,
     read_toy_hamiltonian,
@@ -254,6 +256,120 @@ def test_two_body_convention_against_ladder_products():
         ref = np.vdot(psi, c[p1] @ c[p2] @ a[q2] @ a[q1] @ psi)
         got = k_rdm(psi, (p1 + 1, p2 + 1), (q1 + 1, q2 + 1), space)
         assert abs(got - ref) < 1e-12
+
+
+def _sparse_toy_hamiltonian(rng, M):
+    """Random Hamiltonian with about half its coefficient orbits set to zero."""
+    H = random_toy_hamiltonian(rng, M)
+    keep1 = rng.random((M, M)) < 0.5
+    keep2 = rng.random((M,) * 4) < 0.5
+    # zero whole symmetry orbits, so the ingestion checks still pass
+    keep1 &= keep1.T
+    for axes in ((1, 0, 3, 2), (3, 2, 1, 0), (2, 3, 0, 1)):
+        keep2 &= np.transpose(keep2, axes)
+    return ToyHamiltonian(M, np.where(keep1, H.h1, 0), np.where(keep2, H.h2, 0))
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_dense_matrix_matches_per_term_reference(M):
+    rng = np.random.default_rng(100 + M)
+    space = FockSpace(M)
+    sparse = _sparse_toy_hamiltonian(rng, M)
+    hams = [
+        random_toy_hamiltonian(rng, M),
+        random_toy_hamiltonian(rng, M, two_body=False),
+        sparse,
+        read_toy_hamiltonian(write_toy_hamiltonian(sparse)),
+        ToyHamiltonian(M, np.zeros((M, M))),
+    ]
+    if M >= 3:
+        hams.append(read_toy_hamiltonian(
+            "H1 1 1 -1.5 0.0\nH1 1 3 0.25 0.5\nH1 3 1 0.25 -0.5\n"
+            "H2 1 3 3 1 0.75 0.0\nH2 3 1 1 3 0.75 0.0\n", M))
+    for H in hams:
+        assert np.array_equal(H.dense_matrix(space), ref.dense_matrix(H, space))
+
+
+def test_dense_matrix_refusals_unchanged():
+    H = random_toy_hamiltonian(np.random.default_rng(3), 3)
+    for build in (ToyHamiltonian.dense_matrix, ref.dense_matrix):
+        with pytest.raises(BadParam, match="disagree on M"):
+            build(H, FockSpace(4))
+    # the tables are mutable: a one-sided edit only the dense check sees
+    H.h2[0, 1, 2, 0] += 1.0
+    H.h2[1, 0, 0, 2] += 1.0
+    for build in (ToyHamiltonian.dense_matrix, ref.dense_matrix):
+        with pytest.raises(BadParam, match="not Hermitian"):
+            build(H, FockSpace(3))
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_rotation_matches_per_pair_reference(M):
+    rng = np.random.default_rng(200 + M)
+    space = FockSpace(M)
+    U, _ = np.linalg.qr(rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    full = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    # every other sector left empty, the vacuum amplitude included
+    gappy = np.where(fci._popcounts(M) % 2 == 1, full, 0)
+    states = [
+        full / np.linalg.norm(full),
+        gappy / np.linalg.norm(gappy),
+        vacuum(space),
+        determinant_vector(space, range(1, M + 1, 2)),
+        np.zeros(space.dim),
+    ]
+    for psi in states:
+        got = rotate_determinants(psi, U, space)
+        want = ref.rotate_determinants(psi, U, space)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_rotation_refusals_unchanged():
+    space = FockSpace(3)
+    psi = determinant_vector(space, (1, 2))
+    for rotate in (rotate_determinants, ref.rotate_determinants):
+        with pytest.raises(BadParam, match="U must be 3x3"):
+            rotate(psi, np.eye(2), space)
+        with pytest.raises(NotUnitary, match="unitarity"):
+            rotate(psi, 2 * np.eye(3), space)
+
+
+def test_batched_strings_match_one_string_at_a_time():
+    space = FockSpace(4)
+    masks = space.masks()
+    ps = np.array([1, 4, 2, 2])
+    qs = np.array([3, 3, 2, 4])
+    ok, out, sign = fci._string_action(
+        space, (("annihilate", qs), ("create", 2), ("create", ps)), masks)
+    assert ok.shape == out.shape == sign.shape == (4, space.dim)
+    for t, (p, q) in enumerate(zip(ps, qs)):
+        one = fci._string_action(
+            space, (("annihilate", q), ("create", 2), ("create", p)), masks)
+        for got, want in zip((ok[t], out[t], sign[t]), one):
+            assert np.array_equal(got, want)
+    with pytest.raises(IndexOutOfRange, match="orbital 5"):
+        fci._string_action(space, (("create", np.array([1, 5, 0])),), masks)
+
+
+def test_k_rdm_tensor_matches_per_entry_k_rdm():
+    rng = np.random.default_rng(9)
+    for M, N, k in ((1, 1, 1), (3, 2, 2), (4, 2, 3), (5, 2, 1), (6, 3, 2)):
+        space = FockSpace(M)
+        H = random_toy_hamiltonian(rng, M)
+        _, vecs = sector_eigensystem(H.dense_matrix(space), space, N)
+        psi = vecs[:, 0]
+        rdm = k_rdm_tensor(psi, k, space)
+        assert rdm.shape == (M,) * (2 * k)
+        for idx in np.ndindex(rdm.shape):
+            orbs = [i + 1 for i in idx]
+            assert abs(rdm[idx] - k_rdm(psi, orbs[:k], orbs[k:], space)) <= 1e-14
+        if k == 1:
+            assert np.array_equal(one_rdm(psi, space), rdm)
+    space = FockSpace(2)
+    with pytest.raises(BadParam, match="normalized"):
+        k_rdm_tensor(2 * vacuum(space), 1, space)
+    with pytest.raises(BadParam, match="below 1"):
+        k_rdm_tensor(vacuum(space), 0, space)
 
 
 def test_oracle_imports_no_circuit_code():

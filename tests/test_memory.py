@@ -26,7 +26,7 @@ from fermiconv import (
     sorted_list_to_fock,
     tensor_product_merge,
 )
-from fermiconv import circuits, conversion, majorana
+from fermiconv import circuits, conversion, fci, majorana
 from fermiconv.circuits import build_layout
 
 MIB = 1 << 20
@@ -171,3 +171,25 @@ def test_program_caches_are_bounded():
     ):
         maxsize = cached.cache_parameters()["maxsize"]
         assert maxsize is not None and maxsize <= 64
+
+
+def test_dense_hamiltonian_build_peak():
+    # the 256x256 complex H and its Hermiticity check hold about 3 MiB; one
+    # broadcast over all M^4 two-body terms would add arrays of 1M entries
+    space = fci.FockSpace(8)
+    H = fci.random_toy_hamiltonian(np.random.default_rng(0), 8)
+    assert _peak_mib(lambda: H.dense_matrix(space)) <= 3.5
+
+
+def test_rotation_peak():
+    # the full M=10 N=5 sector: one stacked determinant call per target set
+    # holds C(10,5) matrices of 5x5 (0.24 MiB peak in all); every target at
+    # once would hold 252 times that
+    rng = np.random.default_rng(1)
+    space = fci.FockSpace(10)
+    U, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    psi = np.zeros(space.dim, dtype=complex)
+    idx = space.sector_indices(5)
+    psi[idx] = rng.standard_normal(len(idx))
+    psi /= np.linalg.norm(psi)
+    assert _peak_mib(lambda: fci.rotate_determinants(psi, U, space)) <= 0.5
