@@ -11,10 +11,12 @@ Sign convention (shared with the circuit layer): a_p^dag and a_p pick up
 (-1)^(#occupied q < p), i.e. a_p^dag |x> = (-1)^par * |x + e_p| when orbital
 p is empty. Under it the ascending product a_1^dag a_2^dag ... |vac> carries
 a plus sign. One kernel, ``_string_action``, applies this rule for every
-ladder, creation string, k-RDM and Hamiltonian term, reading signs from one
-parity table per M. It takes an array of orbitals per operator slot, so the
-Hamiltonian and the k-RDM tensor apply a batch of strings to every mask in
-one call.
+ladder, creation string, k-RDM and Hamiltonian term. It folds a string into
+a mask test, an XOR and one lookup in a parity table per M, using
+parity(a) * parity(b) = parity(a ^ b), so its cost over the masks does not
+grow with the string. It takes an array of orbitals per operator slot, so
+the Hamiltonian and the k-RDM tensor apply a batch of strings to every mask
+in one call.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import numpy as np
 
 from .errors import (
     BadParam,
+    CapExceeded,
     IndexOutOfRange,
     NotUnitary,
     SectorEmpty,
 )
 
 FOCK_CAP = 12  # dense 4096-dim cap
+RDM_ENTRY_CAP = 1 << 20  # entries of a k-RDM tensor, and of each of its kernel chunks
 
 
 @lru_cache(maxsize=None)
@@ -88,15 +92,22 @@ def _string_action(space: FockSpace, ops, masks: np.ndarray):
     along a leading term axis and masks along the last, so a batch of
     strings acts on every mask in one pass: the outputs are (terms, masks)
     when any p is an array and (masks,) otherwise.
+
+    The string is first folded over the terms alone: the bits a kept mask
+    must hold (``care``) and their values (``want``), the XOR of the toggled
+    bits (``flip``) and of every ``bit - 1`` (``low``), a fixed sign, and
+    whether it is ``live`` (a_q a_q keeps no mask). Operator i's sign is
+    parity((mask ^ flip_i) & (bit_i - 1)), flip_i toggling the bits before
+    it, and parity(a) * parity(b) = parity(a ^ b) makes their product the
+    fixed sign times parity(mask & low).
     """
     parity = _parity_signs(space.M)
-    ok = np.ones(masks.shape, dtype=bool)
-    out = masks
-    sign = np.ones(masks.shape)
+    care = want = flip = low = 0
+    live, fixed = True, 1.0
     for kind, p in ops:
         if kind not in ("create", "annihilate"):
             raise BadParam(f"kind {kind!r} not create/annihilate")
-        if np.ndim(p):
+        if not isinstance(p, int) and np.ndim(p):  # ints skip np.ndim, about 1 us a call
             p = np.asarray(p, dtype=np.int64)[:, None]
             outside = p[(p < 1) | (p > space.M)]
             if outside.size:
@@ -104,23 +115,21 @@ def _string_action(space: FockSpace, ops, masks: np.ndarray):
         else:
             space.check_orbital(p)
         bit = 1 << (p - 1)
-        occupied = (out & bit) != 0
-        ok = ok & (occupied if kind == "annihilate" else ~occupied)  # a_p needs p occupied
-        sign = sign * parity[out & (bit - 1)]
-        out = out ^ bit
-    return ok, out, sign
-
-
-def _apply_string(vec: np.ndarray, ops, space: FockSpace) -> np.ndarray:
-    ok, out, sign = _string_action(space, ops, space.masks())
-    res = np.zeros_like(vec, dtype=complex)
-    res[out[ok]] = sign[ok] * vec[ok]
-    return res
+        # the value bit p must have in the input mask: a_p needs p occupied
+        need = (bit if kind == "annihilate" else 0) ^ (flip & bit)
+        live = live & ((care & bit & (want ^ need)) == 0)
+        care, want = care | bit, want | need
+        fixed = fixed * parity[flip & (bit - 1)]
+        flip, low = flip ^ bit, low ^ (bit - 1)
+    return ((masks & care) == want) & live, masks ^ flip, fixed * parity[masks & low]
 
 
 def apply_ladder_fock(vec: np.ndarray, p: int, kind: str, space: FockSpace) -> np.ndarray:
     """a_p or a_p^dag applied to a Fock vector, O(2^M), no matrix built."""
-    return _apply_string(vec, ((kind, p),), space)
+    ok, out, sign = _string_action(space, ((kind, p),), space.masks())
+    res = np.zeros_like(vec, dtype=complex)
+    res[out[ok]] = sign[ok] * vec[ok]
+    return res
 
 
 def ladder_matrix(p: int, kind: str, space: FockSpace) -> np.ndarray:
@@ -164,24 +173,26 @@ def creation_string(space: FockSpace, indices) -> np.ndarray:
 
 
 def _check_normalized(state: np.ndarray) -> None:
-    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
+    if abs(np.vdot(state, state).real ** 0.5 - 1.0) > 1e-8:
         raise BadParam("state must be normalized")
 
 
 def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
     """<a_{p1}^dag ... a_{pk}^dag a_{qk} ... a_{q1}>, exact.
 
-    The operator string is applied to the state right to left in one pass;
-    the value is the inner product with the original state.
+    The sum over masks x of conj(state[out(x)]) * sign(x) * state[x] for the
+    masks x the string keeps, in increasing x order; no image is scattered.
     """
     ps = tuple(ps)
     qs = tuple(qs)
     if len(ps) != len(qs):
         raise BadParam("p and q index lists must have equal length")
+    state = np.asarray(state)
     _check_normalized(state)
     # a_{q1} is rightmost: it acts first
     ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
-    return complex(np.vdot(state, _apply_string(np.asarray(state), ops, space)))
+    ok, out, sign = _string_action(space, ops, space.masks())
+    return complex(np.vdot(state[out], (ok * sign) * state))
 
 
 def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
@@ -189,14 +200,20 @@ def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
     is ``k_rdm(state, (p1, ..., pk), (q1, ..., qk), space)``.
 
     One kernel call per (p1, ..., pk) covers all M^k q tuples, so a chunk
-    holds M^k x 2^M entries. Sums run in another order than k_rdm's, so
-    entries agree with it to rounding, not bit for bit.
+    holds M^k x 2^M entries; past RDM_ENTRY_CAP entries in the tensor or a
+    chunk it raises CapExceeded before allocating either. Like k_rdm it
+    sums over masks in increasing order, but as a matrix-vector product
+    rather than a dot product, so entries agree with k_rdm to rounding,
+    not bit for bit.
     """
     if k < 1:
         raise BadParam(f"RDM rank k={k} below 1")
+    M = space.M
+    entries = max(M ** (2 * k), M ** k << M)
+    if entries > RDM_ENTRY_CAP:
+        raise CapExceeded(f"{k}-RDM at M={M} needs {entries} entries > cap {RDM_ENTRY_CAP}")
     _check_normalized(state)
     state = np.asarray(state)
-    M = space.M
     masks = space.masks()
     bra = np.conj(state)
     qs = np.indices((M,) * k).reshape(k, -1) + 1
@@ -280,31 +297,35 @@ class ToyHamiltonian:
 
     def dense_matrix(self, space: FockSpace) -> np.ndarray:
         """Dense H on the Fock space, built term by term in (p, q[, r, s])
-        order: the one-body terms in one kernel call, then each (p, q) slice
-        of the two-body terms in one call over its M^2 (r, s) terms, so a
-        chunk holds M^2 x 2^M entries. Zero coefficients are skipped."""
+        order: the one-body terms in one kernel call, then the two-body terms
+        one (p, q) slice at a time. The M^2 pairs a_r a_s act on every mask
+        once; each slice applies its two creations only to the masks its
+        nonzero (r, s) terms keep. Zero coefficients are skipped."""
         if space.M != self.M:
             raise BadParam("space and Hamiltonian disagree on M")
         H = np.zeros((space.dim, space.dim), dtype=complex)
         masks = space.masks()
 
-        def add(c, ops):
-            # c[t] scales the string that ops' orbital arrays spell at t
-            if len(c):
-                ok, out, sign = _string_action(space, ops, masks)
-                # term-major, and no entry repeats within a term: each entry
-                # of H sums its terms in the order a per-term loop would
-                cols = np.broadcast_to(masks, ok.shape)[ok]
-                np.add.at(H, (out[ok], cols), (c[:, None] * sign)[ok])
+        def add(c, ok, out, sign, cols):
+            # term-major, and no entry repeats within a term: each entry of H
+            # sums its terms in the order a per-term loop would
+            np.add.at(H, (out[ok], cols[ok]), (c * sign)[ok])
 
         p, q = np.nonzero(self.h1)
-        add(self.h1[p, q], (("annihilate", q + 1), ("create", p + 1)))
+        ok, out, sign = _string_action(space, (("annihilate", q + 1), ("create", p + 1)), masks)
+        add(self.h1[p, q][:, None], ok, out, sign, np.broadcast_to(masks, ok.shape))
+        # a_r a_s on every mask once: entry e maps mask x[e] to mid[e] under
+        # term t[e] = r * M + s, entries in term-major order
+        r, s = np.divmod(np.arange(self.M**2), self.M)
+        pairs = (("annihilate", s + 1), ("annihilate", r + 1))
+        ok, mid, pair_sign = _string_action(space, pairs, masks)
+        t, x = np.nonzero(ok)
+        mid, pair_sign = mid[ok], pair_sign[ok]
         for p, q in np.ndindex(self.M, self.M):
-            c = 0.5 * self.h2[p, q]
-            r, s = np.nonzero(c)
-            ops = (("annihilate", s + 1), ("annihilate", r + 1),
-                   ("create", q + 1), ("create", p + 1))
-            add(c[r, s], ops)
+            c = 0.5 * self.h2[p, q].ravel()[t]
+            e = c != 0
+            ok, out, sign = _string_action(space, (("create", q + 1), ("create", p + 1)), mid[e])
+            add(c[e], ok, out, pair_sign[e] * sign, x[e])
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise BadParam("dense Hamiltonian is not Hermitian at 1e-10")
         return H

@@ -1,10 +1,13 @@
-"""Per-term Fock oracle loops: the reference the batched oracle is pinned against.
+"""Per-operator and per-term Fock oracle loops: the reference ``fci`` is pinned against.
 
-These are the loops ``fci`` ran before its Hamiltonian build and its
-determinant rotation were batched: ``dense_matrix`` applies one operator
-string per nonzero coefficient to every mask, in (p, q[, r, s]) order, and
-``rotate_determinants`` takes one determinant per (target, source) pair of
-index sets.
+These are the loops ``fci`` ran before its kernel folded each operator
+string and before its Hamiltonian build and determinant rotation were
+batched: ``string_action`` walks a string one operator at a time over every
+mask, ``k_rdm`` scatters the string's image of the state into a fresh vector
+and takes its inner product with the state, ``dense_matrix`` applies one
+operator string per nonzero coefficient to every mask, in (p, q[, r, s])
+order, and ``rotate_determinants`` takes one determinant per (target,
+source) pair of index sets.
 """
 
 from itertools import combinations
@@ -12,7 +15,47 @@ from itertools import combinations
 import numpy as np
 
 from fermiconv.errors import BadParam, NotUnitary
-from fermiconv.fci import FockSpace, ToyHamiltonian, _string_action
+from fermiconv.fci import FockSpace, ToyHamiltonian, _parity_signs
+
+
+def string_action(space: FockSpace, ops, masks: np.ndarray):
+    """(ok, out, sign) of ("create" | "annihilate", p) pairs applied rightmost
+    first, one operator at a time; p is an orbital or an array over terms."""
+    parity = _parity_signs(space.M)
+    ok = np.ones(masks.shape, dtype=bool)
+    out = masks
+    sign = np.ones(masks.shape)
+    for kind, p in ops:
+        if kind not in ("create", "annihilate"):
+            raise BadParam(f"kind {kind!r} not create/annihilate")
+        if np.ndim(p):
+            p = np.asarray(p, dtype=np.int64)[:, None]
+            outside = p[(p < 1) | (p > space.M)]
+            if outside.size:
+                space.check_orbital(int(outside[0]))
+        else:
+            space.check_orbital(p)
+        bit = 1 << (p - 1)
+        occupied = (out & bit) != 0
+        ok = ok & (occupied if kind == "annihilate" else ~occupied)  # a_p needs p occupied
+        sign = sign * parity[out & (bit - 1)]
+        out = out ^ bit
+    return ok, out, sign
+
+
+def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
+    ps = tuple(ps)
+    qs = tuple(qs)
+    if len(ps) != len(qs):
+        raise BadParam("p and q index lists must have equal length")
+    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
+        raise BadParam("state must be normalized")
+    vec = np.asarray(state)
+    ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
+    ok, out, sign = string_action(space, ops, space.masks())
+    res = np.zeros_like(vec, dtype=complex)
+    res[out[ok]] = sign[ok] * vec[ok]
+    return complex(np.vdot(state, res))
 
 
 def dense_matrix(ham: ToyHamiltonian, space: FockSpace) -> np.ndarray:
@@ -23,7 +66,7 @@ def dense_matrix(ham: ToyHamiltonian, space: FockSpace) -> np.ndarray:
 
     def add(c, ops):
         if c != 0:
-            ok, out, sign = _string_action(space, ops, masks)
+            ok, out, sign = string_action(space, ops, masks)
             H[out[ok], masks[ok]] += c * sign[ok]
 
     for p, q in np.ndindex(ham.M, ham.M):

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from fermiconv import FockSpace, ToyHamiltonian, fci, k_rdm, one_rdm
-from fermiconv.errors import BadParam, IndexOutOfRange, NotUnitary, SectorEmpty
+from fermiconv.errors import (
+    BadParam,
+    FermiconvError,
+    IndexOutOfRange,
+    NotUnitary,
+    SectorEmpty,
+)
 from fermiconv.fci import (
     creation_string,
     determinant_vector,
@@ -349,6 +355,91 @@ def test_batched_strings_match_one_string_at_a_time():
             assert np.array_equal(got, want)
     with pytest.raises(IndexOutOfRange, match="orbital 5"):
         fci._string_action(space, (("create", np.array([1, 5, 0])),), masks)
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of the refusal it raises."""
+    try:
+        return call(*args)
+    except FermiconvError as e:
+        return type(e), str(e)
+
+
+def _assert_same_action(space, ops, masks):
+    got = _outcome(fci._string_action, space, ops, masks)
+    want = _outcome(ref.string_action, space, ops, masks)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        # bit for bit, the entries of masks the string drops included
+        assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("M", range(1, 5))
+def test_folded_kernel_matches_reference_on_every_short_string(M):
+    space = FockSpace(M)
+    slots = [(kind, p) for kind in ("create", "annihilate") for p in range(1, M + 1)]
+    for length in range(5):
+        for ops in itertools.product(slots, repeat=length):
+            _assert_same_action(space, ops, space.masks())
+
+
+@pytest.mark.parametrize("M", (5, 8, 12))
+def test_folded_kernel_matches_reference_on_mixed_slots(M):
+    rng = np.random.default_rng(300 + M)
+    space = FockSpace(M)
+    for _ in range(150):
+        terms = int(rng.integers(1, 6))
+        ops = [
+            (("create", "annihilate")[rng.integers(2)],
+             rng.integers(1, M + 1, size=terms) if rng.random() < 0.5
+             else int(rng.integers(1, M + 1)))
+            for _ in range(rng.integers(0, 7))
+        ]
+        for masks in (space.masks(), rng.integers(0, space.dim, size=9), np.zeros(1, np.int64)):
+            _assert_same_action(space, ops, masks)
+
+
+def test_folded_kernel_refusals_match_reference():
+    for M in (1, 4, 8):
+        space = FockSpace(M)
+        bad_strings = [
+            (("create", 1), ("flip", 1)),
+            (("annihilate", 0),),
+            (("create", M + 1), ("flip", 1)),
+            (("create", 1), ("annihilate", np.array([1, 0, M + 1]))),
+            (("annihilate", np.array([1, M + 1, 0])),),
+            (("create", np.array([1, 1])), ("flip", np.array([1, 1]))),
+        ]
+        for ops in bad_strings:
+            got = _outcome(fci._string_action, space, ops, space.masks())
+            assert got[0] in (BadParam, IndexOutOfRange)
+            _assert_same_action(space, ops, space.masks())
+
+
+@pytest.mark.parametrize("M", (4, 6, 8))
+def test_k_rdm_matches_scatter_reference(M):
+    rng = np.random.default_rng(400 + M)
+    space = FockSpace(M)
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi /= np.linalg.norm(psi)
+    for k in (1, 2):
+        for orbs in itertools.product(range(1, M + 1), repeat=2 * k):
+            ps, qs = orbs[:k], orbs[k:]
+            got = k_rdm(psi, ps, qs, space)
+            assert abs(got - ref.k_rdm(psi, ps, qs, space)) <= 1e-15
+            if len(set(ps)) < k or len(set(qs)) < k:
+                assert got == 0
+    for ps, qs, state in (
+        ((1, 2), (1,), psi),
+        ((1,), (1,), 2 * psi),
+        ((M + 1,), (1,), psi),
+        ((1, 2), (0, 1), psi),
+    ):
+        got = _outcome(k_rdm, state, ps, qs, space)
+        assert got[0] in (BadParam, IndexOutOfRange)
+        assert got == _outcome(ref.k_rdm, state, ps, qs, space)
 
 
 def test_k_rdm_tensor_matches_per_entry_k_rdm():

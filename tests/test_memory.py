@@ -28,6 +28,7 @@ from fermiconv import (
 )
 from fermiconv import circuits, conversion, fci, majorana
 from fermiconv.circuits import build_layout
+from fermiconv.errors import BadParam
 
 MIB = 1 << 20
 
@@ -193,3 +194,19 @@ def test_rotation_peak():
     psi[idx] = rng.standard_normal(len(idx))
     psi /= np.linalg.norm(psi)
     assert _peak_mib(lambda: fci.rotate_determinants(psi, U, space)) <= 0.5
+
+
+def test_k_rdm_tensor_refuses_past_entry_cap_without_allocating():
+    # at k=4, M=12 the tensor alone would hold 12^8 complex entries (6.9 GB)
+    space = fci.FockSpace(12)
+    psi = fci.vacuum(space)
+
+    def refuse():
+        for k in (3, 4):
+            with pytest.raises(CapExceeded, match=f"{k}-RDM at M=12"):
+                fci.k_rdm_tensor(psi, k, space)
+        # the CLI's largest request passes the cap and reaches the next check
+        with pytest.raises(BadParam, match="normalized"):
+            fci.k_rdm_tensor(2 * psi, 2, space)
+
+    assert _peak_mib(refuse) <= 0.5
