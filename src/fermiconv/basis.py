@@ -17,14 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import (
-    Circuit,
-    GateCount,
-    Statevector,
-    apply_circuit,
-    count_gates,
-    regu,
-)
+from .circuits import Circuit, GateCount, count_gates, regu, sparse_action
 from .encodings import FIRST_QUANTIZED, EncodedState, validate
 from .errors import (
     BadDimension,
@@ -96,8 +89,8 @@ def apply_register_transform(enc: EncodedState, U) -> tuple[EncodedState, GateCo
     if U.dim > enc.M:
         raise BadDimension(f"core dimension {U.dim} exceeds M={enc.M}")
     circ = register_transform_circuit(enc.layout, U)
-    out = apply_circuit(enc.state, circ)
-    result = EncodedState(out, FIRST_QUANTIZED, enc.layout, enc.N)
+    keys, amps = sparse_action(circ, enc.keys, enc.amps)
+    result = EncodedState.from_components(keys, amps, FIRST_QUANTIZED, enc.layout, enc.N)
     validate(result).require(NotAntisymmetric, "transform broke the encoding: {first}")
     return result, count_gates(circ)
 

@@ -22,9 +22,10 @@ Unit tests pin it to a dense reference engine kept with the tests.
 
 Gate counting is purely syntactic (``count_gates``) and reads the
 Circuit, never a Program. Layouts only pack registers; each size cap sits
-where memory is spent: dense vectors in ``Statevector.from_components``
-(QUBIT_CAP qubits), compiled masks in ``compile_circuit`` (PACKED_CAP
-qubits), the interpreter in ``sparse_action`` (BRANCH_CAP components).
+where memory is spent: dense vectors in ``check_dense`` (QUBIT_CAP qubits),
+which ``Statevector.from_components`` and every register state run,
+compiled masks in ``compile_circuit`` (PACKED_CAP qubits), the interpreter
+in ``sparse_action`` (BRANCH_CAP components).
 """
 
 from __future__ import annotations
@@ -271,10 +272,9 @@ class Statevector:
 
     @classmethod
     def from_components(cls, n_qubits: int, keys, amps) -> "Statevector":
-        """Dense vector over n_qubits holding amps at keys; the one place a
-        register state is allocated, refused above QUBIT_CAP beforehand."""
-        if n_qubits > QUBIT_CAP:
-            raise CapExceeded(f"{n_qubits} qubits > dense cap {QUBIT_CAP}")
+        """Dense vector over n_qubits holding amps at keys, refused above
+        QUBIT_CAP before it is allocated."""
+        check_dense(n_qubits)
         out = np.zeros(1 << n_qubits, dtype=complex)
         out[np.asarray(keys, dtype=np.int64)] = amps
         return cls(out)
@@ -287,18 +287,20 @@ class Statevector:
     def basis(cls, layout: RegisterLayout, index: int) -> "Statevector":
         return cls.from_components(layout.total_qubits, [index], [1.0])
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.amps.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def overlap(self, other: "Statevector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and amplitudes of the exact-nonzero entries, ascending."""
+        keys = np.flatnonzero(self.amps != 0)
+        return keys, self.amps[keys]
 
-    def fidelity(self, other: "Statevector") -> float:
-        # global-phase quotient: |<a|b>|
-        return abs(self.overlap(other))
+
+def check_dense(n_qubits: int) -> None:
+    """Refuse a dense vector over n_qubits > QUBIT_CAP, or a state that must
+    be viewable as one."""
+    if n_qubits > QUBIT_CAP:
+        raise CapExceeded(f"{n_qubits} qubits > dense cap {QUBIT_CAP}")
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
@@ -308,8 +310,7 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         raise DimMismatch(
             f"state has {state.amps.shape[0]} amplitudes, layout wants {1 << n}"
         )
-    keys = np.flatnonzero(state.amps != 0)
-    idx, amp = sparse_action(circuit, keys, state.amps[keys])
+    idx, amp = sparse_action(circuit, *state.components())
     return Statevector.from_components(n, idx, amp)
 
 

@@ -25,7 +25,7 @@ from .basis import (
     qft_register_transform,
     read_basis_matrix,
 )
-from .circuits import Statevector, build_layout, count_gates, parse_circuit
+from .circuits import build_layout, count_gates, parse_circuit
 from .conversion import first_to_second, second_to_first, tensor_product_merge
 from .encodings import (
     SORTED_LIST,
@@ -232,12 +232,11 @@ def cmd_tensor(args) -> int:
                 else:
                     yi = OccupationBitstring(M, int(ym)).indices()
                     expected += amp * creation_string(space, xi + yi)
-        sector0 = res.state.state.amps.reshape(2, -1)[0]
-        n_out = res.state.layout.n_reg
-        sec_enc = EncodedState(
-            Statevector(sector0.copy()), SORTED_LIST, build_layout(M, n_out, 0)
-        )
-        actual = sorted_list_to_fock(sec_enc)
+        merged = res.state  # records discarded: the flag is its one ancilla
+        unflagged = merged.keys < (1 << (merged.layout.total_qubits - 1))
+        actual = sorted_list_to_fock(EncodedState.from_components(
+            merged.keys[unflagged], merged.amps[unflagged], SORTED_LIST,
+            build_layout(M, merged.layout.n_reg, 0)))
         dev = float(np.max(np.abs(actual - expected), initial=0.0))
         dev = max(dev, abs(res.duplicate_probability - expected_dup))
         if np.linalg.norm(expected) > 1e-12:

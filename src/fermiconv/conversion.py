@@ -15,9 +15,10 @@ record is erased right after its comparator is undone, by recomputing it.
 
 Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
-``sparse_action`` on work layouts of any width up to the packed-index cap;
-dense vectors appear only in the returned states, at their own width, and
-the joint merge input and the split matrices obey the tracer's BRANCH_CAP.
+``sparse_action`` on work layouts of any width up to the packed-index cap.
+Inputs and outputs are component lists too; the one dense vector is the
+record state that fq2sl reports, and the joint merge input and the split
+matrices obey the tracer's BRANCH_CAP.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -39,6 +40,7 @@ from .circuits import (
     Statevector,
     build_layout,
     check_branches,
+    check_dense,
     compile_circuit,
     count_gates,
     cswap,
@@ -186,27 +188,25 @@ def first_to_second(
     N = enc.layout.n_reg
     n_out = N + extra_registers
     sys_bits = n_out * enc.layout.b
-    out = Statevector.from_components(sys_bits, (), ())  # cap before the network
+    check_dense(sys_bits)  # the output's cap, before the network
     prog, gate_count = _fq2sl_program(enc.M, N, n_out)
     T = prog.n_qubits - sys_bits
-    rec = Statevector.from_components(T, (), ())  # and before the trace
+    check_dense(T)  # and the record state's, before the trace
 
-    # pure permutation+phase: trace the components, not the dense vector
-    idx0 = np.flatnonzero(enc.state.amps != 0)
-    oi, oa = sparse_action(prog, idx0, enc.state.amps[idx0])
+    oi, oa = sparse_action(prog, enc.keys, enc.amps)
     rec_keys, u, sys_keys, psi = _rank_one_split(
         oi >> np.int64(sys_bits), oi & np.int64((1 << sys_bits) - 1), oa
     )
-    out.amps[sys_keys] = psi
-    rec.amps[rec_keys] = u / np.linalg.norm(u)
-    result = EncodedState(out, SORTED_LIST, build_layout(enc.M, n_out, 0), enc.N)
+    result = EncodedState.from_components(
+        sys_keys, psi, SORTED_LIST, build_layout(enc.M, n_out, 0), enc.N
+    )
     report = ConversionReport(
         direction="antisymmetric-to-sorted-list",
         gate_count=gate_count,
         record_ancillas=T,
         success_probability=1.0,
         attempts=1,
-        record_state=rec.amps,
+        record_state=Statevector.from_components(T, rec_keys, u / np.linalg.norm(u)).amps,
     )
     return result, report
 
@@ -250,9 +250,8 @@ def second_to_first(
     validate(enc).require(MalformedComponent, "{count} bad components; first: {first}")
     layout = enc.layout
     b = layout.b
-    idx = np.flatnonzero(enc.state.amps != 0)
-    amps = enc.state.amps[idx]
-    values = layout.decode(idx)
+    amps = enc.amps
+    values = layout.decode(enc.keys)
     occupied = values[np.abs(amps) > AMP_THRESHOLD] != layout.sentinel
     occs = set(np.count_nonzero(occupied, axis=1).tolist())
     if len(occs) > 1:
@@ -275,13 +274,12 @@ def second_to_first(
         raise MixedParticleNumber(f"non-sentinel tail amplitude {spill:.2e}")
     # the system occupies registers 0..N-1, so its component indices carry
     # over unchanged into the unsort layout
-    idx0 = idx[on_tail] & np.int64((1 << (N * b)) - 1)
+    idx0 = enc.keys[on_tail] & np.int64((1 << (N * b)) - 1)
     amp0 = amps[on_tail]
 
     fq_layout = build_layout(enc.M, N, 0)
     if N == 1:
-        out = Statevector.from_components(N * b, idx0, amp0)
-        result = EncodedState(out, FIRST_QUANTIZED, fq_layout, N)
+        result = EncodedState.from_components(idx0, amp0, FIRST_QUANTIZED, fq_layout, N)
         report = ConversionReport(
             direction="sorted-list-to-antisymmetric",
             gate_count=GateCount(),
@@ -329,9 +327,9 @@ def second_to_first(
     leak = np.linalg.norm(fa[~clear])
     if leak > 1e-9:
         raise EntangledAncilla(f"records kept amplitude {leak:.2e} after erasure")
-    out = Statevector.from_components(N * b, fi[clear], fa[clear])
-    out.amps /= out.norm()
-    result = EncodedState(out, FIRST_QUANTIZED, fq_layout, N)
+    fi, fa = fi[clear], fa[clear]
+    fa = fa / np.linalg.norm(fa)
+    result = EncodedState.from_components(fi, fa, FIRST_QUANTIZED, fq_layout, N)
     report = ConversionReport(
         direction="sorted-list-to-antisymmetric",
         gate_count=gate_count,
@@ -415,10 +413,9 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
     T = SortingNetworkSpec.adjacent(n_out).n_comparators
 
     # joint input: products of the nonzero components, a in the low registers
-    ia, ib = np.flatnonzero(a.state.amps != 0), np.flatnonzero(b.state.amps != 0)
-    check_branches(len(ia) * len(ib), "merge joint input")
-    idx0 = ((ib[:, None] << np.int64(a.layout.total_qubits)) | ia).ravel()
-    amp0 = np.outer(b.state.amps[ib], a.state.amps[ia]).ravel()
+    check_branches(len(a.keys) * len(b.keys), "merge joint input")
+    idx0 = ((b.keys[:, None] << np.int64(a.layout.total_qubits)) | a.keys).ravel()
+    amp0 = np.outer(b.amps, a.amps).ravel()
 
     prog, gate_count = _merge_program(M, n_out)
     oi, oa = sparse_action(prog, idx0, amp0)
@@ -454,8 +451,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         rest = ka
         flag_q = out_layout.anc_qubit(T)
         discarded = False
-    out = Statevector.from_components(out_layout.total_qubits, keys, rest)
-    state = EncodedState(out, SORTED_LIST, out_layout, n_total)
+    state = EncodedState.from_components(keys, rest, SORTED_LIST, out_layout, n_total)
     return MergeResult(
         state=state,
         flag_qubit=flag_q,

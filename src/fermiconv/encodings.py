@@ -8,22 +8,25 @@ orbitals 1..M, value 0 unused, all-ones sentinel read as "empty slot"):
 - first-quantized: N registers, fully antisymmetrized with the 1/sqrt(N!)
   normalization; the ascending component carries a plus sign.
 
-Validation and the maps to dense 2^M Fock vectors live here, so the circuit
-layer can be checked against the Fock oracle without either side importing
-the other. Every rule is an array check over one decode of the register
-values; antisymmetry lists at most one violation per leading register.
+An EncodedState is a component list, so a determinant costs its N! or one
+components, never the 2^n amplitudes of its register space. Validation and
+the maps to dense 2^M Fock vectors live here, so the circuit layer can be
+checked against the Fock oracle without either side importing the other.
+Every rule is an array check over one decode of the register values;
+antisymmetry lists at most one violation per leading register.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .circuits import RegisterLayout, Statevector, build_layout
+from .circuits import RegisterLayout, Statevector, build_layout, check_dense
 from .errors import (
     BadParam,
     DisciplineMismatch,
@@ -83,27 +86,59 @@ class OccupationBitstring:
         return cls.from_indices(M, idx)
 
 
-@dataclass
 class EncodedState:
-    """A statevector plus the metadata needed to interpret it."""
+    """A register state as a component list plus the metadata to read it.
 
-    state: Statevector
-    discipline: str
-    layout: RegisterLayout
-    N: int | None = None
+    keys are sorted, unique int64 basis indices and amps their exact-nonzero
+    amplitudes; both are read-only. Layouts past QUBIT_CAP are refused, so
+    the dense view ``state`` can always be built. The positional constructor
+    scans a dense Statevector once; library code calls ``from_components``.
+    """
 
-    def __post_init__(self):
-        if self.discipline not in (SORTED_LIST, FIRST_QUANTIZED):
-            raise BadParam(f"unknown discipline {self.discipline!r}")
-        if self.state.n_qubits != self.layout.total_qubits:
+    def __init__(
+        self, state: Statevector, discipline: str, layout: RegisterLayout, N: int | None = None
+    ):
+        self._store(*state.components(), discipline, layout, N, state.n_qubits)
+
+    @classmethod
+    def from_components(
+        cls, keys, amps, discipline: str, layout: RegisterLayout, N: int | None = None
+    ) -> "EncodedState":
+        """sum_k amps[k] |keys[k]> from distinct keys inside the layout, in any order."""
+        order = np.argsort(keys)
+        keys, amps = np.asarray(keys, np.int64)[order], np.asarray(amps, complex)[order]
+        if np.any(keys[1:] == keys[:-1]) or np.any(keys >> layout.total_qubits):
+            raise BadParam("component keys must be distinct and inside the layout")
+        enc = cls.__new__(cls)
+        enc._store(keys, amps, discipline, layout, N, layout.total_qubits)
+        return enc
+
+    def _store(self, keys, amps, discipline, layout, N, n_qubits) -> None:
+        if discipline not in (SORTED_LIST, FIRST_QUANTIZED):
+            raise BadParam(f"unknown discipline {discipline!r}")
+        if n_qubits != layout.total_qubits:
             raise BadParam("statevector size disagrees with layout")
+        check_dense(n_qubits)
+        self.keys, self.amps = keys[amps != 0], amps[amps != 0]  # copies, then frozen
+        self.keys.setflags(write=False)
+        self.amps.setflags(write=False)
+        self.discipline, self.layout, self.N = discipline, layout, N
+        self._dense = None  # weak reference to the last dense view's amps
 
     @property
     def M(self) -> int:
         return self.layout.M
 
-    def copy(self) -> "EncodedState":
-        return EncodedState(self.state.copy(), self.discipline, self.layout, self.N)
+    @property
+    def state(self) -> Statevector:
+        """Dense view with read-only amps, built on demand. Accesses share
+        one vector while a caller still holds it; the state never keeps it."""
+        amps = self._dense and self._dense()
+        if amps is None:
+            amps = Statevector.from_components(self.layout.total_qubits, self.keys, self.amps).amps
+            amps.setflags(write=False)
+            self._dense = weakref.ref(amps)
+        return Statevector(amps)
 
 
 def encode_sorted_list(x: OccupationBitstring, n_reg: int, n_anc: int = 0) -> EncodedState:
@@ -112,8 +147,8 @@ def encode_sorted_list(x: OccupationBitstring, n_reg: int, n_anc: int = 0) -> En
         raise TooManyElectrons(f"{x.N} electrons but only {n_reg} registers")
     layout = build_layout(x.M, n_reg, n_anc)
     values = list(x.indices()) + [layout.sentinel] * (n_reg - x.N)
-    sv = Statevector.basis(layout, layout.basis_index(values))
-    return EncodedState(sv, SORTED_LIST, layout, x.N)
+    key = layout.basis_index(values)
+    return EncodedState.from_components([key], [1.0], SORTED_LIST, layout, x.N)
 
 
 def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
@@ -121,17 +156,14 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     if x.N < 1:
         raise BadParam("first-quantized encoding needs N >= 1")
     layout = build_layout(x.M, x.N)
-    idx = x.indices()
+    check_dense(layout.total_qubits)  # before the N! orderings
     N = x.N
-    amp = 1.0 / math.sqrt(math.factorial(N))
-    sv = Statevector.from_components(layout.total_qubits, (), ())  # cap before N! loop
-    for perm in permutations(range(N)):
-        inv = sum(
-            1 for a in range(N) for b in range(a + 1, N) if perm[a] > perm[b]
-        )
-        values = [idx[perm[r]] for r in range(N)]
-        sv.amps[layout.basis_index(values)] = amp * (1 - 2 * (inv & 1))
-    return EncodedState(sv, FIRST_QUANTIZED, layout, N)
+    perms = np.array(list(permutations(range(N))), dtype=np.int64)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    values = np.array(x.indices(), dtype=np.int64)[perms]
+    keys = (values << (np.arange(N, dtype=np.int64) * layout.b)).sum(axis=1)
+    amps = (1.0 / math.sqrt(math.factorial(N))) * (1 - 2 * (inversions & 1))
+    return EncodedState.from_components(keys, amps, FIRST_QUANTIZED, layout, N)
 
 
 # Rule codes and messages. A component reports set ancilla bits, else the rule its
@@ -234,10 +266,10 @@ def validate(enc: EncodedState) -> ValidationReport:
 
 
 def _checked_components(enc: EncodedState) -> tuple:
-    """validate's nonzero keys, their register values and its violations."""
+    """Amplitudes above AMP_THRESHOLD, their register values, validate's violations."""
     layout = enc.layout
-    amps = enc.state.amps
-    keys = np.flatnonzero(np.abs(amps) > AMP_THRESHOLD)
+    above = np.abs(enc.amps) > AMP_THRESHOLD
+    keys, amps = enc.keys[above], enc.amps[above]
     values = layout.decode(keys)
     violations = _component_violations(keys, values, enc.discipline, layout)
     if enc.discipline == FIRST_QUANTIZED and not violations:
@@ -245,37 +277,39 @@ def _checked_components(enc: EncodedState) -> tuple:
             for s in range(r + 1, layout.n_reg):
                 d = values[:, r] ^ values[:, s]
                 swapped = keys ^ (d << (r * layout.b)) ^ (d << (s * layout.b))
-                bad = np.flatnonzero(np.abs(amps[swapped] + amps[keys]) > 1e-10)
+                # look the partners up in the whole list: a missing key reads 0
+                at = np.minimum(np.searchsorted(enc.keys, swapped), len(enc.keys) - 1)
+                partner = np.where(enc.keys[at] == swapped, enc.amps[at], 0)
+                bad = np.flatnonzero(np.abs(partner + amps) > 1e-10)
                 if len(bad):
                     msg = f"amplitude not antisymmetric under registers {r},{s}"
                     violations.append((int(keys[bad[0]]), tuple(values[bad[0]].tolist()), msg))
                     break
-    return keys, values, violations
+    return amps, values, violations
 
 
 def with_ancillas(enc: EncodedState, n_anc: int) -> EncodedState:
     """Same state on a layout with at least n_anc clear ancillas."""
     if enc.layout.n_anc >= n_anc:
         return enc
+    # old ancillas (if any) sit below the new ones, so every key carries over
     new_layout = build_layout(enc.M, enc.layout.n_reg, n_anc)
-    old = enc.state.amps  # old ancillas (if any) sit below the new ones
-    sv = Statevector.from_components(new_layout.total_qubits, (), ())
-    sv.amps[: len(old)] = old
-    return EncodedState(sv, enc.discipline, new_layout, enc.N)
+    return EncodedState.from_components(enc.keys, enc.amps, enc.discipline, new_layout, enc.N)
 
 
-def drop_clear_ancillas(enc: EncodedState, tol: float = 1e-10) -> EncodedState:
+def drop_clear_ancillas(enc: EncodedState) -> EncodedState:
     """Strip ancilla qubits, requiring all amplitude mass at ancilla = 0."""
     layout = enc.layout
     if layout.n_anc == 0:
         return enc
-    reg_dim = 1 << (layout.n_reg * layout.b)
-    view = enc.state.amps.reshape(-1, reg_dim)
-    tail = np.linalg.norm(view[1:])
-    if tail > tol:
+    clear = enc.keys >> (layout.n_reg * layout.b) == 0
+    tail = np.linalg.norm(enc.amps[~clear])
+    if tail > 1e-10:
         raise BadParam(f"ancillas carry amplitude {tail:.2e}")
     new_layout = build_layout(layout.M, layout.n_reg, 0)
-    return EncodedState(Statevector(view[0].copy()), enc.discipline, new_layout, enc.N)
+    return EncodedState.from_components(
+        enc.keys[clear], enc.amps[clear], enc.discipline, new_layout, enc.N
+    )
 
 
 # --- bridges to the dense Fock oracle ------------------------------------
@@ -290,11 +324,11 @@ def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
     if enc.discipline != SORTED_LIST:
         raise DisciplineMismatch("expected a sorted-list state")
     enc = drop_clear_ancillas(enc)
-    keys, values, violations = _checked_components(enc)
+    amps, values, violations = _checked_components(enc)
     ValidationReport(violations).require(MalformedComponent, "{count} invalid components: {first}")
     fock = Statevector.from_components(enc.M, (), ()).amps
     bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
-    np.add.at(fock, np.bitwise_or.reduce(bits, axis=1), enc.state.amps[keys])
+    np.add.at(fock, np.bitwise_or.reduce(bits, axis=1), amps)
     return fock
 
 
@@ -306,12 +340,12 @@ def first_quantized_to_fock(enc: EncodedState) -> np.ndarray:
     """
     if enc.discipline != FIRST_QUANTIZED:
         raise DisciplineMismatch("expected a first-quantized state")
-    keys, values, violations = _checked_components(enc)
+    amps, values, violations = _checked_components(enc)
     ValidationReport(violations).require(NotAntisymmetric, "{count} invalid components: {first}")
     scale = math.sqrt(math.factorial(enc.layout.n_reg))
     fock = Statevector.from_components(enc.M, (), ()).amps
     # each determinant is read off its one ascending component
     up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
     masks = np.bitwise_or.reduce(1 << (values[up] - 1), axis=1)
-    np.add.at(fock, masks, scale * enc.state.amps[keys[up]])
+    np.add.at(fock, masks, scale * amps[up])
     return fock

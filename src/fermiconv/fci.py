@@ -50,6 +50,14 @@ def _popcounts(M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _masks(M: int) -> np.ndarray:
+    """Read-only table of every mask below 2^M, in increasing order."""
+    table = np.arange(1 << M, dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def _parity_signs(M: int) -> np.ndarray:
     """Read-only table of (-1)^(occupation count) of every mask below 2^M."""
     table = 1.0 - 2.0 * (_popcounts(M) & 1)
@@ -72,7 +80,7 @@ class FockSpace:
         return 1 << self.M
 
     def masks(self) -> np.ndarray:
-        return np.arange(self.dim, dtype=np.int64)
+        return _masks(self.M)
 
     def sector_indices(self, n: int) -> np.ndarray:
         """Mask indices of the n-electron sector."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
-    Circuit, Gate, Program, Statevector, build_layout, compile_circuit, sparse_action, z,
+    Circuit, Gate, Program, build_layout, compile_circuit, sparse_action, z,
 )
 from .comparators import _le_gates, bubble_gates, swap_values_circuit
 from .encodings import (
@@ -127,9 +127,7 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     if not 1 <= p <= enc.M:
         raise BadConstant(f"orbital {p} not in 1..{enc.M}")
     layout = enc.layout
-    idxs = np.flatnonzero(enc.state.amps != 0)  # on a bool mask: twice as fast
-    vals = enc.state.amps[idxs]
-    keys = idxs[np.abs(vals) > AMP_THRESHOLD]
+    keys = enc.keys[np.abs(enc.amps) > AMP_THRESHOLD]
     values = layout.decode(keys)
     # every register occupied and none holding p: no slack to toggle p into
     bad = keys[np.all(values != layout.sentinel, axis=1) & np.all(values != p, axis=1)]
@@ -144,13 +142,13 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     if layout.n_anc < N_WORK_ANCILLAS:
         work = build_layout(enc.M, layout.n_reg, N_WORK_ANCILLAS)
     reg_bits = layout.n_reg * layout.b
-    dirty = ((idxs >> np.int64(reg_bits)) & np.int64((1 << N_WORK_ANCILLAS) - 1)) != 0
-    if np.linalg.norm(vals[dirty]) > AMP_THRESHOLD:
+    dirty = ((enc.keys >> np.int64(reg_bits)) & np.int64((1 << N_WORK_ANCILLAS) - 1)) != 0
+    if np.linalg.norm(enc.amps[dirty]) > AMP_THRESHOLD:
         raise BadParam("the first three ancillas are work space and must start clear")
     odd, odd_scalar = _majorana_program(work, 2 * p - 1)
     even, even_scalar = _majorana_program(work, 2 * p)
-    i1, a1 = sparse_action(odd, idxs, vals)
-    i2, a2 = sparse_action(even, idxs, vals)
+    i1, a1 = sparse_action(odd, enc.keys, enc.amps)
+    i2, a2 = sparse_action(even, enc.keys, enc.amps)
     # a_p^dag = (g1 - i g2)/2, a_p = (g1 + i g2)/2; the scalar i already
     # lives inside the even branch, so these reduce to half sum/difference.
     sign = -1j if kind == "create" else 1j
@@ -163,8 +161,7 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     spill = np.linalg.norm(out[~inside])
     if spill > 1e-10:
         raise BadParam(f"work ancillas kept amplitude {spill:.2e}")
-    state = Statevector.from_components(layout.total_qubits, keys[inside], out[inside])
     n = None
     if enc.N is not None:
         n = enc.N + 1 if kind == "create" else enc.N - 1
-    return EncodedState(state, SORTED_LIST, layout, n)
+    return EncodedState.from_components(keys[inside], out[inside], SORTED_LIST, layout, n)

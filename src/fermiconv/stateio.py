@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-from .circuits import Statevector, build_layout
+from .circuits import build_layout, check_dense
 from .encodings import AMP_THRESHOLD, EncodedState
 from .errors import BadParam, MalformedComponent
 
@@ -56,16 +56,17 @@ def parse_amplitude(tok: str) -> complex:
     raise MalformedComponent(f"amplitude needs a signed imaginary part: {tok!r}")
 
 
-def write_state(enc: EncodedState, threshold: float = AMP_THRESHOLD) -> str:
+def write_state(enc: EncodedState) -> str:
     lay = enc.layout
     n_txt = "?" if enc.N is None else str(enc.N)
     lines = [
         f"STATE M={lay.M} NREG={lay.n_reg} B={lay.b} NANC={lay.n_anc} "
         f"DISCIPLINE={enc.discipline} N={n_txt}"
     ]
-    keys = np.flatnonzero(np.abs(enc.state.amps) > threshold)
+    above = np.abs(enc.amps) > AMP_THRESHOLD
+    keys = enc.keys[above]
     ancs = (keys >> (lay.n_reg * lay.b)).tolist()
-    for values, anc, z in zip(lay.decode(keys).tolist(), ancs, enc.state.amps[keys].tolist()):
+    for values, anc, z in zip(lay.decode(keys).tolist(), ancs, enc.amps[above].tolist()):
         regs = ",".join(format(v, f"0{lay.b}b") for v in values)
         if lay.n_anc:
             regs += "|" + format(anc, f"0{lay.n_anc}b")
@@ -86,8 +87,8 @@ def read_state(text: str) -> EncodedState:
     layout = build_layout(M, n_reg, n_anc)
     if layout.b != b:
         raise BadParam(f"header B={b} but M={M} needs b={layout.b}")
-    sv = Statevector.from_components(layout.total_qubits, (), ())
-    seen = set()
+    check_dense(layout.total_qubits)  # before any line is read
+    comps = {}  # key -> amplitude
     for ln in lines[1:]:
         cm = _LINE_RE.match(ln)
         if not cm:
@@ -101,8 +102,7 @@ def read_state(text: str) -> EncodedState:
         values = tuple(int(r, 2) for r in regs)
         anc = int(anc_bits, 2) if anc_bits else 0
         k = layout.basis_index(values, anc)
-        if k in seen:
+        if k in comps:
             raise MalformedComponent(f"component listed twice: {ln!r}")
-        seen.add(k)
-        sv.amps[k] = parse_amplitude(cm.group(3))
-    return EncodedState(sv, discipline, layout, N=N)
+        comps[k] = parse_amplitude(cm.group(3))
+    return EncodedState.from_components(list(comps), list(comps.values()), discipline, layout, N)

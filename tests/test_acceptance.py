@@ -148,9 +148,9 @@ def test_03_round_trip_identity():
         c = rng.standard_normal(len(dets)) + 1j * rng.standard_normal(len(dets))
         c /= np.linalg.norm(c)
         sl = _sl(M, dets[0], N)
-        sl.state.amps[:] = sum(
+        sl = EncodedState(Statevector(sum(
             ci * _sl(M, d, N).state.amps for ci, d in zip(c, dets)
-        )
+        )), sl.discipline, sl.layout, sl.N)
         worst = min(worst, _round_trip_fidelity(sl))
     ok = worst >= FID_FLOOR
     _verdict(3, ok, f"min round-trip fidelity {worst:.12f} over {n_det} "
@@ -200,9 +200,9 @@ def test_06_register_transform_equivalence():
         c = rng.standard_normal(len(dets)) + 1j * rng.standard_normal(len(dets))
         c /= np.linalg.norm(c)
         enc = _fq(M, dets[0])
-        enc.state.amps[:] = sum(
+        enc = EncodedState(Statevector(sum(
             ci * _fq(M, d).state.amps for ci, d in zip(c, dets)
-        )
+        )), enc.discipline, enc.layout, enc.N)
         out, _ = apply_register_transform(enc, U)
         want = rotate_determinants(first_quantized_to_fock(enc), U, space)
         got = first_quantized_to_fock(out)

@@ -144,7 +144,9 @@ def test_convert_verify_checks_deviation(capsys, tmp_path, monkeypatch):
     def skewed(enc, extra_registers=0):
         result, rep = first_to_second(enc, extra_registers)
         k = np.flatnonzero(result.state.amps)[0]
-        result.state.amps[k] *= np.exp(1e-5j)
+        amps = result.state.amps.copy()
+        amps[k] *= np.exp(1e-5j)
+        result = EncodedState(Statevector(amps), result.discipline, result.layout, result.N)
         return result, rep
 
     rc, out, _ = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(fq), "--verify"])

@@ -105,7 +105,9 @@ def test_forward_rejects_bad_inputs():
         first_to_second(_fq(4, (1, 3)), extra_registers=-1)
     sym = _fq(4, (1, 3))
     lay = sym.layout
-    sym.state.amps[lay.basis_index((3, 1))] *= -1  # now symmetric
+    amps = sym.state.amps.copy()
+    amps[lay.basis_index((3, 1))] *= -1  # now symmetric
+    sym = EncodedState(Statevector(amps), sym.discipline, lay, sym.N)
     with pytest.raises(NotAntisymmetric):
         first_to_second(sym)
 
@@ -206,9 +208,9 @@ def test_round_trips():
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     c /= np.linalg.norm(c)
     sl = _sl(5, kets[0], 3)
-    sl.state.amps[:] = sum(
+    sl = EncodedState(Statevector(sum(
         ci * _sl(5, k, 3).state.amps for ci, k in zip(c, kets)
-    )
+    )), sl.discipline, sl.layout, sl.N)
     fq, _ = second_to_first(sl)
     back, _ = first_to_second(fq)
     assert _fid(back.state.amps, sl.state.amps) > 1 - 1e-9
@@ -227,7 +229,8 @@ def test_backward_envelope_matches_fock_oracle(M, kets):
     c = rng.standard_normal(len(kets)) + 1j * rng.standard_normal(len(kets))
     c /= np.linalg.norm(c)
     sl = _sl(M, kets[0], N)
-    sl.state.amps[:] = sum(ci * _sl(M, k, N).state.amps for ci, k in zip(c, kets))
+    sl = EncodedState(Statevector(sum(ci * _sl(M, k, N).state.amps for ci, k in zip(c, kets))),
+                      sl.discipline, sl.layout, sl.N)
     want = sorted_list_to_fock(sl)
     fq, _ = second_to_first(sl)
     assert _phase_free_dev(want, first_quantized_to_fock(fq)) <= 1e-10
@@ -320,9 +323,9 @@ def test_merge_flags_duplicates():
 def test_merge_keeps_entangled_records():
     a = _sl(4, (1,), 1)
     b = _sl(4, (1,), 1)
-    a.state.amps[:] = (
+    a = EncodedState(Statevector((
         _sl(4, (1,), 1).state.amps + _sl(4, (2,), 1).state.amps
-    ) / np.sqrt(2)
+    ) / np.sqrt(2)), a.discipline, a.layout, a.N)
     res = tensor_product_merge(a, b)
     assert not res.records_discarded
     assert abs(res.duplicate_probability - 0.5) < 1e-12

@@ -183,9 +183,9 @@ def test_with_and_drop_ancillas():
     assert abs(widened.state.norm() - 1) < 1e-12
     back = drop_clear_ancillas(widened)
     np.testing.assert_allclose(back.state.amps, enc.state.amps)
-    dirty = widened.copy()
-    dirty.state.amps[:] = 0
-    dirty.state.amps[1 << (dirty.layout.n_reg * dirty.layout.b)] = 1.0
+    amps = np.zeros_like(widened.state.amps)
+    amps[1 << (widened.layout.n_reg * widened.layout.b)] = 1.0
+    dirty = EncodedState(Statevector(amps), widened.discipline, widened.layout, widened.N)
     with pytest.raises(BadParam):
         drop_clear_ancillas(dirty)
 

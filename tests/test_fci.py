@@ -477,3 +477,25 @@ def test_oracle_imports_no_circuit_code():
             continue
         for root in roots:
             assert root == "numpy" or root in sys.stdlib_module_names, root
+
+
+def test_masks_are_one_cached_read_only_table():
+    space = FockSpace(4)
+    masks = space.masks()
+    assert masks is FockSpace(4).masks()
+    assert not masks.flags.writeable
+    assert masks.tolist() == list(range(16))
+    # every caller only reads the table: a write would raise ValueError
+    rng = np.random.default_rng(7)
+    H = random_toy_hamiltonian(rng, 4)
+    vals, vecs = sector_eigensystem(H.dense_matrix(space), space, 2)
+    psi = vecs[:, 0]
+    ladder_matrix(2, "create", space)
+    fci.apply_ladder_fock(psi, 3, "annihilate", space)
+    creation_string(space, (1, 4))
+    k_rdm(psi, (1, 2), (2, 3), space)
+    k_rdm_tensor(psi, 2, space)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    rotate_determinants(psi, U, space)
+    ionization_attachment_probabilities(H, 2, 2)
+    assert masks.tolist() == list(range(16))

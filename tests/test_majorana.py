@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fermiconv import (
+    EncodedState,
     FockSpace,
     OccupationBitstring,
+    Statevector,
     apply_circuit,
     apply_ladder,
     build_layout,
@@ -194,7 +196,7 @@ def test_number_operator_counts_electrons():
     amps = np.zeros_like(enc.state.amps)
     for c, m in zip(coefs, det_masks):
         amps += c * _enc(M, OccupationBitstring(M, m).indices(), n_reg).state.amps
-    enc.state.amps[:] = amps
+    enc = EncodedState(Statevector(amps), enc.discipline, enc.layout, enc.N)
     total = np.zeros_like(amps)
     for p in range(1, M + 1):
         step = apply_ladder(enc, p, "annihilate")
@@ -220,8 +222,9 @@ def test_ladder_rejects_wrong_discipline_and_dirty_ancillas():
         apply_ladder(fq, 1, "create")
     enc = with_ancillas(_enc(3, (1,), 2), N_WORK_ANCILLAS)
     reg_dim = 1 << (enc.layout.n_reg * enc.layout.b)
-    enc.state.amps[:] = 0
-    enc.state.amps[reg_dim + enc.layout.basis_index((1, 7))] = 1.0  # anc 0 set
+    amps = np.zeros_like(enc.state.amps)
+    amps[reg_dim + enc.layout.basis_index((1, 7))] = 1.0  # anc 0 set
+    enc = EncodedState(Statevector(amps), enc.discipline, enc.layout, enc.N)
     with pytest.raises(BadParam):
         apply_ladder(enc, 2, "create")
     with pytest.raises(BadParam):

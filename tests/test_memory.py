@@ -22,9 +22,12 @@ from fermiconv import (
     encode_sorted_list,
     first_quantized_to_fock,
     first_to_second,
+    read_state,
     second_to_first,
     sorted_list_to_fock,
     tensor_product_merge,
+    validate,
+    write_state,
 )
 from fermiconv import circuits, conversion, fci, majorana
 from fermiconv.circuits import build_layout
@@ -50,6 +53,22 @@ def test_forward_conversion_peak():
     )
     assert np.count_nonzero(fq.state.amps) == 120
     assert _peak_mib(lambda: first_to_second(fq)) <= 50
+
+
+def test_wide_determinant_never_dense():
+    # 24 qubits and 24 components: a dense vector would hold 2^24 amplitudes
+    # (256 MiB) at every step
+    x = OccupationBitstring.from_indices(62, (3, 10, 40, 61))
+    fq = encode_first_quantized_determinant(x)
+    text = write_state(fq)
+    for step in (
+        lambda: encode_first_quantized_determinant(x),
+        lambda: first_to_second(fq),
+        lambda: write_state(fq),
+        lambda: read_state(text),
+        lambda: validate(fq),
+    ):
+        assert _peak_mib(step) <= 16
 
 
 def test_ladder_peak():

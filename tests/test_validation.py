@@ -67,7 +67,9 @@ def test_component_violations_listed_in_key_order():
 def _flipped_determinant(M, occ):
     """The determinant's first-quantized state with its ascending component negated."""
     enc = encode_first_quantized_determinant(OccupationBitstring.from_indices(M, occ))
-    enc.state.amps[enc.layout.basis_index(occ)] *= -1
+    amps = enc.state.amps.copy()
+    amps[enc.layout.basis_index(occ)] *= -1
+    enc = EncodedState(Statevector(amps), enc.discipline, enc.layout, enc.N)
     return enc
 
 
@@ -172,6 +174,22 @@ def test_validate_and_bridges_match_per_component_reference():
             _same_fock(
                 _outcome(first_quantized_to_fock, fq), _outcome(ref.first_quantized_to_fock, fq)
             )
+
+
+def test_dense_constructor_round_trips_seeded_states():
+    # the positional constructor scans the dense vector once; .state rebuilds it
+    rng = np.random.default_rng(20261018)
+    for M, n_reg, n_anc in _LAYOUTS:
+        lay = build_layout(M, n_reg, n_anc)
+        for trial in range(24):
+            keys = _sorted_list_state(rng, lay, malformed=trial % 3 == 2)
+            sl_amps = np.zeros(1 << lay.total_qubits, dtype=complex)
+            sl_amps[keys] = _random_amps(rng, len(keys))
+            fq_amps = _first_quantized_state(rng, lay, malformed=trial % 4)
+            for discipline, amps in ((SORTED_LIST, sl_amps), (FIRST_QUANTIZED, fq_amps)):
+                enc = EncodedState(Statevector(amps.copy()), discipline, lay)
+                assert np.array_equal(enc.state.amps, amps)
+                assert enc.keys.tolist() == np.flatnonzero(amps).tolist()
 
 
 def test_decode_matches_reference_on_every_key():
