@@ -25,7 +25,7 @@ from .basis import (
     qft_register_transform,
     read_basis_matrix,
 )
-from .circuits import build_layout, count_gates, parse_circuit
+from .circuits import Statevector, build_layout, count_gates, parse_circuit
 from .conversion import first_to_second, second_to_first, tensor_product_merge
 from .encodings import (
     SORTED_LIST,
@@ -34,11 +34,10 @@ from .encodings import (
     drop_clear_ancillas,
     encode_first_quantized_determinant,
     encode_sorted_list,
-    first_quantized_to_fock,
-    sorted_list_to_fock,
+    occupation_components,
 )
 from .errors import CapExceeded, FermiconvError
-from .fci import FOCK_CAP, FockSpace, creation_string, k_rdm_tensor, rotate_determinants
+from .fci import FockSpace, apply_ladder_fock, k_rdm_tensor, rotate_determinants
 from .report import (
     FORMULAS,
     MODEL_LINLOG,
@@ -104,26 +103,34 @@ def _gates_line(gc) -> str:
             f"total={gc.total}")
 
 
-def _compare(expected: np.ndarray, actual: np.ndarray, phase_free: bool):
-    """(fidelity, max deviation) between two vectors, both normalized first."""
-    ne = float(np.linalg.norm(expected))
-    na = float(np.linalg.norm(actual))
+def _compare(expected, actual, phase_free: bool, dev: float = 0.0):
+    """(fidelity, max deviation) of two (masks, amps) lists, compared on the
+    union of their masks. phase_free (convert) normalizes both sides and
+    removes the global phase. Otherwise (tensor, basis) the deviation is
+    entrywise on the raw amplitudes and at least dev, one measured outside
+    the lists; a zero expected state then passes iff that deviation does."""
+    n = len(expected[0])
+    union, at = np.unique(np.concatenate((expected[0], actual[0])), return_inverse=True)
+    e, a = np.zeros((2, len(union)), dtype=complex)
+    e[at[:n]], a[at[n:]] = expected[1], actual[1]
+    ne, na = float(np.linalg.norm(e)), float(np.linalg.norm(a))
+    if not phase_free:
+        dev = max(dev, float(np.max(np.abs(a - e), initial=0.0)))
+        if ne < 1e-12:
+            return (1.0 if dev <= VERIFY_DEVIATION else 0.0), dev
+        return (abs(np.vdot(e, a)) / (ne * na) if na >= 1e-12 else 0.0), dev
     if ne < 1e-12 and na < 1e-12:
         return 1.0, 0.0
     if ne < 1e-12 or na < 1e-12:
-        big = max(np.max(np.abs(expected), initial=0.0),
-                  np.max(np.abs(actual), initial=0.0))
-        return 0.0, float(big)
-    ov = complex(np.vdot(expected, actual))
-    fid = abs(ov) / (ne * na)
-    ph = ov / abs(ov) if (phase_free and abs(ov) > 1e-300) else 1.0
-    dev = float(np.max(np.abs(actual / na - ph * expected / ne)))
-    return fid, dev
+        return 0.0, float(np.max(np.abs(np.concatenate((e, a)))))
+    ov = complex(np.vdot(e, a))
+    ph = ov / abs(ov) if abs(ov) > 1e-300 else 1.0
+    return abs(ov) / (ne * na), float(np.max(np.abs(a / na - ph * e / ne)))
 
 
-def _verdict(fid: float, dev: float, fid_floor: float, dev_ceiling: float) -> int:
+def _verdict(fid: float, dev: float) -> int:
     print(f"fidelity {fid:.6f}")
-    if fid < fid_floor or dev > dev_ceiling:
+    if fid < VERIFY_FIDELITY or dev > VERIFY_DEVIATION:
         print(f"max deviation {dev:.3e}")
         return 4
     return 0
@@ -141,16 +148,16 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _check_fock_cap(M: int) -> None:
-    """Refuse an oracle run past FockSpace's range before any Fock vector."""
-    if M > FOCK_CAP:
-        raise CapExceeded(f"M={M} exceeds the Fock oracle's cap of {FOCK_CAP}")
+def _occupations(enc: EncodedState):
+    """enc's (masks, amps) determinant list, clear ancillas dropped."""
+    return occupation_components(drop_clear_ancillas(enc))
 
 
-def _to_fock(enc: EncodedState) -> np.ndarray:
-    if enc.discipline == SORTED_LIST:
-        return sorted_list_to_fock(enc)
-    return first_quantized_to_fock(drop_clear_ancillas(enc))
+def _fock(space: FockSpace, enc: EncodedState) -> np.ndarray:
+    """enc's vector in the oracle's space."""
+    vec = np.zeros(space.dim, dtype=complex)
+    np.add.at(vec, *_occupations(enc))
+    return vec
 
 
 def cmd_convert(args) -> int:
@@ -170,18 +177,14 @@ def cmd_convert(args) -> int:
     if args.out:
         _emit(args.out, write_state(result))
     if args.verify:
-        expected = _to_fock(enc)
-        actual = _to_fock(result)
-        fid, dev = _compare(expected, actual, phase_free=True)
-        return _verdict(fid, dev, VERIFY_FIDELITY, VERIFY_DEVIATION)
+        return _verdict(*_compare(_occupations(enc), _occupations(result), phase_free=True))
     return 0
 
 
 def cmd_rdm(args) -> int:
     enc = read_state(_read(args.state))
-    _check_fock_cap(enc.M)
-    fock = _to_fock(enc)
     space = FockSpace(enc.M)
+    fock = _fock(space, enc)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     trace = 0.0
@@ -216,34 +219,25 @@ def cmd_tensor(args) -> int:
             print("error: verification requires disentangled comparison records",
                   file=sys.stderr)
             return 3
-        M = a.M
-        _check_fock_cap(M)
-        space = FockSpace(M)
-        fock_a = sorted_list_to_fock(a)
-        fock_b = sorted_list_to_fock(b)
-        expected = np.zeros(1 << M, dtype=complex)
-        expected_dup = 0.0
-        for xm in np.flatnonzero(np.abs(fock_a) > 1e-12):
-            xi = OccupationBitstring(M, int(xm)).indices()
-            for ym in np.flatnonzero(np.abs(fock_b) > 1e-12):
-                amp = fock_a[xm] * fock_b[ym]
-                if int(xm) & int(ym):
-                    expected_dup += abs(amp) ** 2
-                else:
-                    yi = OccupationBitstring(M, int(ym)).indices()
-                    expected += amp * creation_string(space, xi + yi)
+        space = FockSpace(a.M)
+        (masks_a, amps_a), (masks_b, amps_b) = _occupations(a), _occupations(b)
+        # a's creation strings act on b's vector: a repeated orbital leaves zero
+        fock_b = Statevector.from_components(a.M, masks_b, amps_b).amps
+        expected = np.zeros(space.dim, dtype=complex)
+        for mask, amp in zip(masks_a.tolist(), amps_a):
+            vec = fock_b
+            for p in reversed(OccupationBitstring(a.M, mask).indices()):
+                vec = apply_ladder_fock(vec, p, "create", space)
+            expected += amp * vec
+        shared = (masks_a[:, None] & masks_b[None, :]) != 0
+        expected_dup = np.abs(amps_a) ** 2 @ shared @ np.abs(amps_b) ** 2
         merged = res.state  # records discarded: the flag is its one ancilla
         unflagged = merged.keys < (1 << (merged.layout.total_qubits - 1))
-        actual = sorted_list_to_fock(EncodedState.from_components(
+        actual = occupation_components(EncodedState.from_components(
             merged.keys[unflagged], merged.amps[unflagged], SORTED_LIST,
-            build_layout(M, merged.layout.n_reg, 0)))
-        dev = float(np.max(np.abs(actual - expected), initial=0.0))
-        dev = max(dev, abs(res.duplicate_probability - expected_dup))
-        if np.linalg.norm(expected) > 1e-12:
-            fid, _ = _compare(expected, actual, phase_free=False)
-        else:
-            fid = 1.0 if dev <= VERIFY_DEVIATION else 0.0
-        return _verdict(fid, dev, VERIFY_FIDELITY, VERIFY_DEVIATION)
+            build_layout(a.M, merged.layout.n_reg, 0)))
+        return _verdict(*_compare(Statevector(expected).components(), actual, phase_free=False,
+                                  dev=abs(res.duplicate_probability - expected_dup)))
     return 0
 
 
@@ -261,16 +255,12 @@ def cmd_basis(args) -> int:
     if args.out:
         _emit(args.out, write_state(result))
     if args.verify:
-        M = enc.M
-        _check_fock_cap(M)
-        U = np.eye(M, dtype=complex)
-        d = core.shape[0]
-        U[:d, :d] = core
-        expected = rotate_determinants(_to_fock(enc), U, FockSpace(M))
-        actual = _to_fock(result)
-        dev = float(np.max(np.abs(actual - expected), initial=0.0))
-        fid, _ = _compare(expected, actual, phase_free=False)
-        return _verdict(fid, dev, VERIFY_FIDELITY, VERIFY_DEVIATION)
+        space = FockSpace(enc.M)
+        U = np.eye(enc.M, dtype=complex)
+        U[: len(core), : len(core)] = core
+        expected = rotate_determinants(_fock(space, enc), U, space)
+        return _verdict(*_compare(Statevector(expected).components(), _occupations(result),
+                                  phase_free=False))
     return 0
 
 

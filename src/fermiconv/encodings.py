@@ -10,8 +10,9 @@ orbitals 1..M, value 0 unused, all-ones sentinel read as "empty slot"):
 
 An EncodedState is a component list, so a determinant costs its N! or one
 components, never the 2^n amplitudes of its register space. Validation and
-the maps to dense 2^M Fock vectors live here, so the circuit layer can be
-checked against the Fock oracle without either side importing the other.
+the relabel to occupation masks (what the Fock bridges scatter) live here, so
+the circuit layer can be checked against the Fock oracle without either side
+importing the other.
 Every rule is an array check over one decode of the register values;
 antisymmetry lists at most one violation per leading register.
 """
@@ -26,9 +27,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .circuits import RegisterLayout, Statevector, build_layout, check_dense
+from .circuits import PACKED_CAP, RegisterLayout, Statevector, build_layout, check_dense
 from .errors import (
     BadParam,
+    CapExceeded,
     DisciplineMismatch,
     MalformedComponent,
     NotAntisymmetric,
@@ -315,37 +317,42 @@ def drop_clear_ancillas(enc: EncodedState) -> EncodedState:
 # --- bridges to the dense Fock oracle ------------------------------------
 
 
-def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
-    """Map a sorted-list state to the 2^M occupation-mask vector.
-
-    The encoding is basis-to-basis with unit phases, so this is a pure
-    relabeling; ancilla bits must be clear.
-    """
-    if enc.discipline != SORTED_LIST:
-        raise DisciplineMismatch("expected a sorted-list state")
-    enc = drop_clear_ancillas(enc)
+def occupation_components(enc: EncodedState) -> tuple[np.ndarray, np.ndarray]:
+    """int64 occupation masks (bit p-1 for orbital p) of the state's
+    determinants and their Fock coefficients: sorted-list states drop clear
+    ancillas first, and a first-quantized determinant is read off its
+    ascending component times sqrt(N!). Raises what the bridges raise for a
+    malformed state, then CapExceeded past PACKED_CAP orbitals."""
+    sorted_list = enc.discipline == SORTED_LIST
+    if sorted_list:
+        enc = drop_clear_ancillas(enc)
     amps, values, violations = _checked_components(enc)
-    ValidationReport(violations).require(MalformedComponent, "{count} invalid components: {first}")
-    fock = Statevector.from_components(enc.M, (), ()).amps
-    bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
-    np.add.at(fock, np.bitwise_or.reduce(bits, axis=1), amps)
-    return fock
+    error = MalformedComponent if sorted_list else NotAntisymmetric
+    ValidationReport(violations).require(error, "{count} invalid components: {first}")
+    if enc.M > PACKED_CAP:
+        raise CapExceeded(f"M={enc.M} orbitals > packed-mask cap {PACKED_CAP}")
+    if sorted_list:
+        bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
+        return np.bitwise_or.reduce(bits, axis=1), amps
+    up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
+    scale = math.sqrt(math.factorial(enc.layout.n_reg))
+    return np.bitwise_or.reduce(1 << (values[up] - 1), axis=1), scale * amps[up]
+
+
+def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:
+    """Map a sorted-list state to the 2^M occupation-mask vector."""
+    return _fock_vector(enc, SORTED_LIST)
 
 
 def first_quantized_to_fock(enc: EncodedState) -> np.ndarray:
-    """Map an antisymmetric first-quantized state to the Fock vector.
+    """Map an antisymmetric first-quantized state to the 2^M Fock vector."""
+    return _fock_vector(enc, FIRST_QUANTIZED)
 
-    The ascending component of determinant x carries c_x / sqrt(N!), so the
-    Fock coefficient is sqrt(N!) times that amplitude.
-    """
-    if enc.discipline != FIRST_QUANTIZED:
-        raise DisciplineMismatch("expected a first-quantized state")
-    amps, values, violations = _checked_components(enc)
-    ValidationReport(violations).require(NotAntisymmetric, "{count} invalid components: {first}")
-    scale = math.sqrt(math.factorial(enc.layout.n_reg))
+
+def _fock_vector(enc: EncodedState, discipline: str) -> np.ndarray:
+    if enc.discipline != discipline:
+        raise DisciplineMismatch(f"expected a {discipline} state")
+    masks, amps = occupation_components(enc)
     fock = Statevector.from_components(enc.M, (), ()).amps
-    # each determinant is read off its one ascending component
-    up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
-    masks = np.bitwise_or.reduce(1 << (values[up] - 1), axis=1)
-    np.add.at(fock, masks, scale * amps[up])
+    fock[masks] += amps  # masks are distinct
     return fock

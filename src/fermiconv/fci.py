@@ -72,8 +72,10 @@ class FockSpace:
     M: int
 
     def __post_init__(self):
-        if not 1 <= self.M <= FOCK_CAP:
+        if self.M < 1:
             raise BadParam(f"M={self.M} outside 1..{FOCK_CAP}")
+        if self.M > FOCK_CAP:
+            raise CapExceeded(f"M={self.M} exceeds the Fock oracle's cap of {FOCK_CAP}")
 
     @property
     def dim(self) -> int:
@@ -384,7 +386,7 @@ def ionization_attachment_probabilities(
     state degeneracy is broken deterministically (lowest eigh column).
     """
     if H.M > 8:
-        raise BadParam("dense diagonalization capped at M=8")
+        raise CapExceeded("dense diagonalization capped at M=8")
     space = FockSpace(H.M)
     space.check_orbital(i)
     if not 0 <= N0 <= H.M:

@@ -1,5 +1,7 @@
 """End-to-end command-line runs through main(argv)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from fermiconv import (
     OccupationBitstring,
     Statevector,
     encode_first_quantized_determinant,
+    encode_sorted_list,
     first_to_second,
+    qft_register_transform,
+    tensor_product_merge,
 )
 from fermiconv import cli
 from fermiconv.circuits import (
@@ -19,13 +24,7 @@ from fermiconv.circuits import (
     serialize_circuit,
     toffoli,
 )
-from fermiconv.cli import (
-    VERIFY_DEVIATION,
-    VERIFY_FIDELITY,
-    _compare,
-    _verdict,
-    main,
-)
+from fermiconv.cli import _compare, _verdict, main
 from fermiconv.stateio import write_state
 
 
@@ -170,14 +169,19 @@ def test_convert_cap_exceeded_exit_5(capsys, tmp_path):
 
 
 def test_fock_bridges_cap_exceeded_exit_5(capsys, tmp_path):
-    # 12 register qubits, but a 2^40 Fock vector for the oracle check
-    sl = tmp_path / "m40.txt"
-    _run(capsys, ["encode", "--sl", "--M", "40", "--occ", "3,17", "--nreg", "2",
-                  "--out", str(sl)])
-    for argv in (["convert", "--dir", "sl2fq", "--verify", "--in", str(sl)],
-                 ["rdm", "--state", str(sl)]):
-        rc, _, err = _run(capsys, argv)
-        assert rc == 5 and err.startswith("error:")
+    # convert --verify compares occupation masks, which fit int64 up to
+    # M=62; the rdm oracle would need a 2^40 Fock vector
+    for M in (40, 62, 63):
+        sl = tmp_path / f"m{M}.txt"
+        _run(capsys, ["encode", "--sl", "--M", str(M), "--occ", "3,17", "--nreg", "2",
+                      "--out", str(sl)])
+        rc, out, err = _run(capsys, ["convert", "--dir", "sl2fq", "--verify", "--in", str(sl)])
+        if M < 63:
+            assert rc == 0 and out.splitlines()[-1] == "fidelity 1.000000"
+        else:
+            assert rc == 5 and err.startswith("error:") and "packed-mask cap 62" in err
+    rc, _, err = _run(capsys, ["rdm", "--state", str(tmp_path / "m40.txt")])
+    assert rc == 5 and err.startswith("error:")
 
 
 def test_fock_oracle_cap_exceeded_exit_5(capsys, tmp_path):
@@ -221,6 +225,58 @@ def test_tensor_merge_with_verify(capsys, tmp_path):
     assert lines[1] == "duplicate_probability 0.000000"
     assert lines[2] == "records_discarded True"
     assert lines[-1] == "fidelity 1.000000"
+
+
+def _flip_one_sign(enc):
+    amps = np.array(enc.amps)
+    amps[0] *= -1
+    return EncodedState.from_components(enc.keys, amps, enc.discipline, enc.layout, enc.N)
+
+
+def test_tensor_superposition_with_verify(capsys, tmp_path):
+    # a = (|1,2> + |1,3>)/sqrt(2), b = |4>: two determinant pairs, no duplicate
+    x12, x13 = (OccupationBitstring.from_indices(4, occ) for occ in ((1, 2), (1, 3)))
+    k12, k13 = (encode_sorted_list(x, 2).keys[0] for x in (x12, x13))
+    a = EncodedState.from_components([k12, k13], [2 ** -0.5] * 2, "sorted-list",
+                                     encode_sorted_list(x12, 2).layout, 2)
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    pa.write_text(write_state(a))
+    pb.write_text(write_state(encode_sorted_list(OccupationBitstring.from_indices(4, (4,)), 1)))
+    rc, out, _ = _run(capsys, ["tensor", "--a", str(pa), "--b", str(pb), "--verify"])
+    assert rc == 0
+    assert "duplicate_probability 0.000000" in out
+    assert out.splitlines()[-1] == "fidelity 1.000000"
+
+
+def test_tensor_verify_checks_deviation(capsys, tmp_path, monkeypatch):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    _run(capsys, ["encode", "--sl", "--M", "4", "--occ", "3", "--nreg", "1",
+                  "--out", str(a)])
+    _run(capsys, ["encode", "--sl", "--M", "4", "--occ", "1", "--nreg", "1",
+                  "--out", str(b)])
+
+    def flipped(a, b):
+        res = tensor_product_merge(a, b)
+        return dataclasses.replace(res, state=_flip_one_sign(res.state))
+
+    monkeypatch.setattr(cli, "tensor_product_merge", flipped)
+    rc, out, _ = _run(capsys, ["tensor", "--a", str(a), "--b", str(b), "--verify"])
+    assert rc == 4
+    assert out.splitlines()[-1] == "max deviation 2.000e+00"
+
+
+def test_basis_verify_checks_deviation(capsys, tmp_path, monkeypatch):
+    fq = tmp_path / "fq.txt"
+    _run(capsys, ["encode", "--M", "4", "--occ", "2", "--out", str(fq)])
+
+    def flipped(enc, inverse=False):
+        result, gc = qft_register_transform(enc, inverse=inverse)
+        return _flip_one_sign(result), gc
+
+    monkeypatch.setattr(cli, "qft_register_transform", flipped)
+    rc, out, _ = _run(capsys, ["basis", "--state", str(fq), "--qft", "forward", "--verify"])
+    assert rc == 4
+    assert out.splitlines()[-1] == "max deviation 1.000e+00"
 
 
 def test_tensor_duplicate_flag(capsys, tmp_path):
@@ -306,13 +362,13 @@ def test_scaling_report_deterministic(capsys, tmp_path):
 
 
 def test_verdict_mismatch_exit_4(capsys):
-    assert _verdict(1.0, 0.0, VERIFY_FIDELITY, VERIFY_DEVIATION) == 0
+    assert _verdict(1.0, 0.0) == 0
     capsys.readouterr()
-    rc = _verdict(0.5, 1e-3, VERIFY_FIDELITY, VERIFY_DEVIATION)
+    rc = _verdict(0.5, 1e-3)
     out = capsys.readouterr().out
     assert rc == 4
     assert out.splitlines() == ["fidelity 0.500000", "max deviation 1.000e-03"]
-    fid, dev = _compare(np.array([1.0, 0.0]), np.array([0.0, 1.0]), False)
+    fid, dev = _compare((np.array([0]), np.array([1.0])), (np.array([1]), np.array([1.0])), False)
     assert fid == 0.0 and dev == 1.0  # entrywise max, not a 2-norm
 
 

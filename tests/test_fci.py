@@ -11,6 +11,7 @@ import pytest
 from fermiconv import FockSpace, ToyHamiltonian, fci, k_rdm, one_rdm
 from fermiconv.errors import (
     BadParam,
+    CapExceeded,
     FermiconvError,
     IndexOutOfRange,
     NotUnitary,
@@ -201,13 +202,15 @@ def test_ionization_attachment_bounds():
     with pytest.raises(IndexOutOfRange):
         ionization_attachment_probabilities(H, 3, 1)
     big = ToyHamiltonian(9, np.eye(9))
-    with pytest.raises(BadParam):
+    with pytest.raises(CapExceeded):
         ionization_attachment_probabilities(big, 1, 4)
 
 
 def test_fock_space_caps():
-    with pytest.raises(BadParam):
+    with pytest.raises(CapExceeded, match="M=13"):
         FockSpace(13)
+    with pytest.raises(BadParam):
+        FockSpace(0)
     space = FockSpace(3)
     assert space.dim == 8
     np.testing.assert_array_equal(space.sector_indices(1), [1, 2, 4])

@@ -29,7 +29,7 @@ from fermiconv import (
     validate,
     write_state,
 )
-from fermiconv import circuits, conversion, fci, majorana
+from fermiconv import circuits, cli, conversion, fci, majorana
 from fermiconv.circuits import build_layout
 from fermiconv.errors import BadParam
 
@@ -163,6 +163,20 @@ def test_fock_bridges_refuse_wide_orbital_spaces_without_allocating():
                 bridge(enc)
 
         assert _peak_mib(to_fock) <= 16
+
+
+def test_convert_verify_never_dense(capsys, tmp_path):
+    # M=24 N=2: checking on dense Fock vectors would hold two 2^24 amplitude
+    # vectors (512 MiB); the occupation-mask lists hold two entries each
+    sl, fq = tmp_path / "sl.txt", tmp_path / "fq.txt"
+    assert cli.main(["encode", "--sl", "--M", "24", "--occ", "3,17", "--nreg", "2",
+                     "--out", str(sl)]) == 0
+    assert cli.main(["encode", "--M", "24", "--occ", "3,17", "--out", str(fq)]) == 0
+    for direction, path in (("sl2fq", sl), ("fq2sl", fq)):
+        argv = ["convert", "--dir", direction, "--in", str(path), "--verify"]
+        assert _peak_mib(lambda: cli.main(argv)) <= 16
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "fidelity 1.000000"
 
 
 def test_compiled_ladder_programs_stay_compact():
