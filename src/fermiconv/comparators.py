@@ -147,23 +147,20 @@ def compare_swap_gates(
     j,
     record,
     with_z: bool = True,
-    sentinel_exempt: bool = False,
     exempt_anc: int | None = None,
 ) -> list[Gate]:
     """Record [value(i) > value(j)], optionally phase the swapped branch by
     -1, then conditionally exchange the registers (ascending). Ties never
     swap and never phase.
 
-    sentinel_exempt withholds the -1 when the greater value is the sentinel:
-    an ancilla marks [value(i) = sentinel] and a CZ against the record
+    An exempt_anc withholds the -1 when the greater value is the sentinel:
+    that ancilla marks [value(i) = sentinel] and a CZ against the record
     cancels the plain Z on exactly those branches. Empty-slot routing is
     bookkeeping, not a fermion exchange.
     """
     gates = compute_greater_gates(layout, i, j, record)
     if with_z:
-        if sentinel_exempt:
-            if exempt_anc is None:
-                raise BadParam("sentinel-exempt comparator needs an ancilla")
+        if exempt_anc is not None:
             mark = [mcx(list(layout.register_qubits(i)), exempt_anc)]
             gates += mark + [z(record), cz(record, exempt_anc)] + mark
         else:
@@ -221,7 +218,6 @@ class SortingNetworkSpec:
 
     n_lanes: int
     pairs: tuple[tuple[int, int], ...]
-    family: str = "odd-even-mergesort"
 
     @classmethod
     def batcher(cls, n_lanes: int) -> "SortingNetworkSpec":
@@ -229,11 +225,7 @@ class SortingNetworkSpec:
 
     @classmethod
     def adjacent(cls, n_lanes: int) -> "SortingNetworkSpec":
-        return cls(
-            n_lanes,
-            tuple(odd_even_transposition_pairs(n_lanes)),
-            family="odd-even-transposition",
-        )
+        return cls(n_lanes, tuple(odd_even_transposition_pairs(n_lanes)))
 
     @property
     def n_comparators(self) -> int:
@@ -245,14 +237,13 @@ def sorting_network_circuit(
     spec: SortingNetworkSpec | None = None,
     record_ancs: list[int] | None = None,
     with_z: bool = True,
-    sentinel_exempt: bool = False,
     exempt_anc: int | None = None,
 ) -> Circuit:
     """Sort all registers ascending, one record ancilla per comparator.
 
     Sentinels order above every orbital value, so occupied values collect in
     the leading registers. With with_z each comparator phases its swapped
-    branch by -1 (optionally sentinel-exempt, see compare_swap_gates).
+    branch by -1 (sentinel-exempt given exempt_anc, see compare_swap_gates).
     """
     if spec is None:
         spec = SortingNetworkSpec.batcher(layout.n_reg)
@@ -268,7 +259,7 @@ def sorting_network_circuit(
     for t, (i, j) in enumerate(spec.pairs):
         gates += compare_swap_gates(
             layout, i, j, record_ancs[t],
-            with_z=with_z, sentinel_exempt=sentinel_exempt, exempt_anc=exempt_anc,
+            with_z=with_z, exempt_anc=exempt_anc,
         )
     return Circuit(layout, gates)
 

@@ -352,9 +352,7 @@ def _merge_circuit(M: int, n_out: int) -> Circuit:
     eqs = [layout.anc_qubit(T + k) for k in range(n_out - 1)]
     tmp = layout.anc_qubit(T + n_out - 1)
     flag = layout.anc_qubit(T + n_out)
-    circ = sorting_network_circuit(
-        layout, spec, records, with_z=True, sentinel_exempt=True, exempt_anc=tmp
-    )
+    circ = sorting_network_circuit(layout, spec, records, with_z=True, exempt_anc=tmp)
     dup = Circuit(layout)
     for k in range(n_out - 1):
         dup.extend(equality_flag_gates(layout, k, k + 1, eqs[k]))

@@ -66,8 +66,9 @@ def write_state(enc: EncodedState) -> str:
     above = np.abs(enc.amps) > AMP_THRESHOLD
     keys = enc.keys[above]
     ancs = (keys >> (lay.n_reg * lay.b)).tolist()
+    codes = [format(v, f"0{lay.b}b") for v in range(1 << lay.b)]
     for values, anc, z in zip(lay.decode(keys).tolist(), ancs, enc.amps[above].tolist()):
-        regs = ",".join(format(v, f"0{lay.b}b") for v in values)
+        regs = ",".join([codes[v] for v in values])
         if lay.n_anc:
             regs += "|" + format(anc, f"0{lay.n_anc}b")
         lines.append(f"({regs}) {format_amplitude(z)}")

@@ -1,6 +1,7 @@
 """End-to-end command-line runs through main(argv)."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from fermiconv.circuits import (
 )
 from fermiconv.cli import _compare, _verdict, main
 from fermiconv.stateio import write_state
+
+DEFAULT_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_default.csv"
 
 
 def _run(capsys, argv):
@@ -359,6 +362,27 @@ def test_scaling_report_deterministic(capsys, tmp_path):
         ["scaling-report", "--grid", "N=2,4,8,16;M=8,16", "--out", str(out1)],
     )
     assert rc == 0 and "fit: " in out1.read_text()
+
+
+def test_scaling_report_csv_pinned(capsys, tmp_path):
+    # all 36 formula rows and both fit rows, byte for byte
+    out = tmp_path / "r.csv"
+    rc, _, _ = _run(capsys, ["scaling-report", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == DEFAULT_REPORT_CSV.read_bytes()
+
+
+def test_scaling_report_degenerate_grid_exit_3(capsys, tmp_path):
+    # N=1 needs no comparator: its count and log2(1) are both zero
+    out = tmp_path / "r.csv"
+    rc, text, err = _run(
+        capsys, ["scaling-report", "--grid", "N=1,2,4;M=8,16", "--out", str(out)]
+    )
+    assert rc == 3 and text == ""
+    assert err.splitlines() == [
+        "error: grid point N=1 M=8: count 0 and model 0 must be > 0"
+    ]
+    assert not out.exists()
 
 
 def test_verdict_mismatch_exit_4(capsys):

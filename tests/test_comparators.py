@@ -145,17 +145,12 @@ def test_compare_swap_examples():
 
 def test_compare_swap_sentinel_exempt():
     # with the exemption, routing a sentinel costs no phase; real swaps still do
-    gates = compare_swap_gates(
-        LAY2, 0, 1, LAY2.anc_qubit(0),
-        sentinel_exempt=True, exempt_anc=LAY2.anc_qubit(1),
-    )
+    gates = compare_swap_gates(LAY2, 0, 1, LAY2.anc_qubit(0), exempt_anc=LAY2.anc_qubit(1))
     circ = Circuit(LAY2, gates)
     vals, anc, ph = _trace(circ, (7, 2))
     assert (vals, ph) == ((2, 7), 1)
     vals, anc, ph = _trace(circ, (3, 1))
     assert (vals, ph) == ((1, 3), -1)
-    with pytest.raises(BadParam):
-        compare_swap_gates(LAY2, 0, 1, LAY2.anc_qubit(0), sentinel_exempt=True)
 
 
 def test_batcher_pair_counts():

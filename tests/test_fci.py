@@ -3,6 +3,7 @@
 import ast
 import itertools
 import sys
+from pathlib import Path
 
 import fock_reference as ref
 import numpy as np
@@ -467,7 +468,7 @@ def test_k_rdm_tensor_matches_per_entry_k_rdm():
 
 
 def test_oracle_imports_no_circuit_code():
-    tree = ast.parse(open(fci.__file__).read())
+    tree = ast.parse(Path(fci.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             roots = [alias.name.split(".")[0] for alias in node.names]

@@ -11,6 +11,7 @@ from fermiconv.report import (
     FORMULAS,
     MODEL_LINLOG,
     MODEL_SORT,
+    _compile,
     conversion_count_grid,
     emit_report,
     evaluate_formula,
@@ -85,6 +86,30 @@ def test_citation_strings_verbatim():
     )
 
 
+def test_compile_reads_caret_as_power():
+    fn = _compile("a^2 * ln(b) + sqrt(c) - log2(a) / 4", ("c", "b", "a"))
+    assert fn(9.0, math.e, 2.0) == 2.0**2 * math.log(math.e) + 3.0 - 1.0 / 4
+
+
+@pytest.mark.parametrize(
+    "expression, parameters",
+    [
+        ("N * M", ("N",)),            # undeclared name
+        ("N^2", ("N", "M")),          # declared parameter never used
+        ("N.real", ("N",)),           # attribute access
+        ("exp(N)", ("N",)),           # call outside log2/ln/sqrt
+        ("log2(N, 2)", ("N",)),       # two-argument call
+        ("-N", ("N",)),               # unary operator
+        ("N % 2", ("N",)),            # operator outside + - * / ^
+        ("'N'", ()),                  # string constant
+        ("N *", ("N",)),              # not an expression
+    ],
+)
+def test_compile_refuses(expression, parameters):
+    with pytest.raises(BadParam):
+        _compile(expression, parameters)
+
+
 def test_basis_size_crossover():
     f = formula("ground-state-whole", "first-quantized simulation")
     g = formula("ground-state-whole", "second-quantized simulation")
@@ -114,6 +139,15 @@ def test_fit_degenerate_inputs():
         fit_scaling([(2, 8, 6)] * 5, MODEL_SORT)
     flat = [(n, m, 5) for n in (2, 4, 8) for m in (8, 16)]
     assert fit_scaling(flat, MODEL_SORT).r_squared == 0.0
+
+
+def test_fit_refuses_nonpositive_samples():
+    grid = [(n, m, 5) for n in (2, 4, 8) for m in (8, 16)]
+    with pytest.raises(DegenerateGrid, match="N=4 M=16: count 0"):
+        fit_scaling(grid[:3] + [(4, 16, 0)] + grid[4:], MODEL_SORT)
+    # log2(1) = 0 zeroes the model value even where the count is positive
+    with pytest.raises(DegenerateGrid, match="N=1 M=8"):
+        fit_scaling([(1, 8, 3)] + grid, MODEL_LINLOG)
 
 
 def test_measured_grid_fits_sort_model():

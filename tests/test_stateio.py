@@ -14,6 +14,7 @@ from fermiconv import (
     read_state,
     write_state,
 )
+from fermiconv.circuits import build_layout
 from fermiconv.encodings import with_ancillas
 from fermiconv.errors import BadParam, MalformedComponent
 from fermiconv.stateio import format_amplitude, parse_amplitude
@@ -65,6 +66,25 @@ def test_first_quantized_round_trip():
     assert back.discipline == "first-quantized"
     # deterministic bytes: rewriting reproduces the text exactly
     assert write_state(back) == text
+
+
+def test_wide_registers_with_ancillas_write_each_code():
+    # M=62 fills b=6 bits: values 0..63, the sentinel 63 included
+    lay = build_layout(62, 3, 3)
+    assert lay.b == 6
+    rows = [((1, 2, 63), 0), ((0, 31, 62), 5), ((63, 63, 63), 7), ((17, 40, 9), 2)]
+    keys = [lay.basis_index(values, anc) for values, anc in rows]
+    amps = [0.5, -0.5j, 0.5, -0.5]
+    enc = EncodedState.from_components(keys, amps, "sorted-list", lay, None)
+    lines = write_state(enc).splitlines()
+    assert lines[0] == "STATE M=62 NREG=3 B=6 NANC=3 DISCIPLINE=sorted-list N=?"
+    want = sorted(zip(keys, rows, amps))
+    assert lines[1:] == [
+        f"({','.join(format(v, '06b') for v in values)}|{format(anc, '03b')}) "
+        f"{format_amplitude(complex(z))}"
+        for _, (values, anc), z in want
+    ]
+    assert write_state(read_state("\n".join(lines))) == "\n".join(lines) + "\n"
 
 
 def test_ancilla_bits_round_trip():
