@@ -23,9 +23,9 @@ Unit tests pin it to a dense reference engine kept with the tests.
 Gate counting is purely syntactic (``count_gates``) and reads the
 Circuit, never a Program. Layouts only pack registers; each size cap sits
 where memory is spent: dense vectors in ``check_dense`` (QUBIT_CAP qubits),
-which ``Statevector.from_components`` and every register state run,
-compiled masks in ``compile_circuit`` (PACKED_CAP qubits), the interpreter
-in ``sparse_action`` (BRANCH_CAP components).
+which ``Statevector.from_components`` runs, packed int64 indices in
+``compile_circuit`` and ``EncodedState.from_components`` (PACKED_CAP
+qubits), the interpreter in ``sparse_action`` (BRANCH_CAP components).
 """
 
 from __future__ import annotations
@@ -297,8 +297,7 @@ class Statevector:
 
 
 def check_dense(n_qubits: int) -> None:
-    """Refuse a dense vector over n_qubits > QUBIT_CAP, or a state that must
-    be viewable as one."""
+    """Refuse a dense vector over n_qubits > QUBIT_CAP."""
     if n_qubits > QUBIT_CAP:
         raise CapExceeded(f"{n_qubits} qubits > dense cap {QUBIT_CAP}")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, RegisterLayout, cnot, cswap, cz, mcx, x, z
-from .errors import BadConstant, BadParam, CapExceeded
+from .errors import BadConstant, BadParam
 
 
 def _check_constant(layout: RegisterLayout, p: int) -> None:
@@ -234,31 +234,22 @@ class SortingNetworkSpec:
 
 def sorting_network_circuit(
     layout: RegisterLayout,
-    spec: SortingNetworkSpec | None = None,
-    record_ancs: list[int] | None = None,
+    spec: SortingNetworkSpec,
     with_z: bool = True,
     exempt_anc: int | None = None,
 ) -> Circuit:
-    """Sort all registers ascending, one record ancilla per comparator.
+    """Sort all registers ascending, comparator t recording in ancilla t.
 
     Sentinels order above every orbital value, so occupied values collect in
     the leading registers. With with_z each comparator phases its swapped
     branch by -1 (sentinel-exempt given exempt_anc, see compare_swap_gates).
     """
-    if spec is None:
-        spec = SortingNetworkSpec.batcher(layout.n_reg)
     if spec.n_lanes != layout.n_reg:
         raise BadParam("network lane count disagrees with the layout")
-    if record_ancs is None:
-        record_ancs = [layout.anc_qubit(t) for t in range(spec.n_comparators)]
-    if len(record_ancs) < spec.n_comparators:
-        raise CapExceeded(
-            f"need {spec.n_comparators} record ancillas, got {len(record_ancs)}"
-        )
     gates: list[Gate] = []
     for t, (i, j) in enumerate(spec.pairs):
         gates += compare_swap_gates(
-            layout, i, j, record_ancs[t],
+            layout, i, j, layout.anc_qubit(t),
             with_z=with_z, exempt_anc=exempt_anc,
         )
     return Circuit(layout, gates)

@@ -17,8 +17,8 @@ Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
 ``sparse_action`` on work layouts of any width up to the packed-index cap.
 Inputs and outputs are component lists too; the one dense vector is the
-record state that fq2sl reports, and the joint merge input and the split
-matrices obey the tracer's BRANCH_CAP.
+record state that fq2sl reports, and the sl2fq seeds, the joint merge input
+and the split matrices obey the tracer's BRANCH_CAP.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -188,10 +188,9 @@ def first_to_second(
     N = enc.layout.n_reg
     n_out = N + extra_registers
     sys_bits = n_out * enc.layout.b
-    check_dense(sys_bits)  # the output's cap, before the network
     prog, gate_count = _fq2sl_program(enc.M, N, n_out)
     T = prog.n_qubits - sys_bits
-    check_dense(T)  # and the record state's, before the trace
+    check_dense(T)  # the record state's cap, before the trace
 
     oi, oa = sparse_action(prog, enc.keys, enc.amps)
     rec_keys, u, sys_keys, psi = _rank_one_split(
@@ -289,6 +288,8 @@ def second_to_first(
         )
         return result, report
 
+    # the seed's H layer branches to 2^(N b) components: refuse before tracing
+    check_branches(1 << (N * b), "seed stage")
     if rng is None:
         rng = np.random.default_rng(0)
     seed_stage, unsort, gate_count = _sl2fq_programs(enc.M, N)
@@ -319,7 +320,7 @@ def second_to_first(
         ki & np.int64((1 << (N * b)) - 1), ki >> np.int64(N * b), oa[keep]
     )
     # records x system holds at most N! C(M, N) <= 2^(N b) components, which
-    # the seed's H branching has already checked against BRANCH_CAP
+    # the seed stage's check has already held to BRANCH_CAP
     keys = (rec_keys[:, None] << np.int64(N * b)) | idx0
     fi, fa = sparse_action(unsort, keys.ravel(), np.outer(rec, amp0).ravel())
 
@@ -348,11 +349,10 @@ def _merge_circuit(M: int, n_out: int) -> Circuit:
     spec = SortingNetworkSpec.adjacent(n_out)
     T = spec.n_comparators
     layout = build_layout(M, n_out, T + n_out + 1)
-    records = [layout.anc_qubit(t) for t in range(T)]
     eqs = [layout.anc_qubit(T + k) for k in range(n_out - 1)]
     tmp = layout.anc_qubit(T + n_out - 1)
     flag = layout.anc_qubit(T + n_out)
-    circ = sorting_network_circuit(layout, spec, records, with_z=True, exempt_anc=tmp)
+    circ = sorting_network_circuit(layout, spec, with_z=True, exempt_anc=tmp)
     dup = Circuit(layout)
     for k in range(n_out - 1):
         dup.extend(equality_flag_gates(layout, k, k + 1, eqs[k]))

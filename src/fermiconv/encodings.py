@@ -27,7 +27,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .circuits import PACKED_CAP, RegisterLayout, Statevector, build_layout, check_dense
+from .circuits import PACKED_CAP, RegisterLayout, Statevector, build_layout, check_branches
 from .errors import (
     BadParam,
     CapExceeded,
@@ -92,35 +92,38 @@ class EncodedState:
     """A register state as a component list plus the metadata to read it.
 
     keys are sorted, unique int64 basis indices and amps their exact-nonzero
-    amplitudes; both are read-only. Layouts past QUBIT_CAP are refused, so
-    the dense view ``state`` can always be built. The positional constructor
-    scans a dense Statevector once; library code calls ``from_components``.
+    amplitudes; both are read-only. A state costs its components, so layouts
+    up to PACKED_CAP qubits are held; the dense view ``state`` refuses past
+    QUBIT_CAP when accessed. The positional constructor scans a dense
+    Statevector once; library code calls ``from_components``.
     """
 
     def __init__(
         self, state: Statevector, discipline: str, layout: RegisterLayout, N: int | None = None
     ):
-        self._store(*state.components(), discipline, layout, N, state.n_qubits)
+        if state.n_qubits != layout.total_qubits:
+            raise BadParam("statevector size disagrees with layout")
+        self._store(*state.components(), discipline, layout, N)
 
     @classmethod
     def from_components(
         cls, keys, amps, discipline: str, layout: RegisterLayout, N: int | None = None
     ) -> "EncodedState":
-        """sum_k amps[k] |keys[k]> from distinct keys inside the layout, in any order."""
+        """sum_k amps[k] |keys[k]> from distinct keys inside the layout, in any
+        order. Layouts past PACKED_CAP qubits raise CapExceeded."""
+        if layout.total_qubits > PACKED_CAP:
+            raise CapExceeded(f"{layout.total_qubits} qubits > packed-index cap {PACKED_CAP}")
         order = np.argsort(keys)
         keys, amps = np.asarray(keys, np.int64)[order], np.asarray(amps, complex)[order]
         if np.any(keys[1:] == keys[:-1]) or np.any(keys >> layout.total_qubits):
             raise BadParam("component keys must be distinct and inside the layout")
         enc = cls.__new__(cls)
-        enc._store(keys, amps, discipline, layout, N, layout.total_qubits)
+        enc._store(keys, amps, discipline, layout, N)
         return enc
 
-    def _store(self, keys, amps, discipline, layout, N, n_qubits) -> None:
+    def _store(self, keys, amps, discipline, layout, N) -> None:
         if discipline not in (SORTED_LIST, FIRST_QUANTIZED):
             raise BadParam(f"unknown discipline {discipline!r}")
-        if n_qubits != layout.total_qubits:
-            raise BadParam("statevector size disagrees with layout")
-        check_dense(n_qubits)
         self.keys, self.amps = keys[amps != 0], amps[amps != 0]  # copies, then frozen
         self.keys.setflags(write=False)
         self.amps.setflags(write=False)
@@ -158,8 +161,8 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     if x.N < 1:
         raise BadParam("first-quantized encoding needs N >= 1")
     layout = build_layout(x.M, x.N)
-    check_dense(layout.total_qubits)  # before the N! orderings
     N = x.N
+    check_branches(math.factorial(N), "N! orderings")  # before they are built
     perms = np.array(list(permutations(range(N))), dtype=np.int64)
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     values = np.array(x.indices(), dtype=np.int64)[perms]

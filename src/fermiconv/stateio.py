@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-from .circuits import build_layout, check_dense
+from .circuits import build_layout
 from .encodings import AMP_THRESHOLD, EncodedState
 from .errors import BadParam, MalformedComponent
 
@@ -88,7 +88,6 @@ def read_state(text: str) -> EncodedState:
     layout = build_layout(M, n_reg, n_anc)
     if layout.b != b:
         raise BadParam(f"header B={b} but M={M} needs b={layout.b}")
-    check_dense(layout.total_qubits)  # before any line is read
     comps = {}  # key -> amplitude
     for ln in lines[1:]:
         cm = _LINE_RE.match(ln)

@@ -1,6 +1,8 @@
 """End-to-end command-line runs through main(argv)."""
 
 import dataclasses
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,14 @@ def test_encode_first_quantized_stdout(capsys):
     assert lines[2] == "(001,011) 0.7071067811865475+0.0i"
 
 
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fermiconv", "encode", "--M", "4", "--occ", "1,3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fermiconv", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[2] == "(001,011) 0.7071067811865475+0.0i"
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["encode", "--sl", "--M", "4", "--occ", "1,3"],  # --sl without --nreg
@@ -70,6 +80,14 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_grid_values_out_of_range_exit_2(capsys):
+    for grid, named in (("N=0,2,4;M=8,16", "grid N=0 < 1"), ("N=2,4;M=1,8", "grid M=1 < 2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling-report", "--grid", grid])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 def test_precondition_failures_exit_3(capsys, tmp_path):
@@ -266,6 +284,36 @@ def test_tensor_verify_checks_deviation(capsys, tmp_path, monkeypatch):
     rc, out, _ = _run(capsys, ["tensor", "--a", str(a), "--b", str(b), "--verify"])
     assert rc == 4
     assert out.splitlines()[-1] == "max deviation 2.000e+00"
+
+
+def _one_or_three(tmp_path):
+    # a = (|1> + |3>)/sqrt(2), b = |2>: only the |3>|2> pair swaps, so the
+    # comparison record tells the two branches apart and is kept
+    lay = build_layout(4, 1)
+    a = EncodedState.from_components([1, 3], [2 ** -0.5] * 2, "sorted-list", lay, 1)
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    pa.write_text(write_state(a))
+    pb.write_text(write_state(encode_sorted_list(OccupationBitstring.from_indices(4, (2,)), 1)))
+    return ["tensor", "--a", str(pa), "--b", str(pb), "--verify"]
+
+
+def test_tensor_verify_with_kept_records(capsys, tmp_path):
+    rc, out, _ = _run(capsys, _one_or_three(tmp_path))
+    assert rc == 0
+    assert "records_discarded False" in out
+    assert out.splitlines()[-1] == "fidelity 1.000000"
+
+
+def test_tensor_verify_with_kept_records_checks_deviation(capsys, tmp_path, monkeypatch):
+    def flipped(a, b):
+        res = tensor_product_merge(a, b)
+        return dataclasses.replace(res, state=_flip_one_sign(res.state))
+
+    monkeypatch.setattr(cli, "tensor_product_merge", flipped)
+    rc, out, _ = _run(capsys, _one_or_three(tmp_path))
+    assert rc == 4
+    assert "records_discarded False" in out
+    assert out.splitlines()[-1] == "max deviation 1.414e+00"
 
 
 def test_basis_verify_checks_deviation(capsys, tmp_path, monkeypatch):

@@ -82,12 +82,23 @@ def test_from_components_sorts_and_refuses_bad_keys():
 
 
 def test_wide_layouts_refused_at_construction():
-    lay = build_layout(62, 4, 3)  # 27 qubits
-    with pytest.raises(CapExceeded, match="27 qubits"):
-        EncodedState.from_components([1], [1.0], SORTED_LIST, lay)
-    sl = encode_sorted_list(OccupationBitstring.from_indices(62, (1, 2)), 4)
-    with pytest.raises(CapExceeded, match="27 qubits"):
+    # a state costs its components, so layouts up to the packed-index cap are
+    # held; only the dense view refuses past 26 qubits, and only when accessed
+    enc = EncodedState.from_components([1], [1.0], SORTED_LIST, build_layout(62, 4, 3))
+    assert enc.layout.total_qubits == 27 and enc.keys.tolist() == [1]
+    with pytest.raises(CapExceeded, match="27 qubits > dense cap"):
+        enc.state
+    # past 62 qubits the keys would not fit int64
+    sl = encode_sorted_list(OccupationBitstring.from_indices(62, (1, 2)), 10)  # 60 qubits
+    wide = "63 qubits > packed-index cap 62"
+    with pytest.raises(CapExceeded, match=wide):
+        EncodedState.from_components([1], [1.0], SORTED_LIST, build_layout(62, 10, 3))
+    with pytest.raises(CapExceeded, match=wide):
         with_ancillas(sl, 3)
+    header, line = write_state(sl).splitlines()
+    text = header.replace("NANC=0", "NANC=3") + "\n" + line.replace(")", "|000)") + "\n"
+    with pytest.raises(CapExceeded, match=wide):
+        read_state(text)
 
 
 def test_dense_view_is_read_only():

@@ -139,6 +139,41 @@ def test_merge_split_matrix_refused_past_branch_cap(monkeypatch):
         tensor_product_merge(a, b)
 
 
+def test_forward_conversion_past_dense_cap_peak():
+    # 7! = 5040 components on a 28-qubit input and a 44-qubit work layout
+    x = OccupationBitstring.from_indices(14, (1, 3, 4, 7, 9, 12, 14))
+    fq = encode_first_quantized_determinant(x)
+    assert fq.layout.total_qubits == 28 and len(fq.keys) == 5040
+    assert _peak_mib(lambda: first_to_second(fq)) <= 16
+    out, _ = first_to_second(fq)
+    assert out.keys.tolist() == [encode_sorted_list(x, 7).keys[0]]
+    assert np.allclose(np.abs(out.amps), 1)
+
+
+def test_backward_refuses_wide_seed_before_tracing():
+    # the seed's 28 H gates would grow the list to 2^28 components
+    sl = encode_sorted_list(OccupationBitstring.from_indices(14, (1, 3, 4, 7, 9, 12, 14)), 7)
+
+    def refuse():
+        with pytest.raises(CapExceeded, match="seed stage"):
+            second_to_first(sl)
+
+    assert _peak_mib(refuse) <= 16
+
+
+def test_convert_past_dense_cap(capsys, tmp_path):
+    # M=62 N=5: a 30-qubit input and a 39-qubit work layout, verified on
+    # occupation masks; the way back would seed 2^30 components
+    fq, sl = tmp_path / "fq.txt", tmp_path / "sl.txt"
+    assert cli.main(["encode", "--M", "62", "--occ", "2,17,30,44,61", "--out", str(fq)]) == 0
+    argv = ["convert", "--dir", "fq2sl", "--in", str(fq), "--out", str(sl), "--verify"]
+    assert _peak_mib(lambda: cli.main(argv)) <= 16
+    assert capsys.readouterr().out.splitlines()[-1] == "fidelity 1.000000"
+    assert cli.main(argv) == 0
+    assert cli.main(["convert", "--dir", "sl2fq", "--in", str(sl)]) == 5
+    assert "seed stage" in capsys.readouterr().err
+
+
 def test_forward_refuses_record_state_before_tracing(monkeypatch):
     # 10 registers of 2 bits fit the dense cap, their 32 records do not
     fq = encode_first_quantized_determinant(OccupationBitstring.from_indices(2, (1,)))
