@@ -22,8 +22,8 @@ Unit tests pin it to a dense reference engine kept with the tests.
 
 Gate counting is purely syntactic (``count_gates``) and reads the
 Circuit, never a Program. Layouts only pack registers; each size cap sits
-where memory is spent: dense vectors in ``check_dense`` (QUBIT_CAP qubits),
-which ``Statevector.from_components`` runs, packed int64 indices in
+where memory is spent: dense vectors in ``Statevector.from_components``
+(QUBIT_CAP qubits), the one dense constructor, packed int64 indices in
 ``compile_circuit`` and ``EncodedState.from_components`` (PACKED_CAP
 qubits), the interpreter in ``sparse_action`` (BRANCH_CAP components).
 """
@@ -118,7 +118,8 @@ class RegisterLayout:
 def build_layout(M: int, n_reg: int, n_anc: int = 0) -> RegisterLayout:
     """Layout with b = ceil(log2(M+2)): room for 1..M plus the sentinel.
 
-    Any width: Statevector.from_components and sparse_action hold the caps.
+    Any width: the dense constructor, the compiler and the tracer hold the
+    caps where they allocate.
     """
     if M < 2:
         raise BadParam(f"M={M} < 2")
@@ -274,32 +275,16 @@ class Statevector:
     def from_components(cls, n_qubits: int, keys, amps) -> "Statevector":
         """Dense vector over n_qubits holding amps at keys, refused above
         QUBIT_CAP before it is allocated."""
-        check_dense(n_qubits)
+        if n_qubits > QUBIT_CAP:
+            raise CapExceeded(f"{n_qubits} qubits > dense cap {QUBIT_CAP}")
         out = np.zeros(1 << n_qubits, dtype=complex)
         out[np.asarray(keys, dtype=np.int64)] = amps
         return cls(out)
-
-    @classmethod
-    def zero(cls, layout: RegisterLayout) -> "Statevector":
-        return cls.basis(layout, 0)
-
-    @classmethod
-    def basis(cls, layout: RegisterLayout, index: int) -> "Statevector":
-        return cls.from_components(layout.total_qubits, [index], [1.0])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def components(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices and amplitudes of the exact-nonzero entries, ascending."""
         keys = np.flatnonzero(self.amps != 0)
         return keys, self.amps[keys]
-
-
-def check_dense(n_qubits: int) -> None:
-    """Refuse a dense vector over n_qubits > QUBIT_CAP."""
-    if n_qubits > QUBIT_CAP:
-        raise CapExceeded(f"{n_qubits} qubits > dense cap {QUBIT_CAP}")
 
 
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:

@@ -16,9 +16,9 @@ record is erased right after its comparator is undone, by recomputing it.
 Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
 ``sparse_action`` on work layouts of any width up to the packed-index cap.
-Inputs and outputs are component lists too; the one dense vector is the
-record state that fq2sl reports, and the sl2fq seeds, the joint merge input
-and the split matrices obey the tracer's BRANCH_CAP.
+Inputs, outputs and the record state that fq2sl reports are component
+lists too, so no stage builds a dense vector; the sl2fq seeds, the joint
+merge input and the split matrices obey the tracer's BRANCH_CAP.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -37,10 +37,8 @@ from .circuits import (
     Circuit,
     GateCount,
     Program,
-    Statevector,
     build_layout,
     check_branches,
-    check_dense,
     compile_circuit,
     count_gates,
     cswap,
@@ -79,14 +77,19 @@ _SPLIT_RESID = math.sqrt(1e-9)
 
 @dataclass
 class ConversionReport:
-    """Bookkeeping emitted next to every converted state."""
+    """Bookkeeping emitted next to every converted state.
+
+    record_state (fq2sl only) is the normalized record register as the pair
+    (record keys, amplitudes), one key per ordering of the N electrons. Every
+    antisymmetric input with the same N and register count gives the same pair.
+    """
 
     direction: str
     gate_count: GateCount
     record_ancillas: int
     success_probability: float
     attempts: int
-    record_state: np.ndarray | None = None
+    record_state: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _rank_one_split(
@@ -190,7 +193,6 @@ def first_to_second(
     sys_bits = n_out * enc.layout.b
     prog, gate_count = _fq2sl_program(enc.M, N, n_out)
     T = prog.n_qubits - sys_bits
-    check_dense(T)  # the record state's cap, before the trace
 
     oi, oa = sparse_action(prog, enc.keys, enc.amps)
     rec_keys, u, sys_keys, psi = _rank_one_split(
@@ -205,7 +207,7 @@ def first_to_second(
         record_ancillas=T,
         success_probability=1.0,
         attempts=1,
-        record_state=Statevector.from_components(T, rec_keys, u / np.linalg.norm(u)).amps,
+        record_state=(rec_keys, u / np.linalg.norm(u)),
     )
     return result, report
 

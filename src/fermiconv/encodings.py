@@ -23,7 +23,6 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -161,13 +160,18 @@ def encode_first_quantized_determinant(x: OccupationBitstring) -> EncodedState:
     if x.N < 1:
         raise BadParam("first-quantized encoding needs N >= 1")
     layout = build_layout(x.M, x.N)
-    N = x.N
+    N, b = x.N, layout.b
     check_branches(math.factorial(N), "N! orderings")  # before they are built
-    perms = np.array(list(permutations(range(N))), dtype=np.int64)
-    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
-    values = np.array(x.indices(), dtype=np.int64)[perms]
-    keys = (values << (np.arange(N, dtype=np.int64) * layout.b)).sum(axis=1)
-    amps = (1.0 / math.sqrt(math.factorial(N))) * (1 - 2 * (inversions & 1))
+    # Insert the orbitals in ascending order, so each is the largest yet: put
+    # into register j of k, it shifts registers j..k-1 up one and precedes
+    # k - j smaller orbitals, one inversion each.
+    keys, signs = np.zeros(1, np.int64), np.ones(1, np.int64)
+    for k, orbital in enumerate(x.indices()):
+        j = np.arange(k + 1, dtype=np.int64)[:, None]
+        low = (np.int64(1) << j * b) - 1
+        keys = ((keys & low) | (orbital << j * b) | ((keys & ~low) << b)).ravel()
+        signs = (signs * (1 - 2 * ((k - j) & 1))).ravel()
+    amps = (1.0 / math.sqrt(math.factorial(N))) * signs
     return EncodedState.from_components(keys, amps, FIRST_QUANTIZED, layout, N)
 
 

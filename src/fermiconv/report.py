@@ -297,15 +297,9 @@ def find_crossover(
     return hi
 
 
-@dataclass(frozen=True)
-class ScalingModel:
-    """Exponent template count ~ c * label(N, M)."""
-
-    label: str
-
-
-MODEL_SORT = ScalingModel("N*log2(N)^2*log2(M)")
-MODEL_LINLOG = ScalingModel("N*log2(N)*log2(M)")
+# exponent templates: count ~ c * model(N, M)
+MODEL_SORT = "N*log2(N)^2*log2(M)"
+MODEL_LINLOG = "N*log2(N)*log2(M)"
 
 
 @dataclass(frozen=True)
@@ -316,8 +310,9 @@ class ScalingFit:
     samples: tuple[tuple[int, int, int], ...]
 
 
-def fit_scaling(samples, model: ScalingModel) -> ScalingFit:
-    """Least-squares fit of log(count) = log(c) + log(model(N, M)).
+def fit_scaling(samples, model: str) -> ScalingFit:
+    """Least-squares fit of log(count) = log(c) + log(model(N, M)), where
+    model is an expression in N and M such as MODEL_SORT.
 
     One free parameter (the coefficient), so R^2 measures how much of the
     count variance the fixed exponents explain. Needs at least 6 points,
@@ -326,7 +321,7 @@ def fit_scaling(samples, model: ScalingModel) -> ScalingFit:
     pts = tuple((int(n), int(m), int(c)) for n, m, c in samples)
     if len(pts) < 6:
         raise DegenerateGrid(f"{len(pts)} grid points < 6")
-    fn = _compile(model.label, ("N", "M"))
+    fn = _compile(model, ("N", "M"))
     values = [fn(n, m) for n, m, _ in pts]
     for (n, m, c), v in zip(pts, values):
         if c <= 0 or not v > 0:
@@ -340,7 +335,7 @@ def fit_scaling(samples, model: ScalingModel) -> ScalingFit:
         r2 = 1.0 if ss_res < 1e-18 else 0.0
     else:
         r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return ScalingFit(model.label, math.exp(logc), r2, pts)
+    return ScalingFit(model, math.exp(logc), r2, pts)
 
 
 def conversion_count_grid(Ns=(2, 4, 8), Ms=(8, 16, 32, 64)):

@@ -180,13 +180,16 @@ def test_convert_verify_checks_deviation(capsys, tmp_path, monkeypatch):
 
 
 def test_convert_cap_exceeded_exit_5(capsys, tmp_path):
+    # 10 output registers of 6 bits and 32 records: the work layout's keys
+    # would not fit int64
     fq = tmp_path / "fq.txt"
-    _run(capsys, ["encode", "--M", "4", "--occ", "1,3", "--out", str(fq)])
+    _run(capsys, ["encode", "--fq", "--M", "62", "--occ", "1,2,3", "--out", str(fq)])
     rc, _, err = _run(
         capsys,
-        ["convert", "--dir", "fq2sl", "--in", str(fq), "--extra-registers", "8"],
+        ["convert", "--dir", "fq2sl", "--in", str(fq), "--extra-registers", "7"],
     )
     assert rc == 5 and err.startswith("error:")
+    assert "92 qubits > packed-index cap 62" in err
 
 
 def test_fock_bridges_cap_exceeded_exit_5(capsys, tmp_path):

@@ -1,9 +1,13 @@
 """Register states are component lists: sorted unique int64 keys, nonzero
 amplitudes, both read-only, and a read-only dense view."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fermiconv
 from fermiconv import (
     FIRST_QUANTIZED,
     SORTED_LIST,
@@ -111,3 +115,14 @@ def test_dense_view_is_read_only():
         enc.keys[0] = 1
     enc.N = None  # metadata stays assignable
     assert "N=?" in write_state(enc)
+
+
+def test_register_side_modules_never_name_statevector():
+    # conversions, ladders, basis changes, state files and the CLI work on
+    # component lists, never on a dense register vector
+    src = Path(fermiconv.__file__).parent
+    for module in ("conversion", "cli", "basis", "majorana", "stateio"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        names = {getattr(node, attr, None) for node in ast.walk(tree)
+                 for attr in ("id", "attr", "name")}
+        assert "Statevector" not in names, module

@@ -161,7 +161,7 @@ def test_ladder_examples():
 
     # Pauli exclusion
     out = apply_ladder(one, 1, "create")
-    assert out.state.norm() < 1e-12
+    assert np.linalg.norm(out.state.amps) < 1e-12
     assert out.N == 2
 
     # annihilation round trip

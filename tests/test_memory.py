@@ -7,6 +7,7 @@ come before any large allocation.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -174,16 +175,26 @@ def test_convert_past_dense_cap(capsys, tmp_path):
     assert "seed stage" in capsys.readouterr().err
 
 
-def test_forward_refuses_record_state_before_tracing(monkeypatch):
-    # 10 registers of 2 bits fit the dense cap, their 32 records do not
-    fq = encode_first_quantized_determinant(OccupationBitstring.from_indices(2, (1,)))
+def test_forward_record_state_past_dense_cap():
+    # 28 and 32 record ancillas: a dense record state would hold 2^28 or 2^32
+    # amplitudes; its component list holds one per ordering
+    for M, occ, extra, T in ((6, (1, 2, 3), 6, 28), (2, (1,), 9, 32)):
+        x = OccupationBitstring.from_indices(M, occ)
+        fq = encode_first_quantized_determinant(x)
+        assert _peak_mib(lambda: first_to_second(fq, extra_registers=extra)) <= 16
+        out, rep = first_to_second(fq, extra_registers=extra)
+        want = encode_sorted_list(x, len(occ) + extra)
+        assert out.keys.tolist() == want.keys.tolist()
+        np.testing.assert_allclose(out.amps, want.amps, atol=1e-12)
+        assert rep.record_ancillas == T
+        assert len(rep.record_state[0]) == math.factorial(len(occ))
 
-    def no_trace(*args):
-        raise AssertionError("traced before the cap check")
 
-    monkeypatch.setattr(conversion, "sparse_action", no_trace)
-    with pytest.raises(CapExceeded, match="32 qubits"):
-        first_to_second(fq, extra_registers=9)
+def test_determinant_encoder_peak():
+    # 8! = 40320 orderings: keys, signs and amplitudes hold about 1.5 MiB;
+    # every permutation as a tuple and an N x N inversion table took 8 MiB
+    x = OccupationBitstring.from_indices(16, range(1, 9))
+    assert _peak_mib(lambda: encode_first_quantized_determinant(x)) <= 6
 
 
 def test_fock_bridges_refuse_wide_orbital_spaces_without_allocating():
