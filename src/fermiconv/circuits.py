@@ -20,6 +20,13 @@ cache per builder key; ``basis_action`` is its one-component,
 permutation-only case and ``apply_circuit`` its wrapper for dense states.
 Unit tests pin it to a dense reference engine kept with the tests.
 
+A gate's params are (theta,) for PHASE, () for H and the permutation
+gates, and for U2 and REGU the gate's own read-only matrix, which the
+compiled Program holds as is; only the text format (``serialize_circuit``,
+``parse_circuit``) spells a matrix as (re, im) float pairs, and the reader
+builds every line through its kind's constructor. Gates compare by
+identity.
+
 Gate counting is purely syntactic (``count_gates``) and reads the
 Circuit, never a Program. Layouts only pack registers; each size cap sits
 where memory is spent: dense vectors in ``Statevector.from_components``
@@ -50,10 +57,6 @@ BRANCH_CAP = 1 << (QUBIT_CAP - 2)
 # per list in the second, so the two meet at 66-79 components on the
 # ladder, conversion and merge programs (Python 3.11, numpy 2.4, x86-64).
 SCALAR_MAX_COMPONENTS = 64
-
-# Gate kinds and their serialized tokens. U2 carries a 2x2 matrix as
-# (re, im) pairs row-major; REGU a d x d matrix on contiguous qubits.
-KINDS = ("X", "Z", "H", "PHASE", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP", "U2", "REGU")
 
 _SELF_INVERSE = {"X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP"}
 _BRANCHING = {"H", "U2", "REGU"}
@@ -130,25 +133,20 @@ def build_layout(M: int, n_reg: int, n_anc: int = 0) -> RegisterLayout:
     return RegisterLayout(M=M, n_reg=n_reg, n_anc=n_anc, b=math.ceil(math.log2(M + 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
+    """params: (theta,) for PHASE, () for H and the permutation gates, and
+    for U2 and REGU the gate's read-only, C-contiguous complex d x d matrix
+    (d = 2^len(targets)), which the compiler hands on as is. Gates compare
+    by identity."""
+
     kind: str
     controls: tuple[int, ...] = ()
     targets: tuple[int, ...] = ()
-    params: tuple[float, ...] = ()
+    params: tuple[float, ...] | np.ndarray = ()
 
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
-
-
-def _as_params(mat: np.ndarray) -> tuple[float, ...]:
-    flat = np.asarray(mat, dtype=complex).reshape(-1)
-    return tuple(float(v) for z in flat for v in (z.real, z.imag))
-
-
-def _as_matrix(params: tuple[float, ...], d: int) -> np.ndarray:
-    arr = np.asarray(params, dtype=float).reshape(d * d, 2)
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(d, d)
 
 
 def x(t: int) -> Gate:
@@ -194,23 +192,26 @@ def cswap(c: int, t1: int, t2: int) -> Gate:
     return Gate("CSWAP", (c,), (t1, t2))
 
 
+def _matrix_gate(kind: str, mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
+    """U2 or REGU holding a frozen C-contiguous copy of mat."""
+    ts = tuple(targets)
+    d = 1 << len(ts)
+    m = np.array(mat, dtype=complex, order="C")
+    if m.shape != (d, d):
+        raise BadParam(f"{kind} on {len(ts)} qubits wants a {d}x{d} matrix")
+    # contiguous ascending run (a register): the branching kernel's field
+    if not ts or ts != tuple(range(ts[0], ts[0] + len(ts))):
+        raise BadParam(f"{kind} targets must be a contiguous ascending qubit run")
+    m.setflags(write=False)
+    return Gate(kind, (), ts, m)
+
+
 def u2(mat: np.ndarray, t: int) -> Gate:
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (2, 2):
-        raise BadParam("U2 wants a 2x2 matrix")
-    return Gate("U2", (), (t,), _as_params(m))
+    return _matrix_gate("U2", mat, (t,))
 
 
 def regu(mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
-    ts = tuple(targets)
-    d = 1 << len(ts)
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (d, d):
-        raise BadParam(f"REGU on {len(ts)} qubits wants a {d}x{d} matrix")
-    # contiguous ascending run (a register): the branching kernel's field
-    if any(ts[k + 1] != ts[k] + 1 for k in range(len(ts) - 1)):
-        raise BadParam("REGU targets must be a contiguous ascending qubit run")
-    return Gate("REGU", (), ts, _as_params(m))
+    return _matrix_gate("REGU", mat, targets)
 
 
 @dataclass
@@ -249,11 +250,8 @@ class Circuit:
                 inv.append(g)
             elif g.kind == "PHASE":
                 inv.append(phase(-g.params[0], g.targets[0]))
-            elif g.kind == "U2":
-                inv.append(u2(_as_matrix(g.params, 2).conj().T, g.targets[0]))
-            elif g.kind == "REGU":
-                d = 1 << len(g.targets)
-                inv.append(regu(_as_matrix(g.params, d).conj().T, g.targets))
+            elif g.kind in ("U2", "REGU"):
+                inv.append(_matrix_gate(g.kind, g.params.conj().T, g.targets))
             else:
                 raise BadParam(f"unknown gate kind {g.kind}")
         return Circuit(self.layout, inv)
@@ -365,12 +363,6 @@ class Program:
     branches: tuple[tuple[int, int, int, np.ndarray], ...]
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def compile_circuit(circuit: Circuit) -> Program:
     """Reduce every gate to masks; layouts past PACKED_CAP raise CapExceeded."""
     n = circuit.layout.total_qubits
@@ -396,9 +388,8 @@ def compile_circuit(circuit: Circuit) -> Program:
             continue
         if k in _BRANCHING:
             flush(pending)
-            w = len(g.targets)
-            mat = _HADAMARD if k == "H" else _frozen(_as_matrix(g.params, 1 << w), complex)
-            branches.append((len(rows), g.targets[0], w, mat))
+            mat = _HADAMARD if k == "H" else g.params
+            branches.append((len(rows), g.targets[0], len(g.targets), mat))
             continue
         if k in ("CNOT", "TOFFOLI", "MCX"):
             op, c, f = _FLIP, controls, targets
@@ -414,9 +405,9 @@ def compile_circuit(circuit: Circuit) -> Program:
             raise BadParam(f"unknown gate kind {k}")
         rows.append((op, c, c & ~pending, f))
     flush(pending)
-    return Program(
-        n, _frozen(rows, np.int64).reshape(-1, 4), tuple(phases), tuple(branches)
-    )
+    masks = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    masks.setflags(write=False)
+    return Program(n, masks, tuple(phases), tuple(branches))
 
 
 def sparse_action(
@@ -540,6 +531,35 @@ def count_gates(circuit: Circuit) -> GateCount:
     return GateCount(tof, cn, sq, dimsum)
 
 
+def _floats(g: Gate) -> tuple[float, ...]:
+    """params as the text spells them: a matrix as (re, im) pairs row-major."""
+    p = g.params
+    return tuple(p.view(float).ravel().tolist()) if isinstance(p, np.ndarray) else p
+
+
+def _square(params: tuple[float, ...]) -> np.ndarray:
+    """(re, im) pairs row-major back to a square matrix, signed zeros kept."""
+    d = math.isqrt(len(params) // 2)
+    if len(params) != 2 * d * d:
+        raise ValueError(f"{len(params)} params are not a square matrix's (re, im) pairs")
+    return np.array(params, dtype=float).view(complex).reshape(d, d)
+
+
+# Each kind's constructor, fed a circuit line's (controls, targets, params).
+_READERS = {
+    "X": lambda cs, ts, ps: x(*ts),
+    "Z": lambda cs, ts, ps: z(*ts),
+    "H": lambda cs, ts, ps: h(*ts),
+    "PHASE": lambda cs, ts, ps: phase(*ps, *ts),
+    "CNOT": lambda cs, ts, ps: cnot(*cs, *ts),
+    "CZ": lambda cs, ts, ps: cz(*ts),
+    "TOFFOLI": lambda cs, ts, ps: toffoli(*cs, *ts),
+    "MCX": lambda cs, ts, ps: mcx(cs, *ts),
+    "CSWAP": lambda cs, ts, ps: cswap(*cs, *ts),
+    "U2": lambda cs, ts, ps: u2(_square(ps), *ts),
+    "REGU": lambda cs, ts, ps: regu(_square(ps), ts),
+}
+
 _HEADER_RE = re.compile(r"^LAYOUT M=(\d+) NREG=(\d+) B=(\d+) NANC=(\d+)$")
 _GATE_RE = re.compile(r"^([A-Z0-9]+) controls=\[([^\]]*)\] targets=\[([^\]]*)\] params=\[([^\]]*)\]$")
 
@@ -551,12 +571,19 @@ def serialize_circuit(circuit: Circuit) -> str:
     for g in circuit.gates:
         cs = ",".join(str(q) for q in g.controls)
         ts = ",".join(str(q) for q in g.targets)
-        ps = ",".join(repr(p) for p in g.params)
+        ps = ",".join(repr(p) for p in _floats(g))
         lines.append(f"{g.kind} controls=[{cs}] targets=[{ts}] params=[{ps}]")
     return "\n".join(lines) + "\n"
 
 
+def _numbers(text: str, cast: type) -> tuple:
+    return tuple(cast(v) for v in text.split(",")) if text else ()
+
+
 def parse_circuit(text: str) -> Circuit:
+    """Inverse of serialize_circuit. Each gate line is built by its kind's
+    constructor and must come out as written: other lines, unparsable or
+    non-finite numbers included, raise BadParam naming the line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise BadParam("empty circuit text")
@@ -573,10 +600,18 @@ def parse_circuit(text: str) -> Circuit:
         if not g:
             raise BadParam(f"bad gate line: {ln!r}")
         kind, cs, ts, ps = g.groups()
-        if kind not in KINDS:
+        if kind not in _READERS:
             raise BadParam(f"unknown gate kind {kind}")
-        controls = tuple(int(q) for q in cs.split(",")) if cs else ()
-        targets = tuple(int(q) for q in ts.split(",")) if ts else ()
-        params = tuple(float(p) for p in ps.split(",")) if ps else ()
-        circ.add(Gate(kind, controls, targets, params))
+        try:
+            controls, targets = _numbers(cs, int), _numbers(ts, int)
+            params = _numbers(ps, float)
+            if not all(map(math.isfinite, params)):
+                raise ValueError("non-finite param")
+            gate = _READERS[kind](controls, targets, params)
+        except (BadParam, TypeError, ValueError) as exc:
+            raise BadParam(f"{exc}: {ln!r}") from exc
+        built = (gate.kind, gate.controls, gate.targets, _floats(gate))
+        if built != (kind, controls, targets, params):
+            raise BadParam(f"{kind} constructor builds a different gate: {ln!r}")
+        circ.add(gate)
     return circ

@@ -21,6 +21,7 @@ index order, so equal states serialize to identical bytes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -104,5 +105,8 @@ def read_state(text: str) -> EncodedState:
         k = layout.basis_index(values, anc)
         if k in comps:
             raise MalformedComponent(f"component listed twice: {ln!r}")
-        comps[k] = parse_amplitude(cm.group(3))
+        z = parse_amplitude(cm.group(3))
+        if not cmath.isfinite(z):
+            raise MalformedComponent(f"non-finite amplitude: {ln!r}")
+        comps[k] = z
     return EncodedState.from_components(list(comps), list(comps.values()), discipline, layout, N)

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from fermiconv import Circuit, Statevector
-from fermiconv.circuits import _as_matrix
 from fermiconv.errors import BadParam, DimMismatch
 
 
@@ -39,7 +38,7 @@ def _apply_gate(a: np.ndarray, n: int, g) -> None:
         v[i1] = (a0 - a1) * s
     elif k == "U2":
         t = g.targets[0]
-        m = _as_matrix(g.params, 2)
+        m = g.params
         i0, i1 = _ix(n, {t: 0}), _ix(n, {t: 1})
         a0, a1 = v[i0].copy(), v[i1].copy()
         v[i0] = m[0, 0] * a0 + m[0, 1] * a1
@@ -63,7 +62,7 @@ def _apply_gate(a: np.ndarray, n: int, g) -> None:
         lo = g.targets[0]
         w = len(g.targets)
         d = 1 << w
-        m = _as_matrix(g.params, d)
+        m = g.params
         block = a.reshape(1 << (n - lo - w), d, 1 << lo)
         np.einsum("vw,awc->avc", m, block.copy(), out=block)
     else:

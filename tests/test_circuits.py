@@ -293,6 +293,10 @@ def test_serialization_round_trip():
     text = serialize_circuit(circ)
     back = parse_circuit(text)
     assert serialize_circuit(back) == text
+    assert [g.kind for g in back.gates] == [g.kind for g in circ.gates]
+    for g, b in zip(circ.gates[-2:], back.gates[-2:]):
+        np.testing.assert_array_equal(b.params, g.params)
+        assert b.params.tobytes() == g.params.tobytes()  # signed zeros too
     assert back.layout.M == 4 and back.layout.n_reg == 2 and back.layout.n_anc == 3
     state = Statevector(np.exp(2j * np.pi * rng.random(1 << 9)) / math.sqrt(1 << 9))
     np.testing.assert_allclose(
@@ -307,3 +311,109 @@ def test_inverse_reverses_and_conjugates():
     inv = circ.inverse()
     assert [g.kind for g in inv.gates] == ["X", "PHASE"]
     assert inv.gates[1].params[0] == -0.5
+
+
+# Written by serialize_circuit before U2 and REGU held their matrices; the
+# text format must not move.
+_PINNED_MATRIX_TEXT = """\
+LAYOUT M=2 NREG=1 B=2 NANC=1
+U2 controls=[] targets=[2] params=[0.6,0.0,0.0,0.8,0.0,0.8,0.6,0.0]
+REGU controls=[] targets=[0,1] params=[0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,\
+0.0,0.0,0.0,0.0,0.0,1.0,0.0,0.0,-1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,\
+0.0,0.0,0.0,0.0,0.0,0.0,1.0,0.0]
+"""
+_PINNED_MATRIX_INVERSE_TEXT = """\
+LAYOUT M=2 NREG=1 B=2 NANC=1
+REGU controls=[] targets=[0,1] params=[0.0,-0.0,0.0,-0.0,-1.0,-0.0,0.0,-0.0,\
+1.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-1.0,0.0,-0.0,0.0,-0.0,\
+0.0,-0.0,0.0,-0.0,0.0,-0.0,1.0,-0.0]
+U2 controls=[] targets=[2] params=[0.6,-0.0,0.0,-0.8,0.0,-0.8,0.6,-0.0]
+"""
+
+
+def _matrix_circuit():
+    a = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    b = np.array([[0, 1, 0, 0], [0, 0, 1j, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])
+    return Circuit(build_layout(2, 1, 1), [u2(a, 2), regu(b, (0, 1))])
+
+
+def test_matrix_gate_text_is_pinned():
+    circ = _matrix_circuit()
+    assert serialize_circuit(circ) == _PINNED_MATRIX_TEXT
+    assert serialize_circuit(circ.inverse()) == _PINNED_MATRIX_INVERSE_TEXT
+    assert serialize_circuit(parse_circuit(_PINNED_MATRIX_INVERSE_TEXT)) == (
+        _PINNED_MATRIX_INVERSE_TEXT
+    )
+
+
+def test_matrix_gates_hold_a_frozen_copy():
+    mat = np.array([[0.0, 1.0], [1j, 0.0]])
+    for g in (u2(mat, 0), regu(mat, (3,)), u2(mat.T, 0)):
+        assert g.params.dtype == complex and g.params.flags.c_contiguous
+        assert not g.params.flags.writeable
+        with pytest.raises(ValueError):
+            g.params[0, 0] = 2.0
+    g = u2(mat, 0)
+    mat[0, 0] = 5.0  # the caller's array stays the caller's
+    assert g.params[0, 0] == 0.0
+    # gates compare by identity: a matrix field has no truth-valued ==
+    assert g == g and g != u2(mat, 0)
+
+
+def test_matrix_gate_constructor_errors():
+    with pytest.raises(BadParam, match="2x2"):
+        u2(np.eye(4), 0)
+    with pytest.raises(BadParam, match="4x4"):
+        regu(np.eye(2), (0, 1))
+    for ts in ((0, 2), (1, 0), ()):
+        with pytest.raises(BadParam, match="contiguous"):
+            regu(np.eye(1 << len(ts)), ts)
+
+
+def test_compiled_branches_are_the_gates_matrices():
+    circ = _matrix_circuit()
+    circ.add(h(1))
+    prog = compile_circuit(circ)
+    assert [b[3] is g.params for b, g in zip(prog.branches, circ.gates[:2])] == [True, True]
+    assert not prog.branches[2][3].flags.writeable
+
+
+def test_inverse_conjugate_transposes_held_matrices():
+    circ = _matrix_circuit()
+    inv = circ.inverse()
+    assert [g.kind for g in inv.gates] == ["REGU", "U2"]
+    for g, i in zip(reversed(circ.gates), inv.gates):
+        assert i.targets == g.targets
+        assert i.params.tobytes() == g.params.conj().T.copy().tobytes()
+        assert not i.params.flags.writeable
+
+
+_REGU_PAIRS = ",".join(["1.0", "0.0"] * 16)
+
+
+@pytest.mark.parametrize("line", [
+    "MCX controls=[] targets=[0] params=[]",  # the constructor builds an X
+    "MCX controls=[1,2] targets=[0] params=[]",  # ... and a TOFFOLI here
+    "X controls=[3] targets=[0] params=[]",
+    "CNOT controls=[] targets=[0,1] params=[]",
+    "TOFFOLI controls=[1] targets=[0,2] params=[]",
+    "H controls=[1] targets=[0] params=[9.0]",
+    "PHASE controls=[] targets=[0] params=[]",
+    "PHASE controls=[] targets=[0,1] params=[]",
+    "PHASE controls=[] targets=[0] params=[nan]",
+    "PHASE controls=[] targets=[0] params=[-inf]",
+    "U2 controls=[] targets=[0] params=[1.0,0.0]",
+    "U2 controls=[] targets=[0] params=[1.0,0.0,0.0,0.0,0.0,0.0,1.0]",
+    "U2 controls=[] targets=[0] params=[1.0,0.0,0.0,0.0,0.0,0.0,inf,0.0]",
+    "REGU controls=[] targets=[0,1] params=[1.0,0.0]",
+    f"REGU controls=[] targets=[0,2] params=[{_REGU_PAIRS}]",
+    f"REGU controls=[3] targets=[0,1] params=[{_REGU_PAIRS}]",
+    "REGU controls=[] targets=[] params=[1.0,0.0]",
+    "PHASE controls=[] targets=[0] params=[abc]",
+    "X controls=[] targets=[a] params=[]",
+    "X controls=[] targets=[0,] params=[]",
+])
+def test_parse_refuses_lines_unlike_their_constructor(line):
+    with pytest.raises(BadParam) as exc:
+        parse_circuit(f"LAYOUT M=4 NREG=1 B=3 NANC=1\n{line}\n")
+    assert repr(line) in str(exc.value)

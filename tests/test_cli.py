@@ -394,6 +394,25 @@ def test_count_command(capsys, tmp_path):
     ]
 
 
+def test_count_refuses_malformed_circuit_exit_3(capsys, tmp_path):
+    # an MCX without controls is an X; the line that says otherwise is refused
+    path = tmp_path / "circ.txt"
+    path.write_text("LAYOUT M=2 NREG=1 B=2 NANC=0\nMCX controls=[] targets=[0] params=[]\n")
+    rc, out, err = _run(capsys, ["count", "--circuit", str(path)])
+    assert rc == 3 and out == "" and err.startswith("error:") and "MCX controls=[]" in err
+
+
+def test_convert_refuses_non_finite_state_exit_3(capsys, tmp_path):
+    fq = tmp_path / "fq.txt"
+    assert _run(capsys, ["encode", "--fq", "--M", "4", "--occ", "1,2", "--out", str(fq)])[0] == 0
+    lines = fq.read_text().splitlines()
+    for amp in ("nan+0.0i", "0.0-nani", "inf+0.0i", "0.0+infi"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join([lines[0]] + [ln.split()[0] + " " + amp for ln in lines[1:]]))
+        rc, out, err = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(bad), "--verify"])
+        assert rc == 3 and "fidelity" not in out and "non-finite amplitude" in err
+
+
 def test_scaling_report_deterministic(capsys, tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     rc, text1, _ = _run(capsys, ["scaling-report", "--out", str(out1)])

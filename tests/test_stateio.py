@@ -145,3 +145,14 @@ def test_component_line_errors():
     ):
         with pytest.raises(MalformedComponent):
             read_state(head + bad + "\n")
+
+
+def test_non_finite_amplitudes_are_refused():
+    # nan compares false against the threshold, so it would drop out of
+    # validation and comparison alike; every non-finite part is refused
+    head = "STATE M=4 NREG=2 B=3 NANC=0 DISCIPLINE=sorted-list N=2\n"
+    for amp in ("nan+0.0i", "1.0+nani", "inf+0.0i", "1.0-infi", "-inf-nani"):
+        line = f"(001,011) {amp}"
+        with pytest.raises(MalformedComponent, match="non-finite") as exc:
+            read_state(head + line + "\n")
+        assert repr(line) in str(exc.value)
