@@ -11,12 +11,13 @@ Sign convention (shared with the circuit layer): a_p^dag and a_p pick up
 (-1)^(#occupied q < p), i.e. a_p^dag |x> = (-1)^par * |x + e_p| when orbital
 p is empty. Under it the ascending product a_1^dag a_2^dag ... |vac> carries
 a plus sign. One kernel, ``_string_action``, applies this rule for every
-ladder, creation string, k-RDM and Hamiltonian term. It folds a string into
-a mask test, an XOR and one lookup in a parity table per M, using
-parity(a) * parity(b) = parity(a ^ b), so its cost over the masks does not
-grow with the string. It takes an array of orbitals per operator slot, so
-the Hamiltonian and the k-RDM tensor apply a batch of strings to every mask
-in one call.
+ladder, creation string, k-RDM and Hamiltonian term. It folds a string, in
+Python ints, into a mask test, an XOR and one parity lookup, XORing every
+operator's fixed sign into one mask since parity(a) * parity(b) =
+parity(a ^ b), and returns only the entries the string keeps: a dead string
+costs no array work and a live one a handful of array operations on its
+kept masks. It takes an array of orbitals per operator slot, so the
+Hamiltonian and the k-RDM tensor apply a batch of strings in one call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import (
 )
 
 FOCK_CAP = 12  # dense 4096-dim cap
-RDM_ENTRY_CAP = 1 << 20  # entries of a k-RDM tensor, and of each of its kernel chunks
+RDM_ENTRY_CAP = 1 << 20  # entries of a k-RDM tensor, and of its annihilation batch
+_NO_MASKS, _NO_SIGNS = np.empty(0, dtype=np.int64), np.empty(0)  # what a dead string keeps
 
 
 @lru_cache(maxsize=None)
@@ -58,9 +60,9 @@ def _masks(M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parity_signs(M: int) -> np.ndarray:
-    """Read-only table of (-1)^(occupation count) of every mask below 2^M."""
-    table = 1.0 - 2.0 * (_popcounts(M) & 1)
+def _parity_signs(M: int, odd: int = 0) -> np.ndarray:
+    """Read-only table of (-1)^(occupation count + odd) of every mask below 2^M."""
+    table = 1.0 - 2.0 * ((_popcounts(M) + odd) & 1)
     table.flags.writeable = False
     return table
 
@@ -95,25 +97,23 @@ class FockSpace:
 
 def _string_action(space: FockSpace, ops, masks: np.ndarray):
     """Apply ("create" | "annihilate", p) pairs, rightmost operator first,
-    to occupation masks. Returns (ok, out, sign): whether the string keeps
-    each mask, the mask it maps it to and its +-1.0 sign.
-
-    Each p is one orbital or an array with one orbital per term. Arrays run
-    along a leading term axis and masks along the last, so a batch of
-    strings acts on every mask in one pass: the outputs are (terms, masks)
-    when any p is an array and (masks,) otherwise.
+    to occupation masks. Returns (index, out, sign) of the kept entries
+    only: their np.nonzero-style index, the mask each maps to and its +-1.0
+    sign. Each p is one orbital or an array with one orbital per term along
+    a leading axis, so a batch of strings acts on the masks in one pass,
+    indexed by (terms, positions); a string of orbitals is indexed by
+    (positions,), and a dead one (a_q a_q) keeps nothing, masks unread.
 
     The string is first folded over the terms alone: the bits a kept mask
     must hold (``care``) and their values (``want``), the XOR of the toggled
-    bits (``flip``) and of every ``bit - 1`` (``low``), a fixed sign, and
-    whether it is ``live`` (a_q a_q keeps no mask). Operator i's sign is
-    parity((mask ^ flip_i) & (bit_i - 1)), flip_i toggling the bits before
-    it, and parity(a) * parity(b) = parity(a ^ b) makes their product the
-    fixed sign times parity(mask & low).
+    bits (``flip``) and of every ``bit - 1`` (``low``), and whether it is
+    ``live``. Operator i's sign is parity((mask ^ flip_i) & (bit_i - 1)),
+    flip_i toggling the bits before it, and parity(a) * parity(b) =
+    parity(a ^ b) makes their product parity((mask & low) ^ fx), ``fx``
+    XORing every flip_i & (bit_i - 1).
     """
-    parity = _parity_signs(space.M)
-    care = want = flip = low = 0
-    live, fixed = True, 1.0
+    care = want = flip = low = fx = 0
+    live, batch = True, False
     for kind, p in ops:
         if kind not in ("create", "annihilate"):
             raise BadParam(f"kind {kind!r} not create/annihilate")
@@ -122,6 +122,7 @@ def _string_action(space: FockSpace, ops, masks: np.ndarray):
             outside = p[(p < 1) | (p > space.M)]
             if outside.size:
                 space.check_orbital(int(outside[0]))
+            batch = True
         else:
             space.check_orbital(p)
         bit = 1 << (p - 1)
@@ -129,26 +130,33 @@ def _string_action(space: FockSpace, ops, masks: np.ndarray):
         need = (bit if kind == "annihilate" else 0) ^ (flip & bit)
         live = live & ((care & bit & (want ^ need)) == 0)
         care, want = care | bit, want | need
-        fixed = fixed * parity[flip & (bit - 1)]
+        fx ^= flip & (bit - 1)
         flip, low = flip ^ bit, low ^ (bit - 1)
-    return ((masks & care) == want) & live, masks ^ flip, fixed * parity[masks & low]
+    if not batch:
+        if not live:
+            return (_NO_MASKS,), _NO_MASKS, _NO_SIGNS
+        index = ((masks & care) == want).nonzero()
+        x = masks[index]
+        return index, x ^ flip, _parity_signs(space.M, int(fx).bit_count() & 1)[x & low]
+    t, pos = index = (((masks & care) == want) & live).nonzero()
+    x = masks[pos]
+    return index, x ^ flip[t, 0], _parity_signs(space.M)[(x & low[t, 0]) ^ fx[t, 0]]
 
 
 def apply_ladder_fock(vec: np.ndarray, p: int, kind: str, space: FockSpace) -> np.ndarray:
     """a_p or a_p^dag applied to a Fock vector, O(2^M), no matrix built."""
-    ok, out, sign = _string_action(space, ((kind, p),), space.masks())
+    (x,), out, sign = _string_action(space, ((kind, p),), space.masks())
     res = np.zeros_like(vec, dtype=complex)
-    res[out[ok]] = sign[ok] * vec[ok]
+    res[out] = sign * vec[x]
     return res
 
 
 def ladder_matrix(p: int, kind: str, space: FockSpace) -> np.ndarray:
     """Dense ladder matrix with Jordan-Wigner signs; a_p^dag = a_p^T here
     because all entries are real."""
-    masks = space.masks()
-    ok, out, sign = _string_action(space, ((kind, p),), masks)
+    (x,), out, sign = _string_action(space, ((kind, p),), space.masks())
     mat = np.zeros((space.dim, space.dim))
-    mat[out[ok], masks[ok]] = sign[ok]
+    mat[out, x] = sign
     return mat
 
 
@@ -176,14 +184,14 @@ def creation_string(space: FockSpace, indices) -> np.ndarray:
     Returns the zero vector when an index repeats (Pauli exclusion).
     """
     ops = [("create", p) for p in reversed(tuple(indices))]
-    ok, out, sign = _string_action(space, ops, np.zeros(1, dtype=np.int64))
+    _, out, sign = _string_action(space, ops, np.zeros(1, dtype=np.int64))
     v = np.zeros(space.dim, dtype=complex)
-    v[out[ok]] = sign[ok]
+    v[out] = sign
     return v
 
 
 def _check_normalized(state: np.ndarray) -> None:
-    if abs(np.vdot(state, state).real ** 0.5 - 1.0) > 1e-8:
+    if not abs(np.vdot(state, state).real ** 0.5 - 1.0) <= 1e-8:  # NaN and inf fail too
         raise BadParam("state must be normalized")
 
 
@@ -201,20 +209,20 @@ def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
     _check_normalized(state)
     # a_{q1} is rightmost: it acts first
     ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
-    ok, out, sign = _string_action(space, ops, space.masks())
-    return complex(np.vdot(state[out], (ok * sign) * state))
+    (x,), out, sign = _string_action(space, ops, space.masks())
+    return complex(np.vdot(state[out], sign * state[x])) if len(x) else 0j
 
 
 def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
     """Every k-RDM entry at once: entry [p1-1, ..., pk-1, q1-1, ..., qk-1]
     is ``k_rdm(state, (p1, ..., pk), (q1, ..., qk), space)``.
 
-    One kernel call per (p1, ..., pk) covers all M^k q tuples, so a chunk
-    holds M^k x 2^M entries; past RDM_ENTRY_CAP entries in the tensor or a
-    chunk it raises CapExceeded before allocating either. Like k_rdm it
-    sums over masks in increasing order, but as a matrix-vector product
-    rather than a dot product, so entries agree with k_rdm to rounding,
-    not bit for bit.
+    The M^k annihilation strings act once, as one batch over the masks of
+    nonzero amplitude; past RDM_ENTRY_CAP entries in the tensor or M^k x 2^M
+    in the batch it raises CapExceeded before allocating either. Each
+    (p1, ..., pk) creation string acts on the batch's kept entries only, and
+    np.add.at sums each entry's nonzero products in increasing mask order:
+    k_rdm's order, but not through vdot, so they agree to rounding.
     """
     if k < 1:
         raise BadParam(f"RDM rank k={k} below 1")
@@ -224,15 +232,16 @@ def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
         raise CapExceeded(f"{k}-RDM at M={M} needs {entries} entries > cap {RDM_ENTRY_CAP}")
     _check_normalized(state)
     state = np.asarray(state)
-    masks = space.masks()
     bra = np.conj(state)
     qs = np.indices((M,) * k).reshape(k, -1) + 1
-    rdm = np.empty((M,) * (2 * k), dtype=complex)
-    for ps in np.ndindex(*(M,) * k):
-        ops = [("annihilate", q) for q in qs] + [("create", p + 1) for p in reversed(ps)]
-        ok, out, sign = _string_action(space, ops, masks)
-        rdm[ps] = ((ok * sign * bra[out]) @ state).reshape((M,) * k)
-    return rdm
+    nz = np.flatnonzero(state)
+    (t, i), mid, sign = _string_action(space, [("annihilate", q) for q in qs], nz)
+    ket = sign * state[nz[i]]
+    rdm = np.zeros((M**k, M**k), dtype=complex)
+    for row, ps in zip(rdm, np.ndindex(*(M,) * k)):
+        (e,), out, sign = _string_action(space, [("create", p + 1) for p in reversed(ps)], mid)
+        np.add.at(row, t[e], sign * ket[e] * bra[out])
+    return rdm.reshape((M,) * (2 * k))
 
 
 def one_rdm(state: np.ndarray, space: FockSpace) -> np.ndarray:
@@ -316,26 +325,25 @@ class ToyHamiltonian:
         H = np.zeros((space.dim, space.dim), dtype=complex)
         masks = space.masks()
 
-        def add(c, ok, out, sign, cols):
+        def add(c, out, sign, cols):
             # term-major, and no entry repeats within a term: each entry of H
             # sums its terms in the order a per-term loop would
-            np.add.at(H, (out[ok], cols[ok]), (c * sign)[ok])
+            np.add.at(H, (out, cols), c * sign)
 
         p, q = np.nonzero(self.h1)
-        ok, out, sign = _string_action(space, (("annihilate", q + 1), ("create", p + 1)), masks)
-        add(self.h1[p, q][:, None], ok, out, sign, np.broadcast_to(masks, ok.shape))
+        (t, x), out, sign = _string_action(space, (("annihilate", q + 1), ("create", p + 1)), masks)
+        add(self.h1[p, q][t], out, sign, x)
         # a_r a_s on every mask once: entry e maps mask x[e] to mid[e] under
         # term t[e] = r * M + s, entries in term-major order
         r, s = np.divmod(np.arange(self.M**2), self.M)
         pairs = (("annihilate", s + 1), ("annihilate", r + 1))
-        ok, mid, pair_sign = _string_action(space, pairs, masks)
-        t, x = np.nonzero(ok)
-        mid, pair_sign = mid[ok], pair_sign[ok]
+        (t, x), mid, pair_sign = _string_action(space, pairs, masks)
         for p, q in np.ndindex(self.M, self.M):
             c = 0.5 * self.h2[p, q].ravel()[t]
-            e = c != 0
-            ok, out, sign = _string_action(space, (("create", q + 1), ("create", p + 1)), mid[e])
-            add(c[e], ok, out, pair_sign[e] * sign, x[e])
+            e = np.flatnonzero(c)
+            (k,), out, sign = _string_action(space, (("create", q + 1), ("create", p + 1)), mid[e])
+            e = e[k]
+            add(c[e], out, pair_sign[e] * sign, x[e])
         if np.max(np.abs(H - H.conj().T)) > 1e-10:
             raise BadParam("dense Hamiltonian is not Hermitian at 1e-10")
         return H

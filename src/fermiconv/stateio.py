@@ -28,7 +28,7 @@ import re
 import numpy as np
 
 from .circuits import build_layout
-from .encodings import AMP_THRESHOLD, EncodedState
+from .encodings import AMP_THRESHOLD, SORTED_LIST, EncodedState
 from .errors import BadParam, MalformedComponent
 
 _HEADER_RE = re.compile(
@@ -89,6 +89,8 @@ def read_state(text: str) -> EncodedState:
     layout = build_layout(M, n_reg, n_anc)
     if layout.b != b:
         raise BadParam(f"header B={b} but M={M} needs b={layout.b}")
+    if N is not None and (N > n_reg if discipline == SORTED_LIST else N != n_reg):
+        raise BadParam(f"{discipline} header N={N} does not fit NREG={n_reg}: {lines[0]!r}")
     comps = {}  # key -> amplitude
     for ln in lines[1:]:
         cm = _LINE_RE.match(ln)
@@ -109,4 +111,10 @@ def read_state(text: str) -> EncodedState:
         if not cmath.isfinite(z):
             raise MalformedComponent(f"non-finite amplitude: {ln!r}")
         comps[k] = z
-    return EncodedState.from_components(list(comps), list(comps.values()), discipline, layout, N)
+    keys = np.fromiter(comps, dtype=np.int64, count=len(comps))
+    if N is not None and discipline == SORTED_LIST:
+        filled = np.count_nonzero(layout.decode(keys) != layout.sentinel, axis=1)
+        bad = np.flatnonzero(filled != N)
+        if len(bad):  # comps keeps line order
+            raise MalformedComponent(f"expected {N} filled registers: {lines[1 + bad[0]]!r}")
+    return EncodedState.from_components(keys, list(comps.values()), discipline, layout, N)

@@ -413,6 +413,16 @@ def test_convert_refuses_non_finite_state_exit_3(capsys, tmp_path):
         assert rc == 3 and "fidelity" not in out and "non-finite amplitude" in err
 
 
+def test_convert_refuses_header_electron_count_exit_3(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        "STATE M=4 NREG=2 B=3 NANC=0 DISCIPLINE=first-quantized N=5\n"
+        "(001,010) 0.7071067811865475+0.0i\n(010,001) -0.7071067811865475+0.0i\n"
+    )
+    rc, out, err = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(bad), "--verify"])
+    assert rc == 3 and out == "" and "N=5 does not fit NREG=2" in err
+
+
 def test_scaling_report_deterministic(capsys, tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     rc, text1, _ = _run(capsys, ["scaling-report", "--out", str(out1)])

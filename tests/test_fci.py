@@ -349,14 +349,17 @@ def test_batched_strings_match_one_string_at_a_time():
     masks = space.masks()
     ps = np.array([1, 4, 2, 2])
     qs = np.array([3, 3, 2, 4])
-    ok, out, sign = fci._string_action(
+    (t, x), out, sign = fci._string_action(
         space, (("annihilate", qs), ("create", 2), ("create", ps)), masks)
-    assert ok.shape == out.shape == sign.shape == (4, space.dim)
-    for t, (p, q) in enumerate(zip(ps, qs)):
-        one = fci._string_action(
+    assert t.shape == x.shape == out.shape == sign.shape
+    assert np.all(np.diff(t) >= 0)  # term-major
+    for term, (p, q) in enumerate(zip(ps, qs)):
+        (one_x,), one_out, one_sign = fci._string_action(
             space, (("annihilate", q), ("create", 2), ("create", p)), masks)
-        for got, want in zip((ok[t], out[t], sign[t]), one):
+        at = t == term
+        for got, want in zip((x[at], out[at], sign[at]), (one_x, one_out, one_sign)):
             assert np.array_equal(got, want)
+    assert set(t.tolist()) == {0, 1}  # terms 2 and 3 create orbital 2 twice
     with pytest.raises(IndexOutOfRange, match="orbital 5"):
         fci._string_action(space, (("create", np.array([1, 5, 0])),), masks)
 
@@ -375,8 +378,11 @@ def _assert_same_action(space, ops, masks):
     if isinstance(want[0], type):
         assert got == want
         return
-    for g, w in zip(got, want):
-        # bit for bit, the entries of masks the string drops included
+    ok, out, sign = want
+    index = np.nonzero(ok)
+    assert len(got[0]) == len(index)
+    # bit for bit at the kept entries, the only ones the kernel returns
+    for g, w in zip((*got[0], got[1], got[2]), (*index, out[index], sign[index])):
         assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
@@ -448,11 +454,15 @@ def test_k_rdm_matches_scatter_reference(M):
 
 def test_k_rdm_tensor_matches_per_entry_k_rdm():
     rng = np.random.default_rng(9)
-    for M, N, k in ((1, 1, 1), (3, 2, 2), (4, 2, 3), (5, 2, 1), (6, 3, 2)):
+    for M, N, k in ((1, 1, 1), (3, 2, 2), (4, 2, 3), (5, 2, 1), (6, 3, 2), (4, None, 2)):
         space = FockSpace(M)
-        H = random_toy_hamiltonian(rng, M)
-        _, vecs = sector_eigensystem(H.dense_matrix(space), space, N)
-        psi = vecs[:, 0]
+        if N is None:  # every mask occupied, every sector mixed
+            psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            psi /= np.linalg.norm(psi)
+        else:
+            H = random_toy_hamiltonian(rng, M)
+            _, vecs = sector_eigensystem(H.dense_matrix(space), space, N)
+            psi = vecs[:, 0]
         rdm = k_rdm_tensor(psi, k, space)
         assert rdm.shape == (M,) * (2 * k)
         for idx in np.ndindex(rdm.shape):
@@ -465,6 +475,30 @@ def test_k_rdm_tensor_matches_per_entry_k_rdm():
         k_rdm_tensor(2 * vacuum(space), 1, space)
     with pytest.raises(BadParam, match="below 1"):
         k_rdm_tensor(vacuum(space), 0, space)
+
+
+def test_dead_string_keeps_nothing():
+    space = FockSpace(4)
+    psi = np.full(space.dim, 0.25 + 0.0j)
+    (x,), out, sign = fci._string_action(
+        space, (("annihilate", 2), ("annihilate", 2), ("create", 1)), space.masks())
+    assert x.size == out.size == sign.size == 0
+    got = k_rdm(psi, (1, 3), (2, 2), space)
+    assert type(got) is complex and got == 0
+
+
+def test_non_finite_states_refused():
+    space = FockSpace(2)
+    for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
+        state = [bad, 0, 0, 0]
+        with pytest.raises(BadParam, match="normalized"):
+            k_rdm(state, (1,), (1,), space)
+        with pytest.raises(BadParam, match="normalized"):
+            k_rdm(state, (1, 1), (2, 2), space)  # a dead string reads no amplitude
+        with pytest.raises(BadParam, match="normalized"):
+            k_rdm_tensor(state, 2, space)
+        with pytest.raises(BadParam, match="normalized"):
+            one_rdm(state, space)
 
 
 def test_oracle_imports_no_circuit_code():

@@ -289,3 +289,14 @@ def test_k_rdm_tensor_refuses_past_entry_cap_without_allocating():
             fci.k_rdm_tensor(2 * psi, 2, space)
 
     assert _peak_mib(refuse) <= 0.5
+
+
+def test_k_rdm_tensor_peak():
+    # every mask occupied: the annihilation batch tests M^2 x 2^M = 102,400
+    # entries once (0.8 MiB of int64) and keeps the 23,040 a_r a_s allows;
+    # each creation pair then reads only those, where one kernel call per
+    # (p1, p2) over every mask held about 4.3 MiB
+    rng = np.random.default_rng(2)
+    psi = rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10)
+    psi /= np.linalg.norm(psi)
+    assert _peak_mib(lambda: fci.k_rdm_tensor(psi, 2, fci.FockSpace(10))) < 3

@@ -132,6 +132,30 @@ def test_header_errors():
         read_state("STATE M=4 NREG=2 B=3 NANC=0 DISCIPLINE=fock N=1\n")
 
 
+def test_header_electron_count_must_fit_the_components():
+    fq = (
+        "STATE M=4 NREG=2 B=3 NANC=0 DISCIPLINE=first-quantized N={}\n"
+        "(010,001) -0.7071067811865475+0.0i\n(001,010) 0.7071067811865475+0.0i\n"
+    )
+    assert write_state(read_state(fq.format(2))) == fq.format(2)
+    for n in (1, 5):
+        with pytest.raises(BadParam, match=f"first-quantized header N={n} does not fit NREG=2"):
+            read_state(fq.format(n))
+    sl = "STATE M=4 NREG=3 B=3 NANC=1 DISCIPLINE=sorted-list N={}\n(001,010,111|0) 1.0+0.0i\n"
+    assert write_state(read_state(sl.format(2))) == sl.format(2)
+    assert read_state(sl.format("?")).N is None
+    with pytest.raises(BadParam, match="sorted-list header N=4 does not fit NREG=3"):
+        read_state(sl.format(4))
+    for n in (0, 1, 3):
+        with pytest.raises(MalformedComponent, match=f"expected {n} filled") as exc:
+            read_state(sl.format(n))
+        assert "'(001,010,111|0) 1.0+0.0i'" in str(exc.value)
+    # the line named is the first one whose count is off
+    two = sl.format(2) + "(001,111,111|1) 0.5+0.0i\n"
+    with pytest.raises(MalformedComponent, match=r"\(001,111,111\|1\)"):
+        read_state(two)
+
+
 def test_component_line_errors():
     head = "STATE M=4 NREG=2 B=3 NANC=0 DISCIPLINE=sorted-list N=1\n"
     for bad in (
