@@ -62,7 +62,10 @@ VERIFY_DEVIATION = 1e-10
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FermiconvError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
 
 
 def _emit(out_path: str | None, text: str) -> None:

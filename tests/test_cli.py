@@ -423,6 +423,26 @@ def test_convert_refuses_header_electron_count_exit_3(capsys, tmp_path):
     assert rc == 3 and out == "" and "N=5 does not fit NREG=2" in err
 
 
+def test_undecodable_state_file_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    head = b"STATE M=4 NREG=2 B=3 NANC=0 DISCIPLINE=sorted-list N=?\n"
+    bad.write_bytes(head + b"(001,011) \xff1.0+0.0i\n")
+    rc, out, err = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(bad)])
+    assert rc == 3 and out == "" and err.startswith("error:") and str(bad) in err
+    assert f"{bad}: byte 65 is not UTF-8 (invalid start byte)" in err
+
+
+def test_over_wide_state_file_exits_5(capsys, tmp_path):
+    # 22 registers of 3 bits: 66 qubits, refused at the header
+    wide = tmp_path / "wide.txt"
+    wide.write_text(
+        "STATE M=6 NREG=22 B=3 NANC=0 DISCIPLINE=sorted-list N=?\n"
+        "(" + ",".join(["111"] * 22) + ") 1.0+0.0i\n"
+    )
+    rc, out, err = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(wide)])
+    assert rc == 5 and out == "" and "66 qubits > packed-index cap 62" in err
+
+
 def test_scaling_report_deterministic(capsys, tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     rc, text1, _ = _run(capsys, ["scaling-report", "--out", str(out1)])

@@ -130,6 +130,16 @@ def test_merge_refuses_large_joint_input_without_allocating():
     assert _peak_mib(merge) <= 16
 
 
+def test_read_state_peak():
+    # all C(62,3) = 37820 determinants: 1.85 MB of text. The line-by-line
+    # reader peaked at 10.0 MiB here (a regex match, a dict entry and Python
+    # ints per line); the array reader keeps one string per line and small
+    # arrays
+    sl = _sl_superposition(62, list(itertools.combinations(range(1, 63), 3)))
+    text = write_state(sl)
+    assert _peak_mib(lambda: read_state(text)) <= 9
+
+
 def test_merge_split_matrix_refused_past_branch_cap(monkeypatch):
     # 9 joint components whose records stay entangled: the rank-1 split
     # would span 45 (record, system) pairs
