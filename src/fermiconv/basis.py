@@ -45,6 +45,8 @@ class BasisMatrix:
         if core.ndim != 2 or core.shape[0] != core.shape[1]:
             raise BadParam("core must be square")
         D = core.shape[0]
+        if not np.isfinite(core).all():  # the SVD behind the norm would not converge
+            raise NotUnitary("core has a non-finite entry")
         if np.linalg.norm(core.conj().T @ core - np.eye(D), ord=2) > UNITARY_TOL:
             raise NotUnitary(f"core fails unitarity at {UNITARY_TOL}")
         self.core = core

@@ -123,7 +123,8 @@ class EncodedState:
     def _store(self, keys, amps, discipline, layout, N) -> None:
         if discipline not in (SORTED_LIST, FIRST_QUANTIZED):
             raise BadParam(f"unknown discipline {discipline!r}")
-        self.keys, self.amps = keys[amps != 0], amps[amps != 0]  # copies, then frozen
+        nonzero = amps != 0
+        self.keys, self.amps = keys[nonzero], amps[nonzero]  # copies, then frozen
         self.keys.setflags(write=False)
         self.amps.setflags(write=False)
         self.discipline, self.layout, self.N = discipline, layout, N

@@ -258,6 +258,8 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
     U = np.asarray(U, dtype=complex)
     if U.shape != (space.M, space.M):
         raise BadParam(f"U must be {space.M}x{space.M}")
+    if not np.isfinite(U).all():  # the SVD behind the norm would not converge
+        raise NotUnitary("single-particle matrix has a non-finite entry")
     if np.linalg.norm(U.conj().T @ U - np.eye(space.M), ord=2) > 1e-10:
         raise NotUnitary("single-particle matrix fails unitarity at 1e-10")
     state = np.asarray(state, dtype=complex)
@@ -433,9 +435,9 @@ def write_toy_hamiltonian(H: ToyHamiltonian) -> str:
 def read_toy_hamiltonian(text: str, M: int | None = None) -> ToyHamiltonian:
     """Parse H1/H2 coefficient lines; unlisted entries are zero.
 
-    M defaults to the largest orbital index mentioned.
+    M defaults to the largest orbital index mentioned; repeats are refused.
     """
-    entries: list[tuple[tuple[int, ...], complex, str]] = []
+    entries: dict[tuple[int, ...], tuple[complex, str]] = {}
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -451,14 +453,16 @@ def read_toy_hamiltonian(text: str, M: int | None = None) -> ToyHamiltonian:
             raise BadParam(f"non-numeric token in Hamiltonian line: {ln!r}") from None
         if min(idx) < 1:
             raise BadParam(f"orbital below 1 in Hamiltonian line: {ln!r}")
-        entries.append((idx, zv, ln))
+        if idx in entries:  # H1 and H2 indices differ in length
+            raise BadParam(f"coefficient listed twice: {ln!r}")
+        entries[idx] = zv, ln
     if M is None:
-        M = max((max(idx) for idx, _, _ in entries), default=0)
+        M = max((max(idx) for idx in entries), default=0)
     if M < 1:
         raise BadParam("no coefficients and no explicit M")
     h1 = np.zeros((M, M), dtype=complex)
     h2 = np.zeros((M,) * 4, dtype=complex)
-    for idx, zv, ln in entries:
+    for idx, (zv, ln) in entries.items():
         if max(idx) > M:
             raise BadParam(f"orbital above M={M} in Hamiltonian line: {ln!r}")
         (h1 if len(idx) == 2 else h2)[tuple(i - 1 for i in idx)] = zv

@@ -9,8 +9,10 @@ only in how far the rank phase reaches:
 
 On occupation masks this reproduces the Jordan-Wigner strings
 gamma_{2p-1}|x> = (-1)^(sum_{q<p} x_q) |x ^ e_p> and
-gamma_{2p}|x> = i (-1)^(sum_{q<=p} x_q) |x ^ e_p>, from which
-a_p^dag = (gamma_{2p-1} - i gamma_{2p})/2 and a_p = (gamma_{2p-1} + i gamma_{2p})/2.
+gamma_{2p}|x> = i (-1)^(sum_{q<=p} x_q) |x ^ e_p>, so gamma_{2p} =
+i (-1)^(n_p) gamma_{2p-1} with n_p = x_p. A ladder thus runs one branch:
+a_p^dag = (gamma_{2p-1} - i gamma_{2p})/2 = gamma_{2p-1} [n_p = 0] and
+a_p = (gamma_{2p-1} + i gamma_{2p})/2 = gamma_{2p-1} [n_p = 1].
 
 The toggle keeps the list sorted by bubbling: values above p shift one
 register toward the tail when p enters, or one toward the head when p
@@ -30,12 +32,8 @@ from .circuits import (
     Circuit, Gate, Program, build_layout, compile_circuit, sparse_action, z,
 )
 from .comparators import _le_gates, bubble_gates, swap_values_circuit
-from .encodings import (
-    SORTED_LIST,
-    AMP_THRESHOLD,
-    EncodedState,
-)
-from .errors import BadConstant, BadParam, DisciplineMismatch, NoSlack
+from .encodings import SORTED_LIST, AMP_THRESHOLD, EncodedState, validate
+from .errors import BadConstant, BadParam, DisciplineMismatch, MalformedComponent, NoSlack
 
 N_WORK_ANCILLAS = 3  # bubble predicate needs (equal, greater, flag)
 
@@ -104,21 +102,22 @@ def majorana_circuit(layout, mu: int) -> ScaledCircuit:
 
 
 @functools.lru_cache(maxsize=64)
-def _majorana_program(layout, mu: int) -> tuple[Program, complex]:
-    """majorana_circuit compiled, with its scalar."""
-    g = majorana_circuit(layout, mu)
-    return compile_circuit(g.circuit), g.scalar
+def _majorana_program(layout, mu: int) -> Program:
+    """majorana_circuit compiled; its scalar is not kept."""
+    return compile_circuit(majorana_circuit(layout, mu).circuit)
 
 
 def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     """a_p (kind='annihilate') or a_p^dag (kind='create') on a sorted-list
-    state, as the half sum/difference of the two Majorana branches.
+    state: the Majorana branch gamma_{2p-1} on the components kept.
 
-    The output is not renormalized: annihilating an empty orbital or
-    creating an occupied one yields amplitude 0 on that component. Inputs
-    where orbital p is absent and no sentinel register remains cannot be
-    toggled reversibly and raise NoSlack (the circuit would silently fix
-    such components, for either kind).
+    The projection keeps components without p (create) or with it
+    (annihilate), as a_p^dag = gamma_{2p-1} [n_p = 0] and a_p =
+    gamma_{2p-1} [n_p = 1]; the output is not renormalized. That identity
+    needs n_p in {0, 1}, so the input is validated (MalformedComponent).
+    Inputs where orbital p is absent and no sentinel register remains
+    cannot be toggled reversibly and raise NoSlack (the circuit would
+    silently fix such components, for either kind).
     """
     if enc.discipline != SORTED_LIST:
         raise DisciplineMismatch("ladder circuits act on sorted-list states")
@@ -127,10 +126,11 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     if not 1 <= p <= enc.M:
         raise BadConstant(f"orbital {p} not in 1..{enc.M}")
     layout = enc.layout
-    keys = enc.keys[np.abs(enc.amps) > AMP_THRESHOLD]
-    values = layout.decode(keys)
+    values = layout.decode(enc.keys)
+    held = np.any(values == p, axis=1)
     # every register occupied and none holding p: no slack to toggle p into
-    bad = keys[np.all(values != layout.sentinel, axis=1) & np.all(values != p, axis=1)]
+    bad = enc.keys[(np.abs(enc.amps) > AMP_THRESHOLD) & ~held
+                   & np.all(values != layout.sentinel, axis=1)]
     if len(bad):
         raise NoSlack(
             f"{len(bad)} components have all {layout.n_reg} registers "
@@ -145,23 +145,12 @@ def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:
     dirty = ((enc.keys >> np.int64(reg_bits)) & np.int64((1 << N_WORK_ANCILLAS) - 1)) != 0
     if np.linalg.norm(enc.amps[dirty]) > AMP_THRESHOLD:
         raise BadParam("the first three ancillas are work space and must start clear")
-    odd, odd_scalar = _majorana_program(work, 2 * p - 1)
-    even, even_scalar = _majorana_program(work, 2 * p)
-    i1, a1 = sparse_action(odd, enc.keys, enc.amps)
-    i2, a2 = sparse_action(even, enc.keys, enc.amps)
-    # a_p^dag = (g1 - i g2)/2, a_p = (g1 + i g2)/2; the scalar i already
-    # lives inside the even branch, so these reduce to half sum/difference.
-    sign = -1j if kind == "create" else 1j
-    keys, inverse = np.unique(np.concatenate([i1, i2]), return_inverse=True)
-    out = np.zeros(len(keys), dtype=complex)
-    np.add.at(out, inverse, np.concatenate(
-        [0.5 * odd_scalar * a1, 0.5 * sign * even_scalar * a2]
-    ))
+    validate(enc).require(MalformedComponent, "{count} bad components; first: {first}")
+    keep = held == (kind == "annihilate")
+    keys, out = sparse_action(_majorana_program(work, 2 * p - 1), enc.keys[keep], enc.amps[keep])
     inside = keys < (1 << layout.total_qubits)
     spill = np.linalg.norm(out[~inside])
     if spill > 1e-10:
         raise BadParam(f"work ancillas kept amplitude {spill:.2e}")
-    n = None
-    if enc.N is not None:
-        n = enc.N + 1 if kind == "create" else enc.N - 1
+    n = None if enc.N is None else enc.N + (1 if kind == "create" else -1)
     return EncodedState.from_components(keys[inside], out[inside], SORTED_LIST, layout, n)

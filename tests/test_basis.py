@@ -144,6 +144,20 @@ def test_transform_validation():
         BasisMatrix(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_unitary_is_refused(bad):
+    U = dft_matrix(3).copy()
+    U[1, 2] = bad
+    with pytest.raises(NotUnitary, match="non-finite"):
+        BasisMatrix(U)
+    with pytest.raises(NotUnitary, match="non-finite"):
+        apply_register_transform(_fq(3, (1, 2)), U)
+    space = FockSpace(3)
+    psi = first_quantized_to_fock(_fq(3, (1, 2)))
+    with pytest.raises(NotUnitary, match="non-finite"):
+        rotate_determinants(psi, U, space)
+
+
 def test_isometry_completion():
     table = np.array([[1, 1, 0, 0], [0, 0, 1, 1]]) / np.sqrt(2)
     bm = mo_to_pw_matrix(table)

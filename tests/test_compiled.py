@@ -61,7 +61,7 @@ def test_program_runs_like_its_circuit():
 
 
 def test_cached_program_is_frozen():
-    prog, _ = _majorana_program(build_layout(4, 2, N_WORK_ANCILLAS), 3)
+    prog = _majorana_program(build_layout(4, 2, N_WORK_ANCILLAS), 3)
     seed, unsort, _ = _sl2fq_programs(6, 3)
     for p in (prog, seed, unsort):
         assert isinstance(p, Program)

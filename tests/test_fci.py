@@ -248,6 +248,16 @@ def test_toy_hamiltonian_file_round_trip():
             read_toy_hamiltonian(text, M)
 
 
+def test_toy_hamiltonian_refuses_repeated_coefficients():
+    # the second line is named, never silently kept
+    for text, second in (
+        ("H1 1 1 1.0 0.0\nH1 1 1 2.0 0.0\n", "H1 1 1 2.0 0.0"),
+        ("H2 1 2 2 1 0.5 0.0\nH1 1 2 0.0 0.0\nH2 1 2 2 1 0.5 0.0\n", "H2 1 2 2 1 0.5 0.0"),
+    ):
+        with pytest.raises(BadParam, match=f"listed twice: {second!r}"):
+            read_toy_hamiltonian(text)
+
+
 def test_two_body_convention_against_ladder_products():
     M = 3
     space = FockSpace(M)

@@ -17,11 +17,13 @@ from fermiconv import (
     sorted_list_to_fock,
 )
 from fermiconv.circuits import basis_action
-from fermiconv.encodings import with_ancillas
+from fermiconv.encodings import AMP_THRESHOLD, SORTED_LIST, with_ancillas
 from fermiconv.errors import (
     BadConstant,
     BadParam,
     DisciplineMismatch,
+    FermiconvError,
+    MalformedComponent,
     NoSlack,
 )
 from fermiconv.fci import ladder_matrix
@@ -30,6 +32,7 @@ from fermiconv.majorana import (
     bit_flip_circuit,
     sgn_rank_circuit,
 )
+from ladder_reference import apply_ladder as two_branch_ladder
 
 
 def _enc(M, indices, n_reg, n_anc=0):
@@ -231,3 +234,84 @@ def test_ladder_rejects_wrong_discipline_and_dirty_ancillas():
         apply_ladder(_enc(3, (1,), 2), 1, "make")
     with pytest.raises(BadConstant):
         apply_ladder(_enc(3, (1,), 2), 4, "create")
+
+
+def _outcome(ladder, enc, p, kind):
+    try:
+        return ladder(enc, p, kind)
+    except FermiconvError as exc:
+        return type(exc), str(exc)
+
+
+def _random_sorted_list(rng, M, n_reg, n_anc):
+    """A valid sorted list with clear ancillas: some components below
+    AMP_THRESHOLD, some amplitudes with an exact-zero real or imaginary part."""
+    layout = build_layout(M, n_reg, n_anc)
+    k = int(rng.integers(1, 9))
+    dets = set()
+    for _ in range(k):
+        n = int(rng.integers(0, min(n_reg, M) + 1))
+        dets.add(tuple(sorted(rng.choice(np.arange(1, M + 1), size=n, replace=False).tolist())))
+    keys = [layout.basis_index(d + (layout.sentinel,) * (n_reg - len(d))) for d in dets]
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    for i, pick in enumerate(rng.integers(0, 5, size=len(keys))):
+        if pick == 1:
+            amps[i] = amps[i].real
+        elif pick == 2:
+            amps[i] = complex(-0.0, amps[i].imag)
+        elif pick == 3:
+            amps[i] *= 0.1 * AMP_THRESHOLD
+    return EncodedState.from_components(keys, amps, SORTED_LIST, layout)
+
+
+@pytest.mark.parametrize(
+    "M,n_reg", [(4, 6), (6, 4), (8, 4)] + [(M, r) for M in range(2, 9) for r in (1, 3, 5)]
+)
+def test_ladder_matches_two_branch_reference(M, n_reg):
+    rng = np.random.default_rng(100 * M + n_reg)
+    for n_anc in (0, 3, 4):
+        for _ in range(3):
+            enc = _random_sorted_list(rng, M, n_reg, n_anc)
+            for p in range(1, M + 1):
+                for kind in ("create", "annihilate"):
+                    got = _outcome(apply_ladder, enc, p, kind)
+                    want = _outcome(two_branch_ladder, enc, p, kind)
+                    if isinstance(want, tuple):
+                        assert got == want
+                        continue
+                    np.testing.assert_array_equal(got.keys, want.keys)
+                    assert np.array_equal(got.amps, want.amps)  # == : -0.0 equals 0.0
+                    assert (got.N, got.layout) == (want.N, want.layout)
+
+
+def test_ladder_refuses_like_two_branch_reference():
+    full = _enc(3, (2,), 1)
+    lay = build_layout(3, 2, N_WORK_ANCILLAS)
+    dirty = EncodedState.from_components(
+        [lay.basis_index((1, lay.sentinel), anc=1)], [1.0], SORTED_LIST, lay, 1
+    )
+    cases = [
+        (full, 1, "create", NoSlack),
+        (full, 3, "annihilate", NoSlack),
+        (dirty, 2, "create", BadParam),
+        (_enc(3, (1,), 2), 1, "make", BadParam),
+        (_enc(3, (1,), 2), 4, "create", BadConstant),
+        (_enc(3, (1,), 2), 0, "annihilate", BadConstant),
+    ]
+    for enc, p, kind, error in cases:
+        got = _outcome(apply_ladder, enc, p, kind)
+        assert got == _outcome(two_branch_ladder, enc, p, kind)
+        assert got[0] is error
+
+
+@pytest.mark.parametrize("values,p,kind", [
+    ((2, 1), 3, "create"),  # descending: the reference returns (2, 1, 3)
+    ((3, 3), 3, "annihilate"),  # repeated p: the reference returns nothing
+    ((0, 2), 1, "create"),  # value 0: the reference returns nothing
+])
+def test_ladder_refuses_malformed_sorted_lists(values, p, kind):
+    layout = build_layout(4, 3)
+    key = layout.basis_index(values + (layout.sentinel,))
+    enc = EncodedState.from_components([key], [1.0], SORTED_LIST, layout, 2)
+    with pytest.raises(MalformedComponent):
+        apply_ladder(enc, p, kind)
