@@ -1,4 +1,4 @@
-"""Dense Fock-space oracle: ladder matrices, k-RDMs, determinant rotations,
+"""Dense Fock-space oracle: ladder actions, k-RDMs, determinant rotations,
 toy Hamiltonians, and ionization/attachment overlap tables.
 
 This module is deliberately a different algorithm family from the circuit
@@ -18,10 +18,22 @@ parity(a ^ b), and returns only the entries the string keeps: a dead string
 costs no array work and a live one a handful of array operations on its
 kept masks. It takes an array of orbitals per operator slot, so the
 Hamiltonian and the k-RDM tensor apply a batch of strings in one call.
+
+What a string keeps depends only on (M, string), so ``k_rdm`` reads it from
+a table built once per string (the string-driven replacement lists of Olsen
+et al., J. Chem. Phys. 89, 2185 (1988)). The table is keyed on (M, ps, qs),
+orbitals normalised by ``operator.index``, and holds read-only arrays. It
+only grows: past KEPT_CAP entries (8 MiB) it stores nothing more and
+computes each new string afresh. It never evicts, since a sweep cycling
+through more strings than a bounded LRU holds would miss on every call. A
+refusal is never stored, so every check runs on every call.
+``rotate_determinants`` stacks its determinants over a chunk of target
+sets, each stack at most DET_STACK_CAP matrix entries (128 KiB).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -38,6 +50,9 @@ from .errors import (
 
 FOCK_CAP = 12  # dense 4096-dim cap
 RDM_ENTRY_CAP = 1 << 20  # entries of a k-RDM tensor, and of its annihilation batch
+KEPT_CAP = 1 << 18  # entries k_rdm's string table holds, 32 B each: 8 MiB
+DET_STACK_CAP = 1 << 13  # complex matrix entries of one stacked det call: 128 KiB
+_STRING_COST = 48  # entries charged per stored string for its key and headers (1.5 KiB)
 _NO_MASKS, _NO_SIGNS = np.empty(0, dtype=np.int64), np.empty(0)  # what a dead string keeps
 
 
@@ -65,6 +80,15 @@ def _parity_signs(M: int, odd: int = 0) -> np.ndarray:
     table = 1.0 - 2.0 * ((_popcounts(M) + odd) & 1)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def _sector_sets(M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ascending n-subsets of range(M), in lexicographic order, and their masks."""
+    sets = np.array(list(combinations(range(M), n)))
+    keys = (1 << sets).sum(axis=1)
+    sets.flags.writeable = keys.flags.writeable = False
+    return sets, keys
 
 
 @dataclass(frozen=True)
@@ -145,37 +169,16 @@ def _string_action(space: FockSpace, ops, masks: np.ndarray):
 
 def apply_ladder_fock(vec: np.ndarray, p: int, kind: str, space: FockSpace) -> np.ndarray:
     """a_p or a_p^dag applied to a Fock vector, O(2^M), no matrix built."""
+    vec = np.asarray(vec)
+    _check_state(vec, space, normalized=False)
     (x,), out, sign = _string_action(space, ((kind, p),), space.masks())
     res = np.zeros_like(vec, dtype=complex)
     res[out] = sign * vec[x]
     return res
 
 
-def ladder_matrix(p: int, kind: str, space: FockSpace) -> np.ndarray:
-    """Dense ladder matrix with Jordan-Wigner signs; a_p^dag = a_p^T here
-    because all entries are real."""
-    (x,), out, sign = _string_action(space, ((kind, p),), space.masks())
-    mat = np.zeros((space.dim, space.dim))
-    mat[out, x] = sign
-    return mat
-
-
 def vacuum(space: FockSpace) -> np.ndarray:
     return creation_string(space, ())
-
-
-def determinant_vector(space: FockSpace, indices) -> np.ndarray:
-    """Basis vector of the determinant with the given (distinct) orbitals,
-    i.e. the ascending creation string applied to the vacuum (plus sign)."""
-    mask = 0
-    for p in indices:
-        space.check_orbital(p)
-        if mask & (1 << (p - 1)):
-            raise BadParam(f"orbital {p} repeated")
-        mask |= 1 << (p - 1)
-    v = np.zeros(space.dim, dtype=complex)
-    v[mask] = 1.0
-    return v
 
 
 def creation_string(space: FockSpace, indices) -> np.ndarray:
@@ -190,9 +193,44 @@ def creation_string(space: FockSpace, indices) -> np.ndarray:
     return v
 
 
-def _check_normalized(state: np.ndarray) -> None:
-    if not abs(np.vdot(state, state).real ** 0.5 - 1.0) <= 1e-8:  # NaN and inf fail too
+def _check_state(state: np.ndarray, space: FockSpace, normalized: bool = True) -> None:
+    if state.shape != (space.dim,):
+        raise BadParam(f"state must have length 2^{space.M} = {space.dim}, "
+                       f"not shape {state.shape}")
+    if normalized and not abs(np.vdot(state, state).real ** 0.5 - 1.0) <= 1e-8:  # NaN, inf too
         raise BadParam("state must be normalized")
+
+
+class _StringTable(dict):
+    """(M, ps, qs) -> the read-only (x, out, sign) that k_rdm's string keeps;
+    ``held`` counts the entries charged to it, at most KEPT_CAP."""
+
+    held = 0
+
+
+_kept = _StringTable()
+
+
+def _kept_entries(space: FockSpace, ps: tuple, qs: tuple):
+    """(x, out, sign) the string a_{p1}^dag ... a_{pk}^dag a_{qk} ... a_{q1}
+    keeps over every mask, from the table, or computed and, while the table
+    has room, stored read-only. A string charges its kept entries plus
+    _STRING_COST; a refusal raises before anything is stored."""
+    key = (space.M, ps, qs)
+    entry = _kept.get(key)
+    if entry is None:
+        # a_{q1} is rightmost: it acts first
+        ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
+        (x,), out, sign = _string_action(space, ops, space.masks())
+        # complex signs spare k_rdm a cast per call; the products are the same
+        entry = x, out, sign.astype(complex)
+        cost = len(x) + _STRING_COST
+        if _kept.held + cost <= KEPT_CAP:
+            for a in entry:
+                a.flags.writeable = False
+            _kept[key] = entry
+            _kept.held += cost
+    return entry
 
 
 def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
@@ -200,16 +238,23 @@ def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:
 
     The sum over masks x of conj(state[out(x)]) * sign(x) * state[x] for the
     masks x the string keeps, in increasing x order; no image is scattered.
+    The kept (x, out, sign) come from the module's string table, keyed on
+    (M, ps, qs) with orbitals normalised by ``operator.index`` (1, True and
+    np.int64(1) share an entry; a float is a TypeError). It holds read-only
+    arrays and only grows: past KEPT_CAP entries (8 MiB) it computes each
+    new string afresh and stores nothing, never evicting, so a sweep over
+    more strings than it holds still hits on the ones it kept. The length,
+    state and orbital checks run on every call, and refusals are not stored.
     """
     ps = tuple(ps)
     qs = tuple(qs)
     if len(ps) != len(qs):
         raise BadParam("p and q index lists must have equal length")
     state = np.asarray(state)
-    _check_normalized(state)
-    # a_{q1} is rightmost: it acts first
-    ops = [("annihilate", q) for q in qs] + [("create", p) for p in reversed(ps)]
-    (x,), out, sign = _string_action(space, ops, space.masks())
+    _check_state(state, space)
+    x, out, sign = _kept_entries(
+        space, tuple(map(operator.index, ps)), tuple(map(operator.index, qs))
+    )
     return complex(np.vdot(state[out], sign * state[x])) if len(x) else 0j
 
 
@@ -230,8 +275,8 @@ def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
     entries = max(M ** (2 * k), M ** k << M)
     if entries > RDM_ENTRY_CAP:
         raise CapExceeded(f"{k}-RDM at M={M} needs {entries} entries > cap {RDM_ENTRY_CAP}")
-    _check_normalized(state)
     state = np.asarray(state)
+    _check_state(state, space)
     bra = np.conj(state)
     qs = np.indices((M,) * k).reshape(k, -1) + 1
     nz = np.flatnonzero(state)
@@ -253,7 +298,11 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
 
     Each N-particle sector transforms by the N-th compound matrix of U:
     |S> -> sum_T det(U[T, S]) |T> over ascending index sets. The vacuum
-    sector is invariant.
+    sector is invariant. One np.linalg.det call stacks U[T, S] over a chunk
+    of target sets T and the sector's nonzero source sets S; a chunk takes
+    DET_STACK_CAP // (len(S) * N^2) target sets, at least one, so a stack
+    holds at most DET_STACK_CAP entries (128 KiB), or one target's matrices
+    where those alone exceed it.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (space.M, space.M):
@@ -263,19 +312,22 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
     if np.linalg.norm(U.conj().T @ U - np.eye(space.M), ord=2) > 1e-10:
         raise NotUnitary("single-particle matrix fails unitarity at 1e-10")
     state = np.asarray(state, dtype=complex)
+    _check_state(state, space, normalized=False)
     out = np.zeros_like(state)
     out[0] = state[0]
     for n in range(1, space.M + 1):
-        sets = np.array(list(combinations(range(space.M), n)))
-        keys = (1 << sets).sum(axis=1)
+        sets, keys = _sector_sets(space.M, n)
         amps = state[keys]
         src = amps != 0
         S, c = sets[src], amps[src]
         if not len(c):
             continue
-        for T, key in zip(sets, keys):
-            # det(U[T, S]) stacked over the nonzero source sets S
-            out[key] = np.linalg.det(U[T[:, None], S[:, None, :]]) @ c
+        rows = max(1, DET_STACK_CAP // (len(S) * n * n))
+        for lo in range(0, len(sets), rows):
+            # U[T][:, :, S][t, i, s, j] = U[T[t, i], S[s, j]]: one matrix per
+            # (target, source) pair, freed once its determinant is taken
+            dets = np.linalg.det(U[sets[lo : lo + rows]][:, :, S].swapaxes(1, 2))
+            out[keys[lo : lo + rows]] = dets @ c
     return out
 
 

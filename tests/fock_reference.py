@@ -7,7 +7,8 @@ mask, ``k_rdm`` scatters the string's image of the state into a fresh vector
 and takes its inner product with the state, ``dense_matrix`` applies one
 operator string per nonzero coefficient to every mask, in (p, q[, r, s])
 order, and ``rotate_determinants`` takes one determinant per (target,
-source) pair of index sets.
+source) pair of index sets. ``ladder_matrix`` and ``determinant_vector``
+build the dense ladder matrices and basis vectors the tests compare against.
 """
 
 from itertools import combinations
@@ -41,6 +42,30 @@ def string_action(space: FockSpace, ops, masks: np.ndarray):
         sign = sign * parity[out & (bit - 1)]
         out = out ^ bit
     return ok, out, sign
+
+
+def ladder_matrix(p: int, kind: str, space: FockSpace) -> np.ndarray:
+    """Dense ladder matrix with Jordan-Wigner signs; a_p^dag = a_p^T here
+    because all entries are real."""
+    masks = space.masks()
+    ok, out, sign = string_action(space, ((kind, p),), masks)
+    mat = np.zeros((space.dim, space.dim))
+    mat[out[ok], masks[ok]] = sign[ok]
+    return mat
+
+
+def determinant_vector(space: FockSpace, indices) -> np.ndarray:
+    """Basis vector of the determinant with the given (distinct) orbitals,
+    i.e. the ascending creation string applied to the vacuum (plus sign)."""
+    mask = 0
+    for p in indices:
+        space.check_orbital(p)
+        if mask & (1 << (p - 1)):
+            raise BadParam(f"orbital {p} repeated")
+        mask |= 1 << (p - 1)
+    v = np.zeros(space.dim, dtype=complex)
+    v[mask] = 1.0
+    return v
 
 
 def k_rdm(state: np.ndarray, ps, qs, space: FockSpace) -> complex:

@@ -39,13 +39,13 @@ from fermiconv.encodings import (
 from fermiconv.fci import (
     creation_string,
     ionization_attachment_probabilities,
-    ladder_matrix,
     random_toy_hamiltonian,
     rotate_determinants,
     sector_eigensystem,
 )
 from fermiconv.majorana import N_WORK_ANCILLAS, majorana_circuit
 from fermiconv.report import MODEL_SORT, conversion_count_grid, fit_scaling
+from fock_reference import ladder_matrix
 
 FID_FLOOR = 1.0 - 1e-9
 

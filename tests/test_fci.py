@@ -8,6 +8,7 @@ from pathlib import Path
 import fock_reference as ref
 import numpy as np
 import pytest
+from fock_reference import determinant_vector, ladder_matrix
 
 from fermiconv import FockSpace, ToyHamiltonian, fci, k_rdm, one_rdm
 from fermiconv.errors import (
@@ -20,10 +21,8 @@ from fermiconv.errors import (
 )
 from fermiconv.fci import (
     creation_string,
-    determinant_vector,
     ionization_attachment_probabilities,
     k_rdm_tensor,
-    ladder_matrix,
     random_toy_hamiltonian,
     read_toy_hamiltonian,
     rotate_determinants,
@@ -438,19 +437,19 @@ def test_folded_kernel_refusals_match_reference():
             _assert_same_action(space, ops, space.masks())
 
 
-@pytest.mark.parametrize("M", (4, 6, 8))
-def test_k_rdm_matches_scatter_reference(M):
+def _check_k_rdm_against_scatter(M):
     rng = np.random.default_rng(400 + M)
     space = FockSpace(M)
     psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     psi /= np.linalg.norm(psi)
-    for k in (1, 2):
-        for orbs in itertools.product(range(1, M + 1), repeat=2 * k):
-            ps, qs = orbs[:k], orbs[k:]
-            got = k_rdm(psi, ps, qs, space)
-            assert abs(got - ref.k_rdm(psi, ps, qs, space)) <= 1e-15
-            if len(set(ps)) < k or len(set(qs)) < k:
-                assert got == 0
+    for _ in range(2):  # the second sweep reads every string the first one stored
+        for k in (1, 2):
+            for orbs in itertools.product(range(1, M + 1), repeat=2 * k):
+                ps, qs = orbs[:k], orbs[k:]
+                got = k_rdm(psi, ps, qs, space)
+                assert abs(got - ref.k_rdm(psi, ps, qs, space)) <= 1e-15
+                if len(set(ps)) < k or len(set(qs)) < k:
+                    assert got == 0
     for ps, qs, state in (
         ((1, 2), (1,), psi),
         ((1,), (1,), 2 * psi),
@@ -460,6 +459,101 @@ def test_k_rdm_matches_scatter_reference(M):
         got = _outcome(k_rdm, state, ps, qs, space)
         assert got[0] in (BadParam, IndexOutOfRange)
         assert got == _outcome(ref.k_rdm, state, ps, qs, space)
+
+
+@pytest.mark.parametrize("M", (4, 6, 8))
+def test_k_rdm_matches_scatter_reference(M):
+    _check_k_rdm_against_scatter(M)
+
+
+@pytest.mark.parametrize("M", (4, 6, 8))
+def test_k_rdm_without_string_table_matches_scatter_reference(M, monkeypatch):
+    # a table with no room computes every string afresh and stores none
+    monkeypatch.setattr(fci, "_kept", fci._StringTable())
+    monkeypatch.setattr(fci, "KEPT_CAP", 0)
+    _check_k_rdm_against_scatter(M)
+    assert fci._kept == {}
+
+
+def _random_state(rng, space):
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return psi / np.linalg.norm(psi)
+
+
+def test_string_table_refuses_warm_calls_as_cold_ones(monkeypatch):
+    monkeypatch.setattr(fci, "_kept", fci._StringTable())
+    space = FockSpace(4)
+    psi = _random_state(np.random.default_rng(11), space)
+    bad_calls = [
+        (psi, (5,), (1,)),
+        (psi, (1, 2), (0, 1)),
+        (psi, (-1,), (2,)),
+        (psi, (1, 2), (1,)),
+        (psi, (1, 2), (2, 3, 4)),
+        (2 * psi, (1,), (1,)),
+        (2 * psi, (1, 2), (2, 3)),
+        (psi[:8], (1, 2), (2, 3)),
+        (np.append(psi, 0), (1,), (1,)),
+    ]
+    cold = [_outcome(k_rdm, *call[:3], space) for call in bad_calls]
+    for ps in ((2.0,), (np.float64(1),)):
+        with pytest.raises(TypeError):
+            k_rdm(psi, ps, (1,), space)
+    # every valid 1- and 2-body string stored, then the same calls again
+    for k in (1, 2):
+        for orbs in itertools.product(range(1, 5), repeat=2 * k):
+            k_rdm(psi, orbs[:k], orbs[k:], space)
+    assert len(fci._kept) == 4**2 + 4**4
+    assert (4, (1, 2), (2, 3)) in fci._kept and (4, (1,), (1,)) in fci._kept
+    warm = [_outcome(k_rdm, *call[:3], space) for call in bad_calls]
+    assert warm == cold
+    assert [w[0] for w in warm] == [IndexOutOfRange] * 3 + [BadParam] * 6
+    for ps in ((2.0,), (np.float64(1),)):
+        with pytest.raises(TypeError):
+            k_rdm(psi, ps, (1,), space)
+    # refusals are never stored
+    assert len(fci._kept) == 4**2 + 4**4
+
+
+def test_integer_like_orbitals_share_one_table_entry(monkeypatch):
+    monkeypatch.setattr(fci, "_kept", fci._StringTable())
+    space = FockSpace(4)
+    psi = _random_state(np.random.default_rng(12), space)
+    want = k_rdm(psi, (2, 1), (1, 2), space)
+    for ps, qs in (
+        ((np.int64(2), True), (1, np.int64(2))),
+        ((2, np.int32(1)), (True, 2)),
+        ([np.int64(2), 1], np.array([1, 2])),
+    ):
+        got = k_rdm(psi, ps, qs, space)
+        assert type(got) is complex and got == want
+    (key,) = fci._kept
+    assert key == (4, (2, 1), (1, 2)) and all(type(p) is int for p in key[1] + key[2])
+    assert abs(want - ref.k_rdm(psi, (2, 1), (1, 2), space)) <= 1e-15
+
+
+def test_oracle_refuses_states_of_the_wrong_shape():
+    space = FockSpace(3)
+    U = np.eye(3)
+    calls = (
+        lambda s: k_rdm(s, (1,), (1,), space),
+        lambda s: k_rdm(s, (1, 1), (2, 3), space),  # a dead string reads no amplitude
+        lambda s: k_rdm_tensor(s, 1, space),
+        lambda s: fci.apply_ladder_fock(s, 1, "create", space),
+        lambda s: rotate_determinants(s, U, space),
+    )
+    for n in (4, 10):
+        short_or_long = np.full(n, 1 / np.sqrt(n), dtype=complex)
+        for call in calls:
+            with pytest.raises(BadParam, match=rf"length 2\^3 = 8, not shape \({n},\)"):
+                call(short_or_long)
+    flat = np.full(8, 1 / np.sqrt(8), dtype=complex)
+    for shape in ((8, 1), (1, 8), (2, 4)):
+        for call in calls:
+            with pytest.raises(BadParam, match=r"length 2\^3 = 8"):
+                call(flat.reshape(shape))
+    for call in calls:  # the right length still passes
+        call(flat)
 
 
 def test_k_rdm_tensor_matches_per_entry_k_rdm():
@@ -527,7 +621,8 @@ def test_oracle_imports_no_circuit_code():
             assert root == "numpy" or root in sys.stdlib_module_names, root
 
 
-def test_masks_are_one_cached_read_only_table():
+def test_masks_are_one_cached_read_only_table(monkeypatch):
+    monkeypatch.setattr(fci, "_kept", fci._StringTable())
     space = FockSpace(4)
     masks = space.masks()
     assert masks is FockSpace(4).masks()
@@ -547,3 +642,11 @@ def test_masks_are_one_cached_read_only_table():
     rotate_determinants(psi, U, space)
     ionization_attachment_probabilities(H, 2, 2)
     assert masks.tolist() == list(range(16))
+    # k_rdm's string table and the rotation's index sets are read-only too
+    x, out, sign = fci._kept[(4, (1, 2), (2, 3))]
+    assert len(x)  # a live string
+    for entry in fci._kept.values():
+        assert not any(a.flags.writeable for a in entry)
+    for a in (x, out, sign, *fci._sector_sets(4, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0

@@ -26,12 +26,12 @@ from fermiconv.errors import (
     MalformedComponent,
     NoSlack,
 )
-from fermiconv.fci import ladder_matrix
 from fermiconv.majorana import (
     N_WORK_ANCILLAS,
     bit_flip_circuit,
     sgn_rank_circuit,
 )
+from fock_reference import ladder_matrix
 from ladder_reference import apply_ladder as two_branch_ladder
 
 

@@ -310,3 +310,36 @@ def test_k_rdm_tensor_peak():
     psi = rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10)
     psi /= np.linalg.norm(psi)
     assert _peak_mib(lambda: fci.k_rdm_tensor(psi, 2, fci.FockSpace(10))) < 3
+
+
+def test_rotation_peak_every_sector():
+    # every M=8 sector occupied: a chunk takes DET_STACK_CAP // (len(S) N^2)
+    # targets, so a stack holds at most 8192 entries (128 KiB; 0.16 MiB peak
+    # in all). A chunk sized without len(S) would stack all 70 x 70 matrices
+    # of the N=4 sector at once (1.25 MiB)
+    rng = np.random.default_rng(4)
+    space = fci.FockSpace(8)
+    U, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi /= np.linalg.norm(psi)
+    assert _peak_mib(lambda: fci.rotate_determinants(psi, U, space)) <= 0.25
+
+
+def test_k_rdm_string_table_holds_its_budget(monkeypatch):
+    # 4,356 M=12 2-body strings keep about 256 entries each, more than the
+    # table's KEPT_CAP: it fills to its budget of 32 B an entry (8 MiB),
+    # then computes the remaining strings without storing them
+    space = fci.FockSpace(12)
+    psi = fci.vacuum(space)
+    fci.k_rdm(psi, (1,), (1,), space)  # warm: the mask and parity tables
+    monkeypatch.setattr(fci, "_kept", fci._StringTable())
+    pairs = list(itertools.combinations(range(1, 13), 2))
+    tracemalloc.start()
+    try:
+        for ps, qs in itertools.product(pairs, repeat=2):
+            fci.k_rdm(psi, ps, qs, space)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fci.KEPT_CAP - fci._kept.held < 512 and len(fci._kept) < len(pairs) ** 2
+    assert held <= 32 * fci.KEPT_CAP
