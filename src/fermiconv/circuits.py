@@ -110,11 +110,12 @@ class RegisterLayout:
     def basis_index(self, values: tuple[int, ...], anc: int = 0) -> int:
         if len(values) != self.n_reg:
             raise BadParam("value tuple length != n_reg")
-        idx = anc << (self.n_reg * self.b)
+        b, top = self.b, self.sentinel  # read once, not once per value
+        idx = anc << (self.n_reg * b)
         for i, v in enumerate(values):
-            if not 0 <= v <= self.sentinel:
-                raise BadParam(f"value {v} does not fit in {self.b} bits")
-            idx |= v << (i * self.b)
+            if not 0 <= v <= top:
+                raise BadParam(f"value {v} does not fit in {b} bits")
+            idx |= v << (i * b)
         return idx
 
 

@@ -87,6 +87,21 @@ def _occ_list(text: str):
         raise argparse.ArgumentTypeError(f"bad occupation list {text!r}")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; argparse names the flag on error."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value {text!r}")
+        if v < low:
+            raise argparse.ArgumentTypeError(f"{v} < {low}")
+        return v
+
+    return parse
+
+
 def _grid_arg(text: str):
     if text == "default":
         return (2, 4, 8), (8, 16, 32, 64)
@@ -317,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra-registers", type=int, default=0,
                    help="extra sentinel registers for fq2sl")
     p.add_argument("--N", type=int, help="electron count for sl2fq")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed for the sl2fq measurement draws")
-    p.add_argument("--retry-budget", type=int,
+    p.add_argument("--retry-budget", type=_int_at_least(1),
                    help="sl2fq attempts (default: fails with probability <= 1e-9)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the dense oracle")

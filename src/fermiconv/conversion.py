@@ -7,11 +7,13 @@ register provably factorizes (outcomes depend only on the ordering
 permutation, and the per-branch phase cancels the permutation sign).
 
 Sorted-list-to-antisymmetric seeds the permutation the other way round: a
-seed stage, traced once from |0> on N seed registers alone, sorts a uniform
-superposition without phases to mint one record pattern per permutation,
-a projective measurement discards colliding seeds, the records (x) system
-drive the inverse network (one Z per record supplies the sign), and each
-record is erased right after its comparator is undone, by recomputing it.
+seed stage on N seed registers alone sorts a uniform superposition without
+phases to mint one record pattern per permutation, a projective measurement
+discards colliding seeds (the stage is traced from |0> once per (M, N) and
+process, and only its success probability and record factor are kept),
+the records (x) system drive the inverse network (one Z per record supplies
+the sign), and each record is erased right after its comparator is undone,
+by recomputing it.
 
 Every stage is permutation plus phase (the seed's H layer aside, which the
 tracer branches), so all of them run on component lists through
@@ -164,11 +166,33 @@ def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
 
 
 @functools.lru_cache(maxsize=32)
-def _sl2fq_programs(M: int, N: int) -> tuple[Program, Program, GateCount]:
-    """(seed stage, unsort, their summed count), compiled."""
+def _sl2fq_programs(
+    M: int, N: int
+) -> tuple[tuple[float, np.ndarray, np.ndarray], Program, GateCount]:
+    """((p_success, rec_keys, rec), unsort, summed count) for N >= 2.
+
+    The seed stage never touches the system, so its trace from |0> is kept
+    only as what the unsort needs: the collision-free probability and the
+    record factor left after the seed values are split off (read-only). The
+    caller holds the seed's branching to BRANCH_CAP before the first call.
+    """
     seed_stage, unsort = _sl2fq_circuits(M, N)
+    sys_bits = N * unsort.layout.b
+    T = unsort.layout.n_anc
+    oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
+    keep = (oi >> np.int64(sys_bits + T)) == 0  # no collision flag raised
+    p_success = float(np.sum(np.abs(oa[keep]) ** 2))
+    # the seed factorizes as (uniform over distinct sorted values) x records,
+    # because record patterns depend only on the seeding permutation, never
+    # on which distinct values were drawn
+    ki = oi[keep]
+    _, _, rec_keys, rec = _rank_one_split(
+        ki & np.int64((1 << sys_bits) - 1), ki >> np.int64(sys_bits), oa[keep]
+    )
+    rec_keys.setflags(write=False)
+    rec.setflags(write=False)
     gc = count_gates(seed_stage) + count_gates(unsort)
-    return compile_circuit(seed_stage), compile_circuit(unsort), gc
+    return (p_success, rec_keys, rec), compile_circuit(unsort), gc
 
 
 def first_to_second(
@@ -235,12 +259,13 @@ def second_to_first(
 ) -> tuple[EncodedState, ConversionReport]:
     """Sorted list with a fixed electron count -> antisymmetric N registers.
 
-    Pipeline: slice off the all-sentinel tail; trace the seed stage (H on N
-    seed registers, phase-free recorded sort, collision flags) once from |0>;
+    Pipeline: slice off the all-sentinel tail; take the seed stage (H on N
+    seed registers, phase-free recorded sort, collision flags), traced from
+    |0> once per (M, N) and process, with the seed already split off;
     measure away seed collisions (success probability prod_k (1 - k/2^b),
-    retried up to retry_budget times; by default the smallest budget, and at
-    least 16, that runs out with probability <= 1e-9); split off the seed;
-    drive the inverse network over records (x) system, one Z per record.
+    retried up to retry_budget >= 1 times; by default the smallest budget,
+    and at least 16, that runs out with probability <= 1e-9); drive the
+    inverse network over records (x) system, one Z per record.
     Once comparator t is undone the system orders like the seed did before
     comparator t, so recomputing comparison t right there erases its record.
     """
@@ -248,6 +273,8 @@ def second_to_first(
         raise BadParam("input must be a sorted list")
     if enc.layout.n_anc:
         raise BadParam("input must not carry ancillas")
+    if retry_budget is not None and retry_budget < 1:
+        raise BadParam(f"retry_budget={retry_budget} < 1")
     validate(enc).require(MalformedComponent, "{count} bad components; first: {first}")
     layout = enc.layout
     b = layout.b
@@ -294,13 +321,8 @@ def second_to_first(
     check_branches(1 << (N * b), "seed stage")
     if rng is None:
         rng = np.random.default_rng(0)
-    seed_stage, unsort, gate_count = _sl2fq_programs(enc.M, N)
+    (p_success, rec_keys, rec), unsort, gate_count = _sl2fq_programs(enc.M, N)
     T = unsort.n_qubits - N * b
-    # the seed stage never touches the system, so it runs once from |0>
-    oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
-
-    keep = (oi >> np.int64(N * b + T)) == 0  # no collision flag raised
-    p_success = float(np.sum(np.abs(oa[keep]) ** 2))
     if retry_budget is None:
         retry_budget = 16
         if 0 < p_success < 1:
@@ -314,13 +336,6 @@ def second_to_first(
             f"{retry_budget} attempts at success probability {p_success:.3f}"
         )
 
-    # discard the seed: it factorizes as (uniform over distinct sorted
-    # values) x records, because record patterns depend only on the seeding
-    # permutation, never on which distinct values were drawn
-    ki = oi[keep]
-    _, _, rec_keys, rec = _rank_one_split(
-        ki & np.int64((1 << (N * b)) - 1), ki >> np.int64(N * b), oa[keep]
-    )
     # records x system holds at most N! C(M, N) <= 2^(N b) components, which
     # the seed stage's check has already held to BRANCH_CAP
     keys = (rec_keys[:, None] << np.int64(N * b)) | idx0

@@ -90,6 +90,24 @@ def test_grid_values_out_of_range_exit_2(capsys):
         assert named in capsys.readouterr().err
 
 
+def test_bad_sl2fq_arguments_exit_2(capsys, tmp_path):
+    sl = tmp_path / "sl.txt"
+    assert main(["encode", "--sl", "--M", "6", "--occ", "1,3", "--nreg", "3", "--out", str(sl)]) == 0
+    for flags, named in (
+        (["--seed", "-1"], "argument --seed: -1 < 0"),
+        (["--seed", "x"], "argument --seed: invalid int value 'x'"),
+        (["--retry-budget", "0"], "argument --retry-budget: 0 < 1"),
+        (["--retry-budget", "-2"], "argument --retry-budget: -2 < 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", "--dir", "sl2fq", "--in", str(sl), *flags])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    rc, _, err = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(sl),
+                               "--seed", "0", "--retry-budget", "1"])
+    assert rc == 0 and err == ""
+
+
 def test_precondition_failures_exit_3(capsys, tmp_path):
     rc, _, err = _run(
         capsys, ["encode", "--sl", "--M", "4", "--occ", "1,2,3", "--nreg", "2"]

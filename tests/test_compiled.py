@@ -1,11 +1,14 @@
 """Compiled programs: both loops of the interpreter, and the builder caches."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from fermiconv import (
+    SORTED_LIST,
+    EncodedState,
     GateCount,
     OccupationBitstring,
     apply_ladder,
@@ -16,13 +19,15 @@ from fermiconv import (
     first_to_second,
     second_to_first,
     tensor_product_merge,
+    write_state,
 )
-from fermiconv.circuits import Program, compile_circuit
+from fermiconv.circuits import Program, compile_circuit, sparse_action
 from fermiconv.conversion import (
     _fq2sl_circuit,
     _fq2sl_program,
     _merge_circuit,
     _merge_program,
+    _rank_one_split,
     _sl2fq_circuits,
     _sl2fq_programs,
 )
@@ -62,8 +67,8 @@ def test_program_runs_like_its_circuit():
 
 def test_cached_program_is_frozen():
     prog = _majorana_program(build_layout(4, 2, N_WORK_ANCILLAS), 3)
-    seed, unsort, _ = _sl2fq_programs(6, 3)
-    for p in (prog, seed, unsort):
+    (_, rec_keys, rec), unsort, _ = _sl2fq_programs(6, 3)
+    for p in (prog, unsort):
         assert isinstance(p, Program)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.n_qubits = 0
@@ -72,7 +77,12 @@ def test_cached_program_is_frozen():
             assert not mat.flags.writeable
     with pytest.raises(ValueError):
         prog.gates[0, 1] = 0
-    assert seed.branches  # the seed's H layer
+    # the seed stage is cached as its record factor, one entry per ordering
+    assert len(rec_keys) == len(rec) == 6
+    for arr in (rec_keys, rec):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_mutating_a_built_circuit_leaves_ladders_alone():
@@ -94,6 +104,43 @@ def test_cached_fq2sl_count_is_the_circuit_count(M, N, n_out):
 def test_cached_sl2fq_count_is_the_circuit_count(M, N):
     fresh = sum(map(count_gates, _sl2fq_circuits(M, N)), GateCount())
     assert _sl2fq_programs(M, N)[2] == fresh
+
+
+@pytest.mark.parametrize("M,N", [(4, 2), (6, 3), (14, 4)])
+def test_cached_seed_factor_is_a_fresh_trace(M, N):
+    seed_stage, unsort = _sl2fq_circuits(M, N)
+    sys_bits = N * unsort.layout.b
+    oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
+    keep = (oi >> np.int64(sys_bits + unsort.layout.n_anc)) == 0
+    _, _, keys, rec = _rank_one_split(
+        oi[keep] & np.int64((1 << sys_bits) - 1), oi[keep] >> np.int64(sys_bits), oa[keep]
+    )
+    p_cached, keys_cached, rec_cached = _sl2fq_programs(M, N)[0]
+    assert p_cached == float(np.sum(np.abs(oa[keep]) ** 2))
+    np.testing.assert_array_equal(keys_cached, keys)
+    assert rec_cached.tobytes() == rec.tobytes()
+    assert len(keys) == math.factorial(N)
+
+
+# the convert benchmark's sl2fq sizes (M, N, registers)
+CONVERT_SL2FQ = ((6, 2, 2), (6, 2, 4), (6, 3, 3), (6, 3, 4), (14, 2, 2), (14, 2, 3))
+
+
+@pytest.mark.parametrize("M,N,n_reg", CONVERT_SL2FQ)
+def test_warm_sl2fq_matches_cold(M, N, n_reg):
+    dets = [(1, 2, 5)[:N], (2, 4, 6)[:N], (M - 2, M - 1, M)[:N]]
+    lay = build_layout(M, n_reg)
+    keys = [lay.basis_index(d + (lay.sentinel,) * (n_reg - N)) for d in dets]
+    amps = np.array([0.6, -0.48j, 0.64])
+    sl = EncodedState.from_components(keys, amps, SORTED_LIST, lay, N)
+    for seed in range(5):
+        runs = []
+        for warm in (False, True):
+            if not warm:
+                _sl2fq_programs.cache_clear()
+            out, rep = second_to_first(sl, rng=np.random.default_rng(seed))
+            runs.append((write_state(out), rep.success_probability, rep.attempts, rep.gate_count))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("M,n_out", [(4, 2), (6, 4), (6, 5)])

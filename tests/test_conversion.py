@@ -15,6 +15,7 @@ from fermiconv import (
     sl2fq_gate_count,
     tensor_product_merge,
 )
+from fermiconv.conversion import _sl2fq_programs
 from fermiconv.encodings import (
     FIRST_QUANTIZED,
     first_quantized_to_fock,
@@ -188,8 +189,9 @@ def test_backward_particle_number_errors():
 
 
 def test_backward_retry_budget():
-    with pytest.raises(RetryBudgetExceeded):
-        second_to_first(_sl(4, (1, 3), 2), retry_budget=0)
+    # M=4 N=2 succeeds per attempt with p = 7/8; seed 4 first draws above it
+    with pytest.raises(RetryBudgetExceeded, match="1 attempts"):
+        second_to_first(_sl(4, (1, 3), 2), rng=np.random.default_rng(4), retry_budget=1)
     # a generator that always draws high still succeeds within a fat budget
     out, rep = second_to_first(
         _sl(4, (1, 3), 2), rng=np.random.default_rng(123), retry_budget=50
@@ -203,6 +205,18 @@ def test_backward_retry_budget():
     assert rep.attempts > 16
     np.testing.assert_allclose(rep.success_probability, 2520 / 32768, rtol=1e-12)
     np.testing.assert_allclose(sorted_list_to_fock(sl), first_quantized_to_fock(out), atol=1e-10)
+
+
+def test_backward_rejects_budget_below_one():
+    class NoDraws:
+        def random(self):
+            raise AssertionError("drew before refusing the budget")
+
+    misses = _sl2fq_programs.cache_info().misses
+    for budget in (0, -2):
+        with pytest.raises(BadParam, match=f"retry_budget={budget} < 1"):
+            second_to_first(_sl(4, (1, 3), 2), rng=NoDraws(), retry_budget=budget)
+    assert _sl2fq_programs.cache_info().misses == misses  # nothing traced
 
 
 def test_round_trips():

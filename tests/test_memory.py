@@ -118,6 +118,27 @@ def test_backward_superposition_peak():
     assert _peak_mib(lambda: second_to_first(sl, rng=np.random.default_rng(0))) <= 8
 
 
+def test_warm_backward_call_skips_the_seed_trace():
+    # a cold M=14 N=4 call traces 2^16 seed branches (about 6 MiB at peak);
+    # a warm one reuses the cached record factor of 4! entries
+    sl = _sl_superposition(14, [(1, 2, 3, 4), (2, 5, 9, 13), (3, 7, 11, 14)])
+    second_to_first(sl)  # imports and every other cache
+
+    def peak(cold):
+        if cold:
+            conversion._sl2fq_programs.cache_clear()
+        tracemalloc.start()
+        try:
+            second_to_first(sl)
+            return tracemalloc.get_traced_memory()[1] / MIB
+        finally:
+            tracemalloc.stop()
+
+    cold, warm = peak(cold=True), peak(cold=False)
+    assert cold >= 2
+    assert warm <= cold / 10
+
+
 def test_merge_refuses_large_joint_input_without_allocating():
     # two 18-qubit inputs holding all C(62,3) = 37820 determinants: their
     # joint list would hold 1.4e9 components on a 58-qubit work layout
