@@ -13,7 +13,6 @@ from .circuits import (
     RegisterLayout,
     Statevector,
     apply_circuit,
-    basis_action,
     build_layout,
     count_gates,
     parse_circuit,
@@ -40,7 +39,7 @@ from .encodings import (
     validate,
 )
 from .errors import CapExceeded, FermiconvError
-from .fci import FockSpace, ToyHamiltonian, k_rdm, one_rdm
+from .fci import FockSpace, ToyHamiltonian, k_rdm
 from .majorana import apply_ladder, majorana_circuit
 from .basis import (
     BasisMatrix,
@@ -71,7 +70,6 @@ __all__ = [
     "apply_circuit",
     "apply_ladder",
     "apply_register_transform",
-    "basis_action",
     "build_layout",
     "count_gates",
     "dft_matrix",
@@ -82,7 +80,6 @@ __all__ = [
     "fq2sl_gate_count",
     "k_rdm",
     "majorana_circuit",
-    "one_rdm",
     "parse_circuit",
     "qft_register_transform",
     "read_state",

@@ -113,35 +113,14 @@ def qft_register_transform(
 ) -> tuple[EncodedState, GateCount]:
     """Fourier-transform every register's orbital label.
 
-    Requires M to be a power of two so the transform matches the in-place
-    qubit QFT whose cost qft_gate_count reports; the dense semantics are
-    exactly dft_matrix lifted by apply_register_transform.
+    Requires M to be a power of two, the size an in-place qubit QFT over
+    the label transforms; the dense semantics are exactly dft_matrix lifted
+    by apply_register_transform.
     """
     M = enc.M
     if M & (M - 1):
         raise BadDimension(f"M={M} is not a power of two")
     return apply_register_transform(enc, BasisMatrix(dft_matrix(M, inverse)))
-
-
-def qft_gate_count(M: int, n_reg: int) -> GateCount:
-    """Cost of n_reg approximate in-place label QFTs.
-
-    Convention: an M = 2^L point transform costs L Hadamards and
-    L * ceil(log2(L)) controlled phases (logarithmic-depth truncation of
-    the rotation cascade); L = 1 needs a single Hadamard and no pairs.
-    Reported separately from the dense matrix route, whose simulation cost
-    count_gates books as register_unitary_dim_sum instead.
-    """
-    if M < 2 or (M & (M - 1)):
-        raise BadDimension(f"M={M} is not a power of two >= 2")
-    L = M.bit_length() - 1
-    pairs = L * int(np.ceil(np.log2(L))) if L > 1 else 0
-    return GateCount(
-        toffoli_equiv=0,
-        cnot=n_reg * pairs,
-        single_qubit=n_reg * L,
-        register_unitary_dim_sum=0,
-    )
 
 
 def mo_to_pw_matrix(table: np.ndarray) -> BasisMatrix:

@@ -16,8 +16,7 @@ SCALAR_MAX_COMPONENTS (the measured crossover), and one numpy pass per
 gate above it. H, U2 and REGU branch through one kernel that applies
 their matrix to a contiguous qubit run. Every conversion, ladder, merge
 and basis change runs on it, the fixed ones as programs their modules
-cache per builder key; ``basis_action`` is its one-component,
-permutation-only case and ``apply_circuit`` its wrapper for dense states.
+cache per builder key; ``apply_circuit`` is its wrapper for dense states.
 Unit tests pin it to a dense reference engine kept with the tests.
 
 A gate's params are (theta,) for PHASE, () for H and the permutation
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParam, CapExceeded, DimMismatch, NotPermutation
+from .errors import BadParam, CapExceeded, DimMismatch
 
 QUBIT_CAP = 26
 PACKED_CAP = 62  # widest layout whose basis indices fit a signed int64
@@ -295,19 +294,6 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
         )
     idx, amp = sparse_action(circuit, *state.components())
     return Statevector.from_components(n, idx, amp)
-
-
-def basis_action(circuit: Circuit, index: int) -> tuple[int, complex]:
-    """Exact action of a permutation+phase circuit on one basis state.
-
-    Returns (output index, phase). Raises NotPermutation on H/U2/REGU,
-    which move basis states into superpositions.
-    """
-    for g in circuit.gates:
-        if g.kind in _BRANCHING:
-            raise NotPermutation(f"{g.kind} gate does not map basis states to basis states")
-    idx, amp = sparse_action(circuit, np.array([index]), np.array([1.0 + 0.0j]))
-    return int(idx[0]), complex(amp[0])
 
 
 def check_branches(n: int, what: str) -> None:

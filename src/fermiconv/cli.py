@@ -318,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--sl", action="store_true", help="sorted-list encoding")
     grp.add_argument("--fq", action="store_true", help="first-quantized encoding")
-    p.add_argument("--M", type=int, required=True, help="number of orbitals")
+    p.add_argument("--M", type=_int_at_least(2), required=True, help="number of orbitals")
     p.add_argument("--occ", type=_occ_list, default=(),
                    help="comma-separated occupied orbitals, e.g. 1,3")
-    p.add_argument("--nreg", type=int, help="register count (sorted list)")
+    p.add_argument("--nreg", type=_int_at_least(1), help="register count (sorted list)")
     p.add_argument("--out", help="write the state here instead of stdout")
     p.set_defaults(func=cmd_encode, parser=p)
 
@@ -329,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", choices=("fq2sl", "sl2fq"), required=True)
     p.add_argument("--in", dest="infile", required=True, help="input state file")
     p.add_argument("--out", help="write the converted state here")
-    p.add_argument("--extra-registers", type=int, default=0,
+    p.add_argument("--extra-registers", type=_int_at_least(0), default=0,
                    help="extra sentinel registers for fq2sl")
-    p.add_argument("--N", type=int, help="electron count for sl2fq")
+    p.add_argument("--N", type=_int_at_least(1), help="electron count for sl2fq")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="seed for the sl2fq measurement draws")
     p.add_argument("--retry-budget", type=_int_at_least(1),

@@ -14,11 +14,6 @@ from .circuits import Circuit, Gate, RegisterLayout, cnot, cswap, cz, mcx, x, z
 from .errors import BadConstant, BadParam
 
 
-def _check_constant(layout: RegisterLayout, p: int) -> None:
-    if not (1 <= p <= layout.M or p == layout.sentinel):
-        raise BadConstant(f"constant {p} not in 1..{layout.M} or sentinel")
-
-
 def _eq_gates(layout, reg, p, target) -> list[Gate]:
     """target ^= [value(reg) == p] via an X-sandwiched multi-controlled X."""
     qs = list(layout.register_qubits(reg))
@@ -53,26 +48,6 @@ def _le_gates(layout, reg, p, target) -> list[Gate]:
 
 def _gt_gates(layout, reg, p, target) -> list[Gate]:
     return [x(target)] + _le_gates(layout, reg, p, target)
-
-
-def eq_const_circuit(layout, reg, p, target) -> Circuit:
-    """Flip target iff register reg holds exactly p."""
-    _check_constant(layout, p)
-    return Circuit(layout, _eq_gates(layout, reg, p, target))
-
-
-def lt_const_circuit(layout, reg, p, target, mode: str = "<") -> Circuit:
-    """Flip target iff value(reg) <mode> p, mode one of < / <= / >."""
-    _check_constant(layout, p)
-    if mode == "<":
-        gates = _lt_gates(layout, reg, p, target)
-    elif mode == "<=":
-        gates = _le_gates(layout, reg, p, target)
-    elif mode == ">":
-        gates = _gt_gates(layout, reg, p, target)
-    else:
-        raise BadParam(f"mode {mode!r} not one of < <= >")
-    return Circuit(layout, gates)
 
 
 def swap_values_circuit(layout, reg, a, b, anc) -> Circuit:
@@ -115,12 +90,6 @@ def bubble_gates(layout, reg_a, reg_b, p, ancs) -> list[Gate]:
     qb = list(layout.register_qubits(reg_b))
     swaps = [cswap(flag, qa[k], qb[k]) for k in range(layout.b)]
     return both + swaps + both
-
-
-def bubble_circuit(layout, reg_a, reg_b, p, ancs) -> Circuit:
-    if not 1 <= p <= layout.M:
-        raise BadConstant(f"bubble constant {p} not in 1..{layout.M}")
-    return Circuit(layout, bubble_gates(layout, reg_a, reg_b, p, ancs))
 
 
 def compute_greater_gates(layout, i, j, record) -> list[Gate]:

@@ -14,13 +14,14 @@ the relabel to occupation masks (what the Fock bridges scatter) live here, so
 the circuit layer can be checked against the Fock oracle without either side
 importing the other.
 Every rule is an array check over one decode of the register values;
-antisymmetry lists at most one violation per leading register.
+antisymmetry lists at most one violation per leading register. Register
+values are read back only by ``validate`` and the Fock bridges, for all
+components at once.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import weakref
 from dataclasses import dataclass
 
@@ -72,19 +73,6 @@ class OccupationBitstring:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(p for p in range(1, self.M + 1) if self.mask & (1 << (p - 1)))
-
-    def to_text(self) -> str:
-        return f"M={self.M} occ={{{','.join(str(p) for p in self.indices())}}}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "OccupationBitstring":
-        m = re.fullmatch(r"M=(\d+) occ=\{([\d,\s]*)\}", text.strip())
-        if not m:
-            raise BadParam(f"bad occupation text: {text!r}")
-        M = int(m.group(1))
-        body = m.group(2).strip()
-        idx = [int(t) for t in body.split(",")] if body else []
-        return cls.from_indices(M, idx)
 
 
 class EncodedState:
@@ -218,43 +206,15 @@ def _component_violations(keys, values, discipline, layout) -> list:
     return out
 
 
-def decode_basis_component(component: int, discipline: str, layout: RegisterLayout):
-    """Read one basis index back into orbital language.
-
-    Sorted-list components decode to an OccupationBitstring; first-quantized
-    components decode to the tuple of register values. Ancilla bits must be
-    clear. Raises MalformedComponent with the rule validate reports for it.
-    """
-    if not 0 <= component < (1 << layout.total_qubits):
-        raise MalformedComponent(f"index {component} outside the layout")
-    keys = np.array([component], dtype=object)  # Python ints: any layout width
-    decoded = layout.decode(keys)
-    broken = _component_violations(keys, decoded, discipline, layout)
-    if broken:
-        raise MalformedComponent(broken[0][2])
-    values = tuple(decoded[0].tolist())
-    if discipline == FIRST_QUANTIZED:
-        return values
-    if discipline == SORTED_LIST:
-        return OccupationBitstring.from_indices(
-            layout.M, [v for v in values if v != layout.sentinel]
-        )
-    raise BadParam(f"unknown discipline {discipline!r}")
-
-
 @dataclass
 class ValidationReport:
     """Offending components paired with the rule each one breaks."""
 
     violations: list
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def require(self, error: type, message: str) -> None:
-        """Raise error(message) unless ok; message may name the {count} of
-        violations and the {first} one's rule."""
+        """Raise error(message) if any component breaks a rule; message may
+        name the {count} of violations and the {first} one's rule."""
         if self.violations:
             raise error(message.format(count=len(self.violations), first=self.violations[0][2]))
 
@@ -296,15 +256,6 @@ def _checked_components(enc: EncodedState) -> tuple:
                     violations.append((int(keys[bad[0]]), tuple(values[bad[0]].tolist()), msg))
                     break
     return amps, values, violations
-
-
-def with_ancillas(enc: EncodedState, n_anc: int) -> EncodedState:
-    """Same state on a layout with at least n_anc clear ancillas."""
-    if enc.layout.n_anc >= n_anc:
-        return enc
-    # old ancillas (if any) sit below the new ones, so every key carries over
-    new_layout = build_layout(enc.M, enc.layout.n_reg, n_anc)
-    return EncodedState.from_components(enc.keys, enc.amps, enc.discipline, new_layout, enc.N)
 
 
 def drop_clear_ancillas(enc: EncodedState) -> EncodedState:

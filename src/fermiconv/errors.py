@@ -89,9 +89,5 @@ class SinkUnwritable(FermiconvError):
     """Report output path cannot be written."""
 
 
-class NotPermutation(FermiconvError):
-    """basis_action met a gate that creates superpositions."""
-
-
 class EntangledAncilla(FermiconvError):
     """Ancilla block failed its disentanglement check before disposal."""

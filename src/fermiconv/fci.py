@@ -1,6 +1,9 @@
 """Dense Fock-space oracle: ladder actions, k-RDMs, determinant rotations,
 toy Hamiltonians, and ionization/attachment overlap tables.
 
+A toy Hamiltonian is built from its h1 and h2 coefficient arrays; no
+Hamiltonian file format is read or written.
+
 This module is deliberately a different algorithm family from the circuit
 side: operators act on the 2^M occupation basis (bit p-1 of a mask is the
 occupation of orbital p, masks in increasing integer order), so agreement
@@ -177,10 +180,6 @@ def apply_ladder_fock(vec: np.ndarray, p: int, kind: str, space: FockSpace) -> n
     return res
 
 
-def vacuum(space: FockSpace) -> np.ndarray:
-    return creation_string(space, ())
-
-
 def creation_string(space: FockSpace, indices) -> np.ndarray:
     """a_{i1}^dag a_{i2}^dag ... a_{ik}^dag |vac> applied right to left.
 
@@ -287,10 +286,6 @@ def k_rdm_tensor(state: np.ndarray, k: int, space: FockSpace) -> np.ndarray:
         (e,), out, sign = _string_action(space, [("create", p + 1) for p in reversed(ps)], mid)
         np.add.at(row, t[e], sign * ket[e] * bra[out])
     return rdm.reshape((M,) * (2 * k))
-
-
-def one_rdm(state: np.ndarray, space: FockSpace) -> np.ndarray:
-    return k_rdm_tensor(state, 1, space)
 
 
 def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> np.ndarray:
@@ -403,27 +398,6 @@ class ToyHamiltonian:
         return H
 
 
-def random_toy_hamiltonian(rng: np.random.Generator, M: int, two_body: bool = True) -> ToyHamiltonian:
-    """Random Hermitian toy Hamiltonian satisfying the ingestion symmetries.
-
-    h2 is averaged over the orbit {pqrs, conj qpsr, conj srqp, rsqp}, which
-    enforces both the pair symmetry and Hermiticity of the dense matrix.
-    """
-    a = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
-    h1 = (a + a.conj().T) / 2
-    if two_body:
-        g = rng.normal(size=(M,) * 4) + 1j * rng.normal(size=(M,) * 4)
-        g = 0.25 * (
-            g
-            + np.conj(np.transpose(g, (1, 0, 3, 2)))
-            + np.conj(np.transpose(g, (3, 2, 1, 0)))
-            + np.transpose(g, (2, 3, 0, 1))
-        )
-    else:
-        g = np.zeros((M,) * 4)
-    return ToyHamiltonian(M, h1, g)
-
-
 def sector_eigensystem(H: np.ndarray, space: FockSpace, n: int):
     """(eigenvalues, eigenvectors as full Fock columns) of the n-electron block."""
     idx = space.sector_indices(n)
@@ -465,57 +439,3 @@ def ionization_attachment_probabilities(
     lam_h = np.abs(vh.conj().T @ a_psi) ** 2
     lam_p = np.abs(vp.conj().T @ c_psi) ** 2
     return lam_h, lam_p
-
-
-# --- ToyHamiltonian text format: H1 p q re im / H2 p q r s re im ---------
-
-
-def write_toy_hamiltonian(H: ToyHamiltonian) -> str:
-    lines = []
-    for p in range(H.M):
-        for q in range(H.M):
-            zv = complex(H.h1[p, q])
-            if zv != 0:
-                lines.append(f"H1 {p + 1} {q + 1} {zv.real!r} {zv.imag!r}")
-    for p, q, r, s in np.ndindex(*(H.M,) * 4):
-        zv = complex(H.h2[p, q, r, s])
-        if zv != 0:
-            lines.append(f"H2 {p + 1} {q + 1} {r + 1} {s + 1} {zv.real!r} {zv.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def read_toy_hamiltonian(text: str, M: int | None = None) -> ToyHamiltonian:
-    """Parse H1/H2 coefficient lines; unlisted entries are zero.
-
-    M defaults to the largest orbital index mentioned; repeats are refused.
-    """
-    entries: dict[tuple[int, ...], tuple[complex, str]] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        tok = ln.split()
-        n_idx = {"H1": 2, "H2": 4}.get(tok[0])
-        if n_idx is None or len(tok) != n_idx + 3:
-            raise BadParam(f"bad Hamiltonian line: {ln!r}")
-        try:
-            idx = tuple(int(t) for t in tok[1 : n_idx + 1])
-            zv = float(tok[-2]) + 1j * float(tok[-1])
-        except ValueError:
-            raise BadParam(f"non-numeric token in Hamiltonian line: {ln!r}") from None
-        if min(idx) < 1:
-            raise BadParam(f"orbital below 1 in Hamiltonian line: {ln!r}")
-        if idx in entries:  # H1 and H2 indices differ in length
-            raise BadParam(f"coefficient listed twice: {ln!r}")
-        entries[idx] = zv, ln
-    if M is None:
-        M = max((max(idx) for idx in entries), default=0)
-    if M < 1:
-        raise BadParam("no coefficients and no explicit M")
-    h1 = np.zeros((M, M), dtype=complex)
-    h2 = np.zeros((M,) * 4, dtype=complex)
-    for idx, (zv, ln) in entries.items():
-        if max(idx) > M:
-            raise BadParam(f"orbital above M={M} in Hamiltonian line: {ln!r}")
-        (h1 if len(idx) == 2 else h2)[tuple(i - 1 for i in idx)] = zv
-    return ToyHamiltonian(M, h1, h2)

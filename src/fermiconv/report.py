@@ -256,47 +256,6 @@ def _catalog() -> tuple[CostFormula, ...]:
 FORMULAS: tuple[CostFormula, ...] = _catalog()
 
 
-def formula(group: str, name: str) -> CostFormula:
-    for f in FORMULAS:
-        if f.group == group and f.name == name:
-            return f
-    raise BadParam(f"no formula {name!r} in group {group!r}")
-
-
-def find_crossover(
-    f: CostFormula,
-    g: CostFormula,
-    var: str,
-    bindings: dict,
-    lo: int,
-    hi: int,
-) -> int:
-    """Smallest integer value of var in [lo, hi] where f exceeds g.
-
-    Assumes the difference changes sign at most once over the range
-    (bisection); raises BadParam when f never overtakes g there.
-    """
-
-    def diff(v: int) -> float:
-        b = dict(bindings)
-        b[var] = v
-        return evaluate_formula(f, b) - evaluate_formula(g, b)
-
-    if lo > hi:
-        raise BadParam("empty search range")
-    if diff(lo) > 0:
-        return lo
-    if diff(hi) <= 0:
-        raise BadParam(f"{f.name} never exceeds {g.name} on [{lo}, {hi}]")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if diff(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # exponent templates: count ~ c * model(N, M)
 MODEL_SORT = "N*log2(N)^2*log2(M)"
 MODEL_LINLOG = "N*log2(N)*log2(M)"

@@ -8,7 +8,8 @@ and takes its inner product with the state, ``dense_matrix`` applies one
 operator string per nonzero coefficient to every mask, in (p, q[, r, s])
 order, and ``rotate_determinants`` takes one determinant per (target,
 source) pair of index sets. ``ladder_matrix`` and ``determinant_vector``
-build the dense ladder matrices and basis vectors the tests compare against.
+build the dense ladder matrices and basis vectors the tests compare against,
+and ``random_toy_hamiltonian`` the seeded Hamiltonians they diagonalize.
 """
 
 from itertools import combinations
@@ -125,3 +126,24 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
                 acc += np.linalg.det(U[np.ix_(T, S)]) * c
             out[sum(1 << p for p in T)] = acc
     return out
+
+
+def random_toy_hamiltonian(rng: np.random.Generator, M: int, two_body: bool = True) -> ToyHamiltonian:
+    """Random Hermitian toy Hamiltonian satisfying the ingestion symmetries.
+
+    h2 is averaged over the orbit {pqrs, conj qpsr, conj srqp, rsqp}, which
+    enforces both the pair symmetry and Hermiticity of the dense matrix.
+    """
+    a = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    h1 = (a + a.conj().T) / 2
+    if two_body:
+        g = rng.normal(size=(M,) * 4) + 1j * rng.normal(size=(M,) * 4)
+        g = 0.25 * (
+            g
+            + np.conj(np.transpose(g, (1, 0, 3, 2)))
+            + np.conj(np.transpose(g, (3, 2, 1, 0)))
+            + np.transpose(g, (2, 3, 0, 1))
+        )
+    else:
+        g = np.zeros((M,) * 4)
+    return ToyHamiltonian(M, h1, g)

@@ -20,16 +20,17 @@ from fermiconv import (
     encode_first_quantized_determinant,
     encode_sorted_list,
     first_to_second,
-    one_rdm,
     qft_register_transform,
     second_to_first,
     tensor_product_merge,
 )
-from fermiconv.circuits import basis_action, build_layout
+from fermiconv.circuits import Circuit, build_layout
 from fermiconv.comparators import (
-    bubble_circuit,
-    eq_const_circuit,
-    lt_const_circuit,
+    _eq_gates,
+    _gt_gates,
+    _le_gates,
+    _lt_gates,
+    bubble_gates,
     swap_values_circuit,
 )
 from fermiconv.encodings import (
@@ -39,13 +40,14 @@ from fermiconv.encodings import (
 from fermiconv.fci import (
     creation_string,
     ionization_attachment_probabilities,
-    random_toy_hamiltonian,
+    k_rdm_tensor,
     rotate_determinants,
     sector_eigensystem,
 )
 from fermiconv.majorana import N_WORK_ANCILLAS, majorana_circuit
 from fermiconv.report import MODEL_SORT, conversion_count_grid, fit_scaling
-from fock_reference import ladder_matrix
+from fock_reference import ladder_matrix, random_toy_hamiltonian
+from loops import basis_image
 
 FID_FLOOR = 1.0 - 1e-9
 
@@ -111,7 +113,7 @@ def _gamma_matrix(M, n_reg, mu):
     for k, mask in enumerate(states):
         x = OccupationBitstring(M, mask)
         vals = tuple(x.indices()) + (lay.sentinel,) * (n_reg - x.N)
-        out, ph = basis_action(g.circuit, lay.basis_index(vals))
+        out, ph = basis_image(g.circuit, lay.basis_index(vals))
         mat[slots[out], k] = g.scalar * ph
     return mat
 
@@ -284,7 +286,7 @@ def test_08_rdm_sum_rules():
         Hm = H.dense_matrix(space)
         _, vecs = sector_eigensystem(Hm, space, N0)
         psi0 = vecs[:, 0]
-        d = one_rdm(psi0, space)
+        d = k_rdm_tensor(psi0, 1, space)
         worst = max(worst, abs(float(np.trace(d).real) - N0))
         worst = max(worst, abs(float(np.trace(d).imag)))
         for i in range(1, M + 1):
@@ -308,18 +310,17 @@ def test_09_primitive_truth_tables():
         ancs = [lay.anc_qubit(j) for j in range(3)]
         preds = []
         for p in list(range(1, M + 1)) + [lay.sentinel]:
-            preds.append((eq_const_circuit(lay, 0, p, anc), lambda v, p=p: v == p))
-            preds.append((lt_const_circuit(lay, 0, p, anc), lambda v, p=p: v < p))
-            preds.append(
-                (lt_const_circuit(lay, 0, p, anc, "<="), lambda v, p=p: v <= p)
-            )
-            preds.append(
-                (lt_const_circuit(lay, 0, p, anc, ">"), lambda v, p=p: v > p)
-            )
+            for gates, want in (
+                (_eq_gates, lambda v, p=p: v == p),
+                (_lt_gates, lambda v, p=p: v < p),
+                (_le_gates, lambda v, p=p: v <= p),
+                (_gt_gates, lambda v, p=p: v > p),
+            ):
+                preds.append((Circuit(lay, gates(lay, 0, p, anc)), want))
         for circ, want in preds:
             for v in range(1 << b):
                 idx = lay.basis_index((v, 0))
-                out, ph = basis_action(circ, idx)
+                out, ph = basis_image(circ, idx)
                 flag = out >> (2 * b)
                 ok = (
                     ph == 1
@@ -329,10 +330,10 @@ def test_09_primitive_truth_tables():
                 worst_cases += 0 if ok else 1
                 checked += 1
         for p in range(1, M + 1):
-            circ = bubble_circuit(lay, 0, 1, p, ancs)
+            circ = Circuit(lay, bubble_gates(lay, 0, 1, p, ancs))
             for v1 in range(1 << b):
                 for v2 in range(1 << b):
-                    out, ph = basis_action(circ, lay.basis_index((v1, v2)))
+                    out, ph = basis_image(circ, lay.basis_index((v1, v2)))
                     swap = (v1 == p and v2 > p) or (v2 == p and v1 > p)
                     want_vals = (v2, v1) if swap else (v1, v2)
                     ok = (
@@ -345,7 +346,7 @@ def test_09_primitive_truth_tables():
         for a, c in itertools.combinations(range(1 << b), 2):
             circ = swap_values_circuit(lay, 0, a, c, anc)
             for v in range(1 << b):
-                out, ph = basis_action(circ, lay.basis_index((v, 0)))
+                out, ph = basis_image(circ, lay.basis_index((v, 0)))
                 want_v = c if v == a else a if v == c else v
                 ok = (
                     ph == 1

@@ -15,7 +15,6 @@ from fermiconv import (
 )
 from fermiconv.basis import (
     mo_to_pw_matrix,
-    qft_gate_count,
     read_basis_matrix,
     write_basis_matrix,
 )
@@ -120,14 +119,6 @@ def test_qft_register_transform():
 def test_qft_requires_power_of_two():
     with pytest.raises(BadDimension):
         qft_register_transform(_fq(5, (1,)))
-    with pytest.raises(BadDimension):
-        qft_gate_count(6, 1)
-
-
-def test_qft_gate_count_pins():
-    assert qft_gate_count(2, 1) == GateCount(0, 0, 1, 0)
-    assert qft_gate_count(4, 2) == GateCount(0, 4, 4, 0)
-    assert qft_gate_count(16, 3) == GateCount(0, 24, 12, 0)
 
 
 def test_transform_validation():

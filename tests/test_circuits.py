@@ -13,7 +13,6 @@ from fermiconv import (
     GateCount,
     Statevector,
     apply_circuit,
-    basis_action,
     build_layout,
     count_gates,
     parse_circuit,
@@ -34,10 +33,10 @@ from fermiconv.circuits import (
     x,
     z,
 )
-from fermiconv.errors import BadParam, DimMismatch, NotPermutation
+from fermiconv.errors import BadParam, DimMismatch
 
 from dense_reference import apply_dense
-from loops import run_both_loops
+from loops import basis_image, run_both_loops
 
 
 def test_layout_examples():
@@ -223,10 +222,6 @@ def test_tracers_match_dense(circ, index):
     rebuilt = np.zeros_like(dense.amps)
     rebuilt[oi] = oa
     np.testing.assert_allclose(rebuilt, dense.amps, atol=1e-10)
-    if not any(g.kind in ("H", "U2", "REGU") for g in circ.gates):
-        out, ph = basis_action(circ, index)
-        assert len(oi) == 1 and oi[0] == out
-        assert abs(oa[0] - ph) < 1e-12
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -244,13 +239,6 @@ def test_scalar_and_numpy_loops_agree(circ, state, k):
         assert sa.tobytes() == na.tobytes()
 
 
-def test_basis_action_rejects_branching():
-    lay = build_layout(2, 1, 0)
-    for g in (h(0), u2(np.eye(2), 0), regu(np.eye(4), (0, 1))):
-        with pytest.raises(NotPermutation):
-            basis_action(Circuit(lay, [x(1), g]), 0)
-
-
 def test_tracers_refuse_packed_index_overflow():
     # 22 registers of 3 bits: 66 qubits, past what an int64 index can hold
     lay = build_layout(6, 22, 0)
@@ -258,11 +246,9 @@ def test_tracers_refuse_packed_index_overflow():
     for circ in (Circuit(lay, [x(64)]), Circuit(lay, [cnot(64, 0)])):
         with pytest.raises(CapExceeded):
             sparse_action(circ, np.array([0]), np.array([1.0 + 0j]))
-        with pytest.raises(CapExceeded):
-            basis_action(circ, 0)
     # 62 qubits still fit
     lay = build_layout(6, 20, 2)
-    out, ph = basis_action(Circuit(lay, [x(61), cnot(61, 0)]), 0)
+    out, ph = basis_image(Circuit(lay, [x(61), cnot(61, 0)]), 0)
     assert out == (1 << 61) | 1 and ph == 1
 
 

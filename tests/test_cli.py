@@ -98,6 +98,8 @@ def test_bad_sl2fq_arguments_exit_2(capsys, tmp_path):
         (["--seed", "x"], "argument --seed: invalid int value 'x'"),
         (["--retry-budget", "0"], "argument --retry-budget: 0 < 1"),
         (["--retry-budget", "-2"], "argument --retry-budget: -2 < 1"),
+        (["--N", "-2"], "argument --N: -2 < 1"),
+        (["--N", "0"], "argument --N: 0 < 1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(["convert", "--dir", "sl2fq", "--in", str(sl), *flags])
@@ -105,6 +107,29 @@ def test_bad_sl2fq_arguments_exit_2(capsys, tmp_path):
         assert named in capsys.readouterr().err
     rc, _, err = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(sl),
                                "--seed", "0", "--retry-budget", "1"])
+    assert rc == 0 and err == ""
+
+
+def test_integer_flags_outside_their_domain_exit_2(capsys, tmp_path):
+    # refused by the parser, naming the flag, before the library sees them
+    fq = tmp_path / "fq.txt"
+    assert main(["encode", "--M", "4", "--occ", "1,3", "--out", str(fq)]) == 0
+    capsys.readouterr()
+    for argv, named in (
+        (["encode", "--sl", "--M", "1", "--occ", "1", "--nreg", "1"], "argument --M: 1 < 2"),
+        (["encode", "--M", "-3", "--occ", ""], "argument --M: -3 < 2"),
+        (["encode", "--sl", "--M", "4", "--occ", "1", "--nreg", "0"], "argument --nreg: 0 < 1"),
+        (["convert", "--dir", "fq2sl", "--in", str(fq), "--extra-registers", "-1"],
+         "argument --extra-registers: -1 < 0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    rc, _, err = _run(capsys, ["encode", "--sl", "--M", "2", "--occ", "1", "--nreg", "1"])
+    assert rc == 0 and err == ""
+    rc, _, err = _run(capsys, ["convert", "--dir", "fq2sl", "--in", str(fq),
+                               "--extra-registers", "0"])
     assert rc == 0 and err == ""
 
 

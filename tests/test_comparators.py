@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 
 from fermiconv import Circuit, build_layout
-from fermiconv.circuits import basis_action
 from fermiconv.comparators import (
     SortingNetworkSpec,
+    _eq_gates,
+    _gt_gates,
+    _le_gates,
+    _lt_gates,
     batcher_pairs,
-    bubble_circuit,
+    bubble_gates,
     compare_swap_gates,
     compute_greater_gates,
-    eq_const_circuit,
     equality_flag_gates,
-    lt_const_circuit,
     odd_even_transposition_pairs,
     sorting_network_circuit,
     swap_values_circuit,
 )
 from fermiconv.errors import BadConstant, BadParam
+
+from loops import basis_image
 
 LAY1 = build_layout(4, 1, 1)  # one 3-bit register plus a target ancilla
 TARGET = LAY1.anc_qubit(0)
@@ -28,14 +31,14 @@ TARGET = LAY1.anc_qubit(0)
 
 def _trace(circ, values, anc=0, layout=None):
     lay = layout or circ.layout
-    out, ph = basis_action(circ, lay.basis_index(tuple(values), anc))
+    out, ph = basis_image(circ, lay.basis_index(tuple(values), anc))
     anc_out = out >> (lay.n_reg * lay.b)
     return lay.values(out), anc_out, ph
 
 
 def test_eq_const_truth_table():
     for p in list(range(1, 5)) + [LAY1.sentinel]:
-        circ = eq_const_circuit(LAY1, 0, p, TARGET)
+        circ = Circuit(LAY1, _eq_gates(LAY1, 0, p, TARGET))
         for v in range(8):
             vals, anc, ph = _trace(circ, (v,))
             assert vals == (v,)
@@ -45,30 +48,21 @@ def test_eq_const_truth_table():
 
 def test_lt_const_modes():
     for p in list(range(1, 5)) + [LAY1.sentinel]:
-        for mode, op in (("<", lambda a, b: a < b),
-                         ("<=", lambda a, b: a <= b),
-                         (">", lambda a, b: a > b)):
-            circ = lt_const_circuit(LAY1, 0, p, TARGET, mode=mode)
+        for gates, op in ((_lt_gates, lambda a, b: a < b),
+                          (_le_gates, lambda a, b: a <= b),
+                          (_gt_gates, lambda a, b: a > b)):
+            circ = Circuit(LAY1, gates(LAY1, 0, p, TARGET))
             for v in range(8):
                 vals, anc, ph = _trace(circ, (v,))
                 assert vals == (v,)
-                assert anc == int(op(v, p)), (v, p, mode)
+                assert anc == int(op(v, p)), (v, p, gates.__name__)
 
 
 def test_lt_sentinel_greater_than_m():
     # the all-ones value orders above every orbital index
-    circ = lt_const_circuit(LAY1, 0, 4, TARGET, mode=">")
+    circ = Circuit(LAY1, _gt_gates(LAY1, 0, 4, TARGET))
     vals, anc, _ = _trace(circ, (LAY1.sentinel,))
     assert anc == 1
-
-
-def test_const_validation():
-    with pytest.raises(BadConstant):
-        eq_const_circuit(LAY1, 0, 5, TARGET)  # between M and sentinel
-    with pytest.raises(BadConstant):
-        lt_const_circuit(LAY1, 0, 0, TARGET)
-    with pytest.raises(BadParam):
-        lt_const_circuit(LAY1, 0, 3, TARGET, mode=">=")
 
 
 def test_swap_values_truth_table():
@@ -97,7 +91,7 @@ LAY2 = build_layout(4, 2, 3)  # two registers, three work ancillas
 def test_bubble_truth_table():
     ancs = [LAY2.anc_qubit(j) for j in range(3)]
     for p in range(1, 5):
-        circ = bubble_circuit(LAY2, 0, 1, p, ancs)
+        circ = Circuit(LAY2, bubble_gates(LAY2, 0, 1, p, ancs))
         for u, w in itertools.product(range(8), repeat=2):
             vals, anc, ph = _trace(circ, (u, w))
             swap = (u == p and w > p) or (w == p and u > p)
@@ -108,7 +102,7 @@ def test_bubble_truth_table():
 
 def test_bubble_examples():
     ancs = [LAY2.anc_qubit(j) for j in range(3)]
-    circ = bubble_circuit(LAY2, 0, 1, 2, ancs)
+    circ = Circuit(LAY2, bubble_gates(LAY2, 0, 1, 2, ancs))
     assert _trace(circ, (2, 5))[0] == (5, 2)
     assert _trace(circ, (2, 1))[0] == (2, 1)  # other is smaller
     assert _trace(circ, (7, 7))[0] == (7, 7)  # neither equals p
@@ -211,11 +205,11 @@ def test_sorting_network_phase_is_permutation_sign():
     values = (1, 2, 4)
     for perm in itertools.permutations(range(3)):
         inp = tuple(values[perm[k]] for k in range(3))
-        out, ph = basis_action(circ, lay.basis_index(inp))
+        out, ph = basis_image(circ, lay.basis_index(inp))
         assert lay.values(out)[:3] == values
         assert ph == _perm_sign(perm)
     # already sorted: no swaps, no records
-    out, ph = basis_action(circ, lay.basis_index(values))
+    out, ph = basis_image(circ, lay.basis_index(values))
     assert out == lay.basis_index(values) and ph == 1
 
 
@@ -226,7 +220,7 @@ def test_sorting_network_4_lanes_all_signs():
     values = (1, 3, 4, 6)
     for perm in itertools.permutations(range(4)):
         inp = tuple(values[perm[k]] for k in range(4))
-        out, ph = basis_action(circ, lay.basis_index(inp))
+        out, ph = basis_image(circ, lay.basis_index(inp))
         assert lay.values(out)[:4] == values
         assert ph == _perm_sign(perm)
 
@@ -235,7 +229,7 @@ def test_sorting_network_with_sentinels():
     spec = SortingNetworkSpec.batcher(3)
     lay = build_layout(4, 3, spec.n_comparators)
     circ = sorting_network_circuit(lay, spec)
-    out, ph = basis_action(circ, lay.basis_index((3, 1, 7)))
+    out, ph = basis_image(circ, lay.basis_index((3, 1, 7)))
     assert lay.values(out)[:3] == (1, 3, 7)
     assert ph == -1
 
@@ -255,5 +249,5 @@ def test_network_involution_property():
     full = circ + circ.inverse()
     for u, w in itertools.product(range(8), repeat=2):
         idx = LAY2.basis_index((u, w))
-        out, ph = basis_action(full, idx)
+        out, ph = basis_image(full, idx)
         assert out == idx and ph == 1

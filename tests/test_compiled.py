@@ -31,6 +31,7 @@ from fermiconv.conversion import (
     _sl2fq_circuits,
     _sl2fq_programs,
 )
+from fermiconv.errors import EntangledAncilla
 from fermiconv.majorana import N_WORK_ANCILLAS, _majorana_program, majorana_circuit
 
 from loops import run_both_loops
@@ -120,6 +121,16 @@ def test_cached_seed_factor_is_a_fresh_trace(M, N):
     np.testing.assert_array_equal(keys_cached, keys)
     assert rec_cached.tobytes() == rec.tobytes()
     assert len(keys) == math.factorial(N)
+
+
+@pytest.mark.parametrize("amps, refusal", [
+    ([1, 0, 0, 1], "does not factorize"),  # a Bell pair: rank two
+    ([0, 0, 0, 0], "zero state"),
+])
+def test_rank_one_split_refuses_what_it_cannot_split(amps, refusal):
+    rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    with pytest.raises(EntangledAncilla, match=refusal):
+        _rank_one_split(rows, cols, np.array(amps, dtype=complex) / math.sqrt(2))
 
 
 # the convert benchmark's sl2fq sizes (M, N, registers)

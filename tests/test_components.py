@@ -28,8 +28,9 @@ from fermiconv import (
     tensor_product_merge,
     write_state,
 )
-from fermiconv.encodings import drop_clear_ancillas, with_ancillas
+from fermiconv.encodings import drop_clear_ancillas
 from fermiconv.errors import BadParam
+from validate_reference import with_ancillas
 
 
 def _check(enc):

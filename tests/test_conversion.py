@@ -20,7 +20,6 @@ from fermiconv.encodings import (
     FIRST_QUANTIZED,
     first_quantized_to_fock,
     sorted_list_to_fock,
-    with_ancillas,
 )
 from fermiconv.errors import (
     BadParam,
@@ -30,6 +29,7 @@ from fermiconv.errors import (
     RetryBudgetExceeded,
 )
 from fermiconv.fci import FockSpace, creation_string
+from validate_reference import with_ancillas
 
 
 def _sl(M, indices, n_reg):

@@ -8,9 +8,9 @@ from pathlib import Path
 import fock_reference as ref
 import numpy as np
 import pytest
-from fock_reference import determinant_vector, ladder_matrix
+from fock_reference import determinant_vector, ladder_matrix, random_toy_hamiltonian
 
-from fermiconv import FockSpace, ToyHamiltonian, fci, k_rdm, one_rdm
+from fermiconv import FockSpace, ToyHamiltonian, fci, k_rdm
 from fermiconv.errors import (
     BadParam,
     CapExceeded,
@@ -23,12 +23,8 @@ from fermiconv.fci import (
     creation_string,
     ionization_attachment_probabilities,
     k_rdm_tensor,
-    random_toy_hamiltonian,
-    read_toy_hamiltonian,
     rotate_determinants,
     sector_eigensystem,
-    vacuum,
-    write_toy_hamiltonian,
 )
 
 
@@ -74,11 +70,11 @@ def test_creation_string_signs():
 def test_one_rdm_trace_and_coherence():
     space = FockSpace(2)
     plus = (determinant_vector(space, (1,)) + determinant_vector(space, (2,))) / np.sqrt(2)
-    d = one_rdm(plus, space)
+    d = k_rdm_tensor(plus, 1, space)
     np.testing.assert_allclose(np.trace(d), 1.0, atol=1e-12)
     np.testing.assert_allclose(d, np.full((2, 2), 0.5), atol=1e-12)
     det = determinant_vector(FockSpace(4), (1, 3))
-    d = one_rdm(det, FockSpace(4))
+    d = k_rdm_tensor(det, 1, FockSpace(4))
     np.testing.assert_allclose(d, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
 
@@ -104,11 +100,12 @@ def test_rotate_determinants_basics():
     # full shell picks up det(U); vacuum is untouched
     out = rotate_determinants(determinant_vector(space, (1, 2)), H, space)
     np.testing.assert_allclose(out, -determinant_vector(space, (1, 2)), atol=1e-12)
-    np.testing.assert_allclose(rotate_determinants(vacuum(space), H, space), vacuum(space))
+    vac = creation_string(space, ())
+    np.testing.assert_allclose(rotate_determinants(vac, H, space), vac)
     with pytest.raises(NotUnitary):
-        rotate_determinants(vacuum(space), np.ones((2, 2)), space)
+        rotate_determinants(vac, np.ones((2, 2)), space)
     with pytest.raises(BadParam):
-        rotate_determinants(vacuum(space), np.eye(3), space)
+        rotate_determinants(vac, np.eye(3), space)
 
 
 def test_rotation_preserves_rdm_covariance():
@@ -120,8 +117,8 @@ def test_rotation_preserves_rdm_covariance():
     rot = rotate_determinants(psi, U, space)
     np.testing.assert_allclose(np.linalg.norm(rot), 1.0, atol=1e-10)
     # 1-RDM transforms as conj(U) D U^T for our row convention
-    d0 = one_rdm(psi, space)
-    d1 = one_rdm(rot, space)
+    d0 = k_rdm_tensor(psi, 1, space)
+    d1 = k_rdm_tensor(rot, 1, space)
     np.testing.assert_allclose(d1, U.conj() @ d0 @ U.T, atol=1e-10)
 
 
@@ -134,7 +131,7 @@ def test_toy_hamiltonian_symmetry_enforcement():
         ToyHamiltonian(2, np.eye(2), h2)
     # non-finite coefficients pass both symmetry checks; they are refused too
     with pytest.raises(BadParam, match="non-finite"):
-        read_toy_hamiltonian("H1 1 1 nan 0.0\nH1 2 2 1.0 0.0\n")
+        ToyHamiltonian(2, np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(BadParam, match="non-finite"):
         ToyHamiltonian(2, np.array([[np.inf, 0], [0, 1]]))
     h2 = np.zeros((2,) * 4)
@@ -185,7 +182,7 @@ def test_ionization_attachment_sum_rules():
         Hm = H.dense_matrix(space)
         _, vecs = sector_eigensystem(Hm, space, N0)
         psi0 = vecs[:, 0]
-        occ = one_rdm(psi0, space).real.diagonal()
+        occ = k_rdm_tensor(psi0, 1, space).real.diagonal()
         for i in range(1, M + 1):
             lam_h, lam_p = ionization_attachment_probabilities(H, i, N0)
             assert np.all(lam_h >= -1e-12) and np.all(lam_h <= 1 + 1e-12)
@@ -216,45 +213,6 @@ def test_fock_space_caps():
     np.testing.assert_array_equal(space.sector_indices(1), [1, 2, 4])
     with pytest.raises(IndexOutOfRange):
         space.check_orbital(4)
-
-
-def test_toy_hamiltonian_file_round_trip():
-    rng = np.random.default_rng(21)
-    H = random_toy_hamiltonian(rng, 3)
-    back = read_toy_hamiltonian(write_toy_hamiltonian(H))
-    assert back.M == 3
-    np.testing.assert_allclose(back.h1, H.h1, atol=0)
-    np.testing.assert_allclose(back.h2, H.h2, atol=0)
-    # M inferred from the largest mentioned orbital, or passed explicitly
-    small = read_toy_hamiltonian("H1 2 2 1.0 0.0\n")
-    assert small.M == 2 and small.h1[1, 1] == 1.0
-    wide = read_toy_hamiltonian("H1 2 2 1.0 0.0\n", M=4)
-    assert wide.M == 4
-    with pytest.raises(BadParam):
-        read_toy_hamiltonian("")
-    with pytest.raises(BadParam):
-        read_toy_hamiltonian("H3 1 1 0.0 0.0\n")
-    # orbital 0, an orbital past an explicit M and a non-numeric token are
-    # refused with the offending line named
-    for text, M in (
-        ("H1 0 1 1.0 0.0\n", None),
-        ("H1 1 3 1.0 0.0\n", 2),
-        ("H2 1 2 2 5 1.0 0.0\n", 4),
-        ("H1 1 1 1.0 zero\n", None),
-        ("H2 1 x 1 1 1.0 0.0\n", None),
-    ):
-        with pytest.raises(BadParam, match=repr(text.strip())):
-            read_toy_hamiltonian(text, M)
-
-
-def test_toy_hamiltonian_refuses_repeated_coefficients():
-    # the second line is named, never silently kept
-    for text, second in (
-        ("H1 1 1 1.0 0.0\nH1 1 1 2.0 0.0\n", "H1 1 1 2.0 0.0"),
-        ("H2 1 2 2 1 0.5 0.0\nH1 1 2 0.0 0.0\nH2 1 2 2 1 0.5 0.0\n", "H2 1 2 2 1 0.5 0.0"),
-    ):
-        with pytest.raises(BadParam, match=f"listed twice: {second!r}"):
-            read_toy_hamiltonian(text)
 
 
 def test_two_body_convention_against_ladder_products():
@@ -298,13 +256,14 @@ def test_dense_matrix_matches_per_term_reference(M):
         random_toy_hamiltonian(rng, M),
         random_toy_hamiltonian(rng, M, two_body=False),
         sparse,
-        read_toy_hamiltonian(write_toy_hamiltonian(sparse)),
         ToyHamiltonian(M, np.zeros((M, M))),
     ]
     if M >= 3:
-        hams.append(read_toy_hamiltonian(
-            "H1 1 1 -1.5 0.0\nH1 1 3 0.25 0.5\nH1 3 1 0.25 -0.5\n"
-            "H2 1 3 3 1 0.75 0.0\nH2 3 1 1 3 0.75 0.0\n", M))
+        h1 = np.zeros((M, M), dtype=complex)
+        h1[0, 0], h1[0, 2], h1[2, 0] = -1.5, 0.25 + 0.5j, 0.25 - 0.5j
+        h2 = np.zeros((M,) * 4, dtype=complex)
+        h2[0, 2, 2, 0] = h2[2, 0, 0, 2] = 0.75
+        hams.append(ToyHamiltonian(M, h1, h2))
     for H in hams:
         assert np.array_equal(H.dense_matrix(space), ref.dense_matrix(H, space))
 
@@ -333,7 +292,7 @@ def test_rotation_matches_per_pair_reference(M):
     states = [
         full / np.linalg.norm(full),
         gappy / np.linalg.norm(gappy),
-        vacuum(space),
+        creation_string(space, ()),
         determinant_vector(space, range(1, M + 1, 2)),
         np.zeros(space.dim),
     ]
@@ -572,13 +531,12 @@ def test_k_rdm_tensor_matches_per_entry_k_rdm():
         for idx in np.ndindex(rdm.shape):
             orbs = [i + 1 for i in idx]
             assert abs(rdm[idx] - k_rdm(psi, orbs[:k], orbs[k:], space)) <= 1e-14
-        if k == 1:
-            assert np.array_equal(one_rdm(psi, space), rdm)
     space = FockSpace(2)
+    vac = creation_string(space, ())
     with pytest.raises(BadParam, match="normalized"):
-        k_rdm_tensor(2 * vacuum(space), 1, space)
+        k_rdm_tensor(2 * vac, 1, space)
     with pytest.raises(BadParam, match="below 1"):
-        k_rdm_tensor(vacuum(space), 0, space)
+        k_rdm_tensor(vac, 0, space)
 
 
 def test_dead_string_keeps_nothing():
@@ -602,7 +560,7 @@ def test_non_finite_states_refused():
         with pytest.raises(BadParam, match="normalized"):
             k_rdm_tensor(state, 2, space)
         with pytest.raises(BadParam, match="normalized"):
-            one_rdm(state, space)
+            k_rdm_tensor(state, 1, space)
 
 
 def test_oracle_imports_no_circuit_code():

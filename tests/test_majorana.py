@@ -16,8 +16,7 @@ from fermiconv import (
     majorana_circuit,
     sorted_list_to_fock,
 )
-from fermiconv.circuits import basis_action
-from fermiconv.encodings import AMP_THRESHOLD, SORTED_LIST, with_ancillas
+from fermiconv.encodings import AMP_THRESHOLD, SORTED_LIST
 from fermiconv.errors import (
     BadConstant,
     BadParam,
@@ -33,6 +32,8 @@ from fermiconv.majorana import (
 )
 from fock_reference import ladder_matrix
 from ladder_reference import apply_ladder as two_branch_ladder
+from loops import basis_image
+from validate_reference import with_ancillas
 
 
 def _enc(M, indices, n_reg, n_anc=0):
@@ -50,10 +51,10 @@ def test_sgn_rank_phases():
     lay = build_layout(4, 3, 1)
     anc = lay.anc_qubit(0)
     # |{1,3}>, p=2: one occupied index <= 2
-    out, ph = basis_action(sgn_rank_circuit(lay, 2, anc), lay.basis_index((1, 3, 7)))
+    out, ph = basis_image(sgn_rank_circuit(lay, 2, anc), lay.basis_index((1, 3, 7)))
     assert lay.values(out) == (1, 3, 7) and ph == -1
     # |{1,2}>, p=3: two indices <= 3
-    out, ph = basis_action(sgn_rank_circuit(lay, 3, anc), lay.basis_index((1, 2, 7)))
+    out, ph = basis_image(sgn_rank_circuit(lay, 3, anc), lay.basis_index((1, 2, 7)))
     assert lay.values(out) == (1, 2, 7) and ph == 1
     with pytest.raises(BadConstant):
         sgn_rank_circuit(lay, 5, anc)
@@ -63,9 +64,9 @@ def test_bit_flip_insert_and_remove():
     lay = build_layout(4, 4, N_WORK_ANCILLAS)
     ancs = [lay.anc_qubit(j) for j in range(N_WORK_ANCILLAS)]
     circ = bit_flip_circuit(lay, 2, ancs)
-    out, ph = basis_action(circ, lay.basis_index((1, 3, 7, 7)))
+    out, ph = basis_image(circ, lay.basis_index((1, 3, 7, 7)))
     assert lay.values(out) == (1, 2, 3, 7) and ph == 1
-    out, ph = basis_action(circ, lay.basis_index((1, 2, 3, 7)))
+    out, ph = basis_image(circ, lay.basis_index((1, 2, 3, 7)))
     assert lay.values(out) == (1, 3, 7, 7) and ph == 1
 
 
@@ -84,9 +85,9 @@ def test_bit_flip_involution_exhaustive():
             if x.N == 3 and p not in x.indices():
                 continue  # no slack: the circuit fixes these by design
             idx = lay.basis_index(tuple(x.indices()) + (lay.sentinel,) * (3 - x.N))
-            once, ph1 = basis_action(circ, idx)
+            once, ph1 = basis_image(circ, idx)
             assert once >> (3 * lay.b) == 0  # work ancillas restored
-            twice, ph2 = basis_action(circ, once)
+            twice, ph2 = basis_image(circ, once)
             assert twice == idx and ph1 * ph2 == 1
 
 
@@ -131,7 +132,7 @@ def _gamma_matrix(M, n_reg, mu):
     mat = np.zeros((len(states), len(states)), dtype=complex)
     for k, x in enumerate(states):
         vals = tuple(x.indices()) + (lay.sentinel,) * (n_reg - x.N)
-        out, ph = basis_action(g.circuit, lay.basis_index(vals))
+        out, ph = basis_image(g.circuit, lay.basis_index(vals))
         mat[slots[out], k] = g.scalar * ph
     return mat
 

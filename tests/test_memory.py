@@ -33,6 +33,7 @@ from fermiconv import (
 from fermiconv import circuits, cli, conversion, fci, majorana
 from fermiconv.circuits import build_layout
 from fermiconv.errors import BadParam
+from fock_reference import random_toy_hamiltonian
 
 MIB = 1 << 20
 
@@ -288,7 +289,7 @@ def test_dense_hamiltonian_build_peak():
     # the 256x256 complex H and its Hermiticity check hold about 3 MiB; one
     # broadcast over all M^4 two-body terms would add arrays of 1M entries
     space = fci.FockSpace(8)
-    H = fci.random_toy_hamiltonian(np.random.default_rng(0), 8)
+    H = random_toy_hamiltonian(np.random.default_rng(0), 8)
     assert _peak_mib(lambda: H.dense_matrix(space)) <= 3.5
 
 
@@ -309,7 +310,7 @@ def test_rotation_peak():
 def test_k_rdm_tensor_refuses_past_entry_cap_without_allocating():
     # at k=4, M=12 the tensor alone would hold 12^8 complex entries (6.9 GB)
     space = fci.FockSpace(12)
-    psi = fci.vacuum(space)
+    psi = fci.creation_string(space, ())
 
     def refuse():
         for k in (3, 4):
@@ -351,7 +352,7 @@ def test_k_rdm_string_table_holds_its_budget(monkeypatch):
     # table's KEPT_CAP: it fills to its budget of 32 B an entry (8 MiB),
     # then computes the remaining strings without storing them
     space = fci.FockSpace(12)
-    psi = fci.vacuum(space)
+    psi = fci.creation_string(space, ())
     fci.k_rdm(psi, (1,), (1,), space)  # warm: the mask and parity tables
     monkeypatch.setattr(fci, "_kept", fci._StringTable())
     pairs = list(itertools.combinations(range(1, 13), 2))

@@ -15,10 +15,14 @@ from fermiconv.report import (
     conversion_count_grid,
     emit_report,
     evaluate_formula,
-    find_crossover,
     fit_scaling,
-    formula,
 )
+
+
+def formula(group, name):
+    """The catalog row (group, name)."""
+    (f,) = [f for f in FORMULAS if (f.group, f.name) == (group, name)]
+    return f
 
 
 def test_catalog_size_and_groups():
@@ -67,8 +71,6 @@ def test_evaluate_formula_errors():
         evaluate_formula(f, {"M_MO": -3, "eps_QPE": 1})
     with pytest.raises(BadParam):
         evaluate_formula(f, {"M_MO": 0, "eps_QPE": 1})
-    with pytest.raises(BadParam):
-        formula("ground-state-whole", "no such row")
 
 
 def test_citation_strings_verbatim():
@@ -108,17 +110,6 @@ def test_compile_reads_caret_as_power():
 def test_compile_refuses(expression, parameters):
     with pytest.raises(BadParam):
         _compile(expression, parameters)
-
-
-def test_basis_size_crossover():
-    f = formula("ground-state-whole", "first-quantized simulation")
-    g = formula("ground-state-whole", "second-quantized simulation")
-    bind = dict(N=10, M_MO=100, eps_QPE=1.0)
-    assert find_crossover(f, g, "M_PW", bind, 2, 10**6) == 19953
-    with pytest.raises(BadParam):
-        find_crossover(f, g, "M_PW", bind, 10, 2)
-    with pytest.raises(BadParam):
-        find_crossover(f, g, "M_PW", bind, 2, 100)  # never overtakes here
 
 
 def test_fit_recovers_synthetic_coefficient():

@@ -21,9 +21,9 @@ from fermiconv import (
 )
 import stateio_reference as ref
 from fermiconv.circuits import build_layout
-from fermiconv.encodings import with_ancillas
 from fermiconv.errors import BadParam, CapExceeded, FermiconvError, MalformedComponent
 from fermiconv.stateio import _SPACES, format_amplitude
+from validate_reference import with_ancillas
 
 
 def _amp(tok: str) -> complex:

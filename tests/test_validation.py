@@ -17,7 +17,6 @@ from fermiconv import (
     sorted_list_to_fock,
     validate,
 )
-from fermiconv.encodings import decode_basis_component
 from fermiconv.errors import FermiconvError
 
 
@@ -51,9 +50,8 @@ def test_component_rule_messages(discipline, n_anc, values, anc, message):
     enc = _state(lay, discipline, [(good, 0, 0.6), (values, anc, 0.8)])
     key = lay.basis_index(values, anc)
     assert validate(enc).violations == [(key, values, message)]
-    with pytest.raises(FermiconvError) as err:
-        decode_basis_component(key, discipline, lay)
-    assert str(err.value) == message
+    alone = EncodedState.from_components([key], [1.0], discipline, lay)
+    assert validate(alone).violations == [(key, values, message)]
 
 
 def test_component_violations_listed_in_key_order():
@@ -192,25 +190,10 @@ def test_dense_constructor_round_trips_seeded_states():
                 assert enc.keys.tolist() == np.flatnonzero(amps).tolist()
 
 
-def test_decode_matches_reference_on_every_key():
+def test_validate_matches_reference_on_every_one_component_state():
     for M, n_reg, n_anc in _LAYOUTS[:4]:
         lay = build_layout(M, n_reg, n_anc)
-        for discipline in (SORTED_LIST, FIRST_QUANTIZED, "bogus"):
-            for key in (*range(1 << lay.total_qubits), -1, 1 << lay.total_qubits):
-                assert _outcome(decode_basis_component, key, discipline, lay) == _outcome(
-                    ref.decode_basis_component, key, discipline, lay
-                )
-
-
-
-def test_decode_matches_reference_past_63_bits():
-    lay = build_layout(62, 11)  # 66 qubits: keys need more than an int64
-    rng = np.random.default_rng(3)
-    keys = [int.from_bytes(rng.bytes(9), "little") % (1 << lay.total_qubits) for _ in range(100)]
-    keys += [lay.basis_index(tuple(range(1, 11)) + (lay.sentinel,)),
-             lay.basis_index(tuple(range(62, 51, -1)))]
-    for discipline in (SORTED_LIST, FIRST_QUANTIZED):
-        for key in keys:
-            assert _outcome(decode_basis_component, key, discipline, lay) == _outcome(
-                ref.decode_basis_component, key, discipline, lay
-            )
+        for discipline in (SORTED_LIST, FIRST_QUANTIZED):
+            for key in range(1 << lay.total_qubits):
+                enc = EncodedState.from_components([key], [1.0], discipline, lay)
+                assert validate(enc).violations == ref.validate_violations(enc)

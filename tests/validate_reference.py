@@ -4,6 +4,7 @@ These are the loops ``encodings`` ran before its rules became array checks
 over one register decode: every component is decoded with
 ``layout.values`` and judged on its own, and the antisymmetry check swaps
 registers one component at a time with ``layout.with_reg``.
+``with_ancillas`` widens a state's ancilla block for tests that need one.
 """
 
 import math
@@ -11,10 +12,12 @@ import math
 import numpy as np
 
 from fermiconv import OccupationBitstring, Statevector
+from fermiconv.circuits import build_layout
 from fermiconv.encodings import (
     AMP_THRESHOLD,
     FIRST_QUANTIZED,
     SORTED_LIST,
+    EncodedState,
     drop_clear_ancillas,
 )
 from fermiconv.errors import (
@@ -122,3 +125,12 @@ def first_quantized_to_fock(enc):
         mask = sum(1 << (v - 1) for v in values)
         fock[mask] += scale * amps[comp]
     return fock
+
+
+def with_ancillas(enc, n_anc):
+    """Same state on a layout with at least n_anc clear ancillas."""
+    if enc.layout.n_anc >= n_anc:
+        return enc
+    # old ancillas (if any) sit below the new ones, so every key carries over
+    new_layout = build_layout(enc.M, enc.layout.n_reg, n_anc)
+    return EncodedState.from_components(enc.keys, enc.amps, enc.discipline, new_layout, enc.N)
