@@ -121,6 +121,15 @@ def test_qft_requires_power_of_two():
         qft_register_transform(_fq(5, (1,)))
 
 
+def test_qft_gate_count_pins():
+    # the dense route books one padded 2^b x 2^b unitary per register, both ways
+    for M, occ, dim_sum in ((2, (1,), 16), (4, (1, 2), 2 * 64), (8, (1, 2, 3), 3 * 256),
+                            (16, (3, 9), 2 * 1024)):
+        for inverse in (False, True):
+            _, gc = qft_register_transform(_fq(M, occ), inverse=inverse)
+            assert gc == GateCount(0, 0, 0, dim_sum), (M, inverse)
+
+
 def test_transform_validation():
     with pytest.raises(DisciplineMismatch):
         apply_register_transform(

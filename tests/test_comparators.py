@@ -85,6 +85,14 @@ def test_swap_values_rejects_equal_constants():
         swap_values_circuit(LAY1, 0, 3, 3, TARGET)
 
 
+def test_const_validation():
+    # a 3-bit register holds 0..7; the sentinel 7 itself is a valid constant
+    for a, b in ((3, 8), (-1, 3), (8, 7)):
+        with pytest.raises(BadConstant, match="wider than the register"):
+            swap_values_circuit(LAY1, 0, a, b, TARGET)
+    assert swap_values_circuit(LAY1, 0, 3, LAY1.sentinel, TARGET).gates
+
+
 LAY2 = build_layout(4, 2, 3)  # two registers, three work ancillas
 
 

@@ -125,6 +125,26 @@ def test_sorted_list_round_trip_exhaustive():
             assert np.flatnonzero(fock).tolist() == [mask] and fock[mask] == 1.0
 
 
+def test_first_quantized_round_trip_exhaustive():
+    for M in range(2, 6):
+        for mask in range(1, 1 << M):
+            x = OccupationBitstring(M, mask)
+            fock = first_quantized_to_fock(encode_first_quantized_determinant(x))
+            assert np.flatnonzero(np.abs(fock) > 1e-12).tolist() == [mask]
+            assert abs(fock[mask] - 1.0) < 1e-12
+
+
+def test_validation_report_require_names_count_and_first_rule():
+    lay = build_layout(4, 3, 0)
+    keys = [lay.basis_index((1, 2, 3)), lay.basis_index((3, 1, 7)), lay.basis_index((0, 1, 7))]
+    rep = validate(EncodedState.from_components(keys, [0.6, 0.6, np.sqrt(0.28)], SORTED_LIST, lay))
+    with pytest.raises(BadParam) as err:
+        rep.require(BadParam, "{count} broken, first: {first}")
+    assert str(err.value) == "2 broken, first: " + rep.violations[0][2]
+    good = encode_sorted_list(OccupationBitstring.from_indices(4, (1, 2, 3)), 3)
+    validate(good).require(BadParam, "{count} broken")  # a valid state raises nothing
+
+
 def test_validate_flags_symmetric_state():
     lay = build_layout(4, 2, 0)
     amps = np.zeros(1 << lay.total_qubits, dtype=complex)

@@ -73,6 +73,20 @@ def test_evaluate_formula_errors():
         evaluate_formula(f, {"M_MO": 0, "eps_QPE": 1})
 
 
+def test_basis_size_crossover():
+    # at N=10, M_MO=100 the first-quantized cost first exceeds the
+    # second-quantized one at 19,953 plane waves
+    f = formula("ground-state-whole", "first-quantized simulation")
+    g = formula("ground-state-whole", "second-quantized simulation")
+
+    def excess(m_pw):
+        bind = dict(N=10, M_MO=100, eps_QPE=1.0, M_PW=m_pw)
+        return evaluate_formula(f, bind) - evaluate_formula(g, bind)
+
+    assert all(excess(m) <= 0 for m in (2, 100, 19952))
+    assert all(excess(m) > 0 for m in (19953, 10**6))
+
+
 def test_citation_strings_verbatim():
     f = formula("ground-state-whole", "hybrid measurement")
     assert f.citation == (
