@@ -31,6 +31,8 @@ from fermiconv.cli import _compare, _verdict, main
 from fermiconv.stateio import write_state
 
 DEFAULT_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_default.csv"
+WIDE_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_wide.csv"
+WIDE_GRID = "N=2,4,8,16,32,64,128;M=64,1024"
 
 
 def _run(capsys, argv):
@@ -513,6 +515,14 @@ def test_scaling_report_csv_pinned(capsys, tmp_path):
     rc, _, _ = _run(capsys, ["scaling-report", "--out", str(out)])
     assert rc == 0
     assert out.read_bytes() == DEFAULT_REPORT_CSV.read_bytes()
+
+
+def test_scaling_report_wide_grid_csv_pinned(capsys, tmp_path):
+    # 14 grid points up to the 1,471-comparator network of N=128
+    out = tmp_path / "r.csv"
+    rc, _, _ = _run(capsys, ["scaling-report", "--grid", WIDE_GRID, "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == WIDE_REPORT_CSV.read_bytes()
 
 
 def test_scaling_report_degenerate_grid_exit_3(capsys, tmp_path):
