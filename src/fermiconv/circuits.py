@@ -31,7 +31,9 @@ Circuit, never a Program. Layouts only pack registers; each size cap sits
 where memory is spent: dense vectors in ``Statevector.from_components``
 (QUBIT_CAP qubits), the one dense constructor, packed int64 indices in
 ``compile_circuit`` and ``EncodedState.from_components`` (PACKED_CAP
-qubits), the interpreter in ``sparse_action`` (BRANCH_CAP components).
+qubits), the interpreter in ``sparse_action`` (BRANCH_CAP components),
+and gate lists in the conversion builders (GATE_CAP gates, checked on a
+closed-form bound before the first gate is built).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,6 +53,11 @@ PACKED_CAP = 62  # widest layout whose basis indices fit a signed int64
 # this many hold about 1.5 GiB: no more than a dense QUBIT_CAP state and
 # its copy.
 BRANCH_CAP = 1 << (QUBIT_CAP - 2)
+# A built gate holds at most about 190 B: tracemalloc's peak over the gate
+# list, the gate tuples and their qubit ints, measured on fq2sl at M=2
+# N=512, where every qubit index is a fresh int. This many gates then peak
+# near 380 MiB, inside a 512 MiB budget.
+GATE_CAP = 1 << 21
 # Longest list that a permutation-plus-phase run traces one component at a
 # time in Python ints; longer lists take one numpy pass per gate instead.
 # A gate costs about 70 ns per component in the first loop and about 5 us
@@ -133,48 +141,71 @@ def build_layout(M: int, n_reg: int, n_anc: int = 0) -> RegisterLayout:
     return RegisterLayout(M=M, n_reg=n_reg, n_anc=n_anc, b=math.ceil(math.log2(M + 2)))
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
-    """params: (theta,) for PHASE, () for H and the permutation gates, and
-    for U2 and REGU the gate's read-only, C-contiguous complex d x d matrix
-    (d = 2^len(targets)), which the compiler hands on as is. Gates compare
-    by identity."""
+_new = tuple.__new__
 
-    kind: str
-    controls: tuple[int, ...] = ()
-    targets: tuple[int, ...] = ()
-    params: tuple[float, ...] | np.ndarray = ()
+
+class Gate(tuple):
+    """One gate: the immutable tuple (kind, controls, targets, params), its
+    fields read by name.
+
+    params: (theta,) for PHASE, () for H and the permutation gates, and for
+    U2 and REGU the gate's read-only, C-contiguous complex d x d matrix
+    (d = 2^len(targets)), which the compiler hands on as is. The
+    constructors below build the tuple directly. Assigning a field raises
+    AttributeError. Gates compare and hash by identity, never by fields: a
+    matrix field has no truth-valued ==.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, controls=(), targets=(), params=()):
+        return _new(cls, (kind, controls, targets, params))
+
+    kind = property(itemgetter(0))
+    controls = property(itemgetter(1))
+    targets = property(itemgetter(2))
+    params = property(itemgetter(3))
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Gate(kind={!r}, controls={!r}, targets={!r}, params={!r})".format(*self)
 
     def qubits(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        return self[1] + self[2]
 
 
 def x(t: int) -> Gate:
-    return Gate("X", (), (t,))
+    return _new(Gate, ("X", (), (t,), ()))
 
 
 def z(t: int) -> Gate:
-    return Gate("Z", (), (t,))
+    return _new(Gate, ("Z", (), (t,), ()))
 
 
 def h(t: int) -> Gate:
-    return Gate("H", (), (t,))
+    return _new(Gate, ("H", (), (t,), ()))
 
 
 def phase(theta: float, t: int) -> Gate:
-    return Gate("PHASE", (), (t,), (float(theta),))
+    return _new(Gate, ("PHASE", (), (t,), (float(theta),)))
 
 
 def cnot(c: int, t: int) -> Gate:
-    return Gate("CNOT", (c,), (t,))
+    return _new(Gate, ("CNOT", (c,), (t,), ()))
 
 
 def cz(a: int, b: int) -> Gate:
-    return Gate("CZ", (), (a, b))
+    return _new(Gate, ("CZ", (), (a, b), ()))
 
 
 def toffoli(c1: int, c2: int, t: int) -> Gate:
-    return Gate("TOFFOLI", (c1, c2), (t,))
+    return _new(Gate, ("TOFFOLI", (c1, c2), (t,), ()))
 
 
 def mcx(controls: tuple[int, ...], t: int) -> Gate:
@@ -185,11 +216,11 @@ def mcx(controls: tuple[int, ...], t: int) -> Gate:
         return cnot(cs[0], t)
     if len(cs) == 2:
         return toffoli(cs[0], cs[1], t)
-    return Gate("MCX", cs, (t,))
+    return _new(Gate, ("MCX", cs, (t,), ()))
 
 
 def cswap(c: int, t1: int, t2: int) -> Gate:
-    return Gate("CSWAP", (c,), (t1, t2))
+    return _new(Gate, ("CSWAP", (c,), (t1, t2), ()))
 
 
 def _matrix_gate(kind: str, mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
@@ -203,7 +234,7 @@ def _matrix_gate(kind: str, mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
     if not ts or ts != tuple(range(ts[0], ts[0] + len(ts))):
         raise BadParam(f"{kind} targets must be a contiguous ascending qubit run")
     m.setflags(write=False)
-    return Gate(kind, (), ts, m)
+    return _new(Gate, (kind, (), ts, m))
 
 
 def u2(mat: np.ndarray, t: int) -> Gate:
@@ -302,6 +333,12 @@ def check_branches(n: int, what: str) -> None:
         raise CapExceeded(f"{what}: {n} components > branch cap {BRANCH_CAP}")
 
 
+def check_gates(n: int, what: str) -> None:
+    """Refuse a build of up to n gates past GATE_CAP, before it starts."""
+    if n > GATE_CAP:
+        raise CapExceeded(f"{what}: up to {n} gates > gate cap {GATE_CAP}")
+
+
 def _branch(
     idx: np.ndarray, amp: np.ndarray, lo: int, w: int, mat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -366,17 +403,16 @@ def compile_circuit(circuit: Circuit) -> Program:
             rows.append((_FLIP, 0, 0, pending & bits))
             pending &= ~bits
 
-    for g in circuit.gates:
-        k = g.kind
-        controls = sum(1 << q for q in g.controls)
-        targets = sum(1 << q for q in g.targets)
+    for k, cs, ts, params in circuit.gates:
+        controls = sum(1 << q for q in cs)
+        targets = sum(1 << q for q in ts)
         if k == "X":
             pending ^= targets
             continue
         if k in _BRANCHING:
             flush(pending)
-            mat = _HADAMARD if k == "H" else g.params
-            branches.append((len(rows), g.targets[0], len(g.targets), mat))
+            mat = _HADAMARD if k == "H" else params
+            branches.append((len(rows), ts[0], len(ts), mat))
             continue
         if k in ("CNOT", "TOFFOLI", "MCX"):
             op, c, f = _FLIP, controls, targets
@@ -384,7 +420,7 @@ def compile_circuit(circuit: Circuit) -> Program:
             op, c, f = _SIGN, targets, 0
         elif k == "PHASE":
             op, c, f = _PHASE, targets, len(phases)
-            phases.append(complex(math.cos(g.params[0]), math.sin(g.params[0])))
+            phases.append(complex(math.cos(params[0]), math.sin(params[0])))
         elif k == "CSWAP":
             flush(targets)
             op, c, f = _SWAP, controls, targets
@@ -497,21 +533,27 @@ def count_gates(circuit: Circuit) -> GateCount:
     gate alongside CNOT; every single-qubit gate counts 1.
     """
     tof = cn = sq = dimsum = 0
+    # kinds in the order of their share of comparator circuits; g[0] rather
+    # than unpacking, which takes the slow generic path for a tuple subclass
     for g in circuit.gates:
-        k = g.kind
-        if k in ("X", "Z", "H", "PHASE", "U2"):
+        k = g[0]
+        if k == "X":
             sq += 1
-        elif k in ("CNOT", "CZ"):
+        elif k == "CNOT":
             cn += 1
-        elif k == "TOFFOLI":
-            tof += 1
         elif k == "MCX":
-            tof += len(g.controls) - 1
+            tof += len(g[1]) - 1
         elif k == "CSWAP":
             tof += 1
             cn += 2
+        elif k == "TOFFOLI":
+            tof += 1
+        elif k in ("Z", "H", "PHASE", "U2"):
+            sq += 1
+        elif k == "CZ":
+            cn += 1
         elif k == "REGU":
-            d = 1 << len(g.targets)
+            d = 1 << len(g[2])
             dimsum += d * d
         else:
             raise BadParam(f"unknown gate kind {k}")

@@ -16,9 +16,9 @@ from .errors import BadConstant, BadParam
 
 def _eq_gates(layout, reg, p, target) -> list[Gate]:
     """target ^= [value(reg) == p] via an X-sandwiched multi-controlled X."""
-    qs = list(layout.register_qubits(reg))
+    qs = layout.register_qubits(reg)
     wrap = [x(q) for k, q in enumerate(qs) if not (p >> k) & 1]
-    return wrap + [mcx(qs, target)] + wrap
+    return [*wrap, mcx(qs, target), *wrap]
 
 
 def _lt_gates(layout, reg, p, target) -> list[Gate]:
@@ -28,15 +28,17 @@ def _lt_gates(layout, reg, p, target) -> list[Gate]:
     where p has its set bit k, i.e. k is the highest differing bit and the
     register loses there.
     """
-    qs = list(layout.register_qubits(reg))
-    b = layout.b
+    qs = layout.register_qubits(reg)
+    flips = [x(q) for q in qs]
     gates: list[Gate] = []
-    for k in range(b - 1, -1, -1):
+    for k in reversed(range(layout.b)):
         if not (p >> k) & 1:
             continue
-        wrap = [x(qs[m]) for m in range(k + 1, b) if not (p >> m) & 1]
-        wrap.append(x(qs[k]))
-        gates += wrap + [mcx(list(qs[k:b]), target)] + wrap
+        wrap = [flips[m] for m in range(k + 1, layout.b) if not (p >> m) & 1]
+        wrap.append(flips[k])
+        gates += wrap
+        gates.append(mcx(qs[k:], target))
+        gates += wrap
     return gates
 
 
@@ -99,15 +101,18 @@ def compute_greater_gates(layout, i, j, record) -> list[Gate]:
     XOR locates the highest disagreement, and register i's bit there decides
     the winner. One mutually exclusive term per candidate position.
     """
-    qi = list(layout.register_qubits(i))
-    qj = list(layout.register_qubits(j))
-    b = layout.b
-    xor = [cnot(qi[m], qj[m]) for m in range(b)]
-    terms: list[Gate] = []
-    for k in range(b - 1, -1, -1):
-        wrap = [x(qj[m]) for m in range(k + 1, b)]
-        terms += wrap + [mcx(qj[k + 1:] + [qj[k], qi[k]], record)] + wrap
-    return xor + terms + xor
+    qi = layout.register_qubits(i)
+    qj = layout.register_qubits(j)
+    xor = list(map(cnot, qi, qj))
+    flips = list(map(x, qj))
+    gates = xor.copy()
+    for k in reversed(range(layout.b)):
+        wrap = flips[k + 1:]
+        gates += wrap
+        gates.append(mcx((*qj[k + 1:], qj[k], qi[k]), record))
+        gates += wrap
+    gates += xor
+    return gates
 
 
 def compare_swap_gates(
@@ -128,15 +133,14 @@ def compare_swap_gates(
     bookkeeping, not a fermion exchange.
     """
     gates = compute_greater_gates(layout, i, j, record)
+    qi = layout.register_qubits(i)
     if with_z:
         if exempt_anc is not None:
-            mark = [mcx(list(layout.register_qubits(i)), exempt_anc)]
-            gates += mark + [z(record), cz(record, exempt_anc)] + mark
+            mark = mcx(qi, exempt_anc)
+            gates += (mark, z(record), cz(record, exempt_anc), mark)
         else:
-            gates += [z(record)]
-    qi = list(layout.register_qubits(i))
-    qj = list(layout.register_qubits(j))
-    gates += [cswap(record, qi[k], qj[k]) for k in range(layout.b)]
+            gates.append(z(record))
+    gates += [cswap(record, a, c) for a, c in zip(qi, layout.register_qubits(j))]
     return gates
 
 
@@ -160,6 +164,17 @@ def batcher_pairs(n: int) -> list[tuple[int, int]]:
             k //= 2
         p *= 2
     return pairs
+
+
+def batcher_size_bound(n: int) -> int:
+    """Most comparators batcher_pairs(n) returns, without building them.
+
+    (k^2 - k + 4) 2^(k-2) - 1 for k = ceil(log2 n): the size of Batcher's
+    network on 2^k lanes (Knuth, TAOCP vol. 3, 5.3.4), which any n <= 2^k
+    lanes do not exceed, with equality at n = 2^k.
+    """
+    k = (n - 1).bit_length()
+    return ((k * k - k + 4) << k >> 2) - 1
 
 
 def odd_even_transposition_pairs(n: int) -> list[tuple[int, int]]:
@@ -229,8 +244,7 @@ def equality_flag_gates(layout, i, j, target) -> list[Gate]:
 
     XOR register i into j, detect the all-zero pattern, undo.
     """
-    qi = list(layout.register_qubits(i))
-    qj = list(layout.register_qubits(j))
-    xor = [cnot(qi[m], qj[m]) for m in range(layout.b)]
-    wrap = [x(q) for q in qj]
-    return xor + wrap + [mcx(qj, target)] + wrap + xor
+    qj = layout.register_qubits(j)
+    xor = list(map(cnot, layout.register_qubits(i), qj))
+    wrap = list(map(x, qj))
+    return [*xor, *wrap, mcx(qj, target), *wrap, *xor]

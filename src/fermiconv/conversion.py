@@ -41,6 +41,7 @@ from .circuits import (
     Program,
     build_layout,
     check_branches,
+    check_gates,
     compile_circuit,
     count_gates,
     cswap,
@@ -52,6 +53,7 @@ from .circuits import (
 )
 from .comparators import (
     SortingNetworkSpec,
+    batcher_size_bound,
     compute_greater_gates,
     equality_flag_gates,
     sorting_network_circuit,
@@ -124,15 +126,30 @@ def _rank_one_split(
     return row_keys, u, col_keys, psi
 
 
+def _network_gate_bound(M: int, n_lanes: int, stages: int) -> int:
+    """Most gates in `stages` recorded Batcher networks on n_lanes registers,
+    computed without building a pair or a gate.
+
+    A comparator is at most b^2 + 3b + 4 gates (compare_swap_gates with the
+    sentinel exemption), and each stage adds at most 4b + 1 per lane (the
+    sentinel fill, the seed's H layer and its equality flags).
+    """
+    b = build_layout(M, n_lanes).b
+    per_stage = batcher_size_bound(n_lanes) * (b * b + 3 * b + 4) + n_lanes * (4 * b + 1)
+    return stages * per_stage
+
+
 def _fq2sl_circuit(M: int, N: int, n_out: int) -> Circuit:
     """Sentinel fill of registers N..n_out-1, then the recorded sort."""
+    check_gates(_network_gate_bound(M, n_out, 1), f"fq2sl M={M} on {n_out} registers")
     spec = SortingNetworkSpec.batcher(n_out)
     layout = build_layout(M, n_out, spec.n_comparators)
     circ = Circuit(layout)
     for r in range(N, n_out):
         for q in layout.register_qubits(r):
             circ.add(x(q))  # all-zeros register -> all-ones sentinel
-    return circ + sorting_network_circuit(layout, spec, with_z=True)
+    circ.gates += sorting_network_circuit(layout, spec, with_z=True).gates
+    return circ
 
 
 @functools.lru_cache(maxsize=32)
@@ -145,6 +162,7 @@ def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
     """(seed stage, unsort) for N >= 2: H on N seed registers, their phase-free
     recorded sort and N - 1 collision flags; then the inverse network over N
     system registers, driven by the same records, which supplies the sign."""
+    check_gates(_network_gate_bound(M, N, 2), f"sl2fq M={M} N={N}")
     spec = SortingNetworkSpec.batcher(N)
     T = spec.n_comparators
     seed = build_layout(M, N, T + N - 1)
@@ -239,13 +257,15 @@ def first_to_second(
 def fq2sl_gate_count(M: int, N: int, extra_registers: int = 0) -> GateCount:
     """Cost of the forward conversion circuit, no statevector built.
 
-    Layouts carry no cap, so scaling grids may go far beyond desk size.
+    No qubit cap applies, so scaling grids may go far beyond desk size; a
+    circuit that could pass GATE_CAP gates is refused before it is built.
     """
     return count_gates(_fq2sl_circuit(M, N, N + extra_registers))
 
 
 def sl2fq_gate_count(M: int, N: int) -> GateCount:
-    """Cost of the backward conversion circuits, no statevector built."""
+    """Cost of the backward conversion circuits, no statevector built;
+    refused past GATE_CAP gates like fq2sl_gate_count."""
     if N == 1:  # second_to_first passes a single register through
         return GateCount()
     return sum(map(count_gates, _sl2fq_circuits(M, N)), GateCount())

@@ -1,6 +1,7 @@
 """Circuit core: layouts, gate application, counting, tracing, serialization."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -362,6 +363,28 @@ def test_compiled_branches_are_the_gates_matrices():
     prog = compile_circuit(circ)
     assert [b[3] is g.params for b, g in zip(prog.branches, circ.gates[:2])] == [True, True]
     assert not prog.branches[2][3].flags.writeable
+
+
+def test_gate_is_an_immutable_tuple_read_by_name():
+    g = cswap(0, 1, 2)
+    assert (g.kind, g.controls, g.targets, g.params) == ("CSWAP", (0,), (1, 2), ())
+    assert tuple(g) == ("CSWAP", (0,), (1, 2), ()) and g.qubits() == (0, 1, 2)
+    for name in ("kind", "controls", "targets", "params", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+    assert g.kind == "CSWAP"
+    # equal-looking gates are distinct, and hash by identity
+    twin = cswap(0, 1, 2)
+    assert g == g and g != twin and not g == twin
+    assert len({g, twin, g}) == 2 and twin not in [g]
+    assert repr(g) == "Gate(kind='CSWAP', controls=(0,), targets=(1, 2), params=())"
+    copied = pickle.loads(pickle.dumps(g))
+    assert copied != g and tuple(copied) == tuple(g) and copied.kind == "CSWAP"
+    # the compiler hands a matrix gate's own read-only params on
+    circ = _matrix_circuit()
+    prog = compile_circuit(circ)
+    assert all(br[3] is gate.params for br, gate in zip(prog.branches, circ.gates))
+    assert not any(br[3].flags.writeable for br in prog.branches)
 
 
 def test_inverse_conjugate_transposes_held_matrices():

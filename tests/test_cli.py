@@ -525,6 +525,14 @@ def test_scaling_report_wide_grid_csv_pinned(capsys, tmp_path):
     assert out.read_bytes() == WIDE_REPORT_CSV.read_bytes()
 
 
+def test_scaling_report_past_the_gate_cap_exit_5(capsys, tmp_path):
+    out = tmp_path / "r.csv"
+    rc, text, err = _run(capsys, ["scaling-report", "--grid", "N=16384;M=64", "--out", str(out)])
+    assert rc == 5 and text == ""
+    assert "gate cap" in err
+    assert not out.exists()
+
+
 def test_scaling_report_degenerate_grid_exit_3(capsys, tmp_path):
     # N=1 needs no comparator: its count and log2(1) are both zero
     out = tmp_path / "r.csv"

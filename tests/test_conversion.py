@@ -15,7 +15,14 @@ from fermiconv import (
     sl2fq_gate_count,
     tensor_product_merge,
 )
-from fermiconv.conversion import _sl2fq_programs
+from fermiconv import circuits, comparators
+from fermiconv.comparators import batcher_pairs, batcher_size_bound
+from fermiconv.conversion import (
+    _fq2sl_circuit,
+    _network_gate_bound,
+    _sl2fq_circuits,
+    _sl2fq_programs,
+)
 from fermiconv.encodings import (
     FIRST_QUANTIZED,
     first_quantized_to_fock,
@@ -24,6 +31,7 @@ from fermiconv.encodings import (
 from fermiconv.errors import (
     BadParam,
     BasisMismatch,
+    CapExceeded,
     MixedParticleNumber,
     NotAntisymmetric,
     RetryBudgetExceeded,
@@ -302,6 +310,56 @@ def test_backward_gate_count_pins():
     assert built(6, 2) == (20, 30, 25)
     assert built(14, 2) == (31, 40, 41)
     assert built(64, 32) == (13556, 11130, 16893)  # builds in 0.1 s
+
+
+def test_batcher_size_bound():
+    for n in range(1, 300):
+        assert len(batcher_pairs(n)) <= batcher_size_bound(n)
+    for k in range(11):
+        assert len(batcher_pairs(1 << k)) == batcher_size_bound(1 << k)
+
+
+def test_network_gate_bound_covers_the_builders():
+    for M, N, extra in ((2, 2, 0), (6, 3, 2), (14, 5, 0), (64, 8, 3), (1024, 7, 1)):
+        gates = len(_fq2sl_circuit(M, N, N + extra).gates)
+        assert gates <= _network_gate_bound(M, N + extra, 1)
+    for M, N in ((4, 2), (6, 3), (14, 5), (64, 8)):
+        gates = sum(len(c.gates) for c in _sl2fq_circuits(M, N))
+        assert gates <= _network_gate_bound(M, N, 2)
+
+
+def test_gate_cap_refuses_before_building(monkeypatch):
+    def no_pairs(n):
+        raise AssertionError("a pair list was built")
+
+    monkeypatch.setattr(comparators, "batcher_pairs", no_pairs)
+    # about 54 M gates, some 10 GB if built
+    with pytest.raises(CapExceeded, match="gate cap"):
+        fq2sl_gate_count(64, 1 << 14)
+    with pytest.raises(CapExceeded, match="gate cap"):
+        sl2fq_gate_count(64, 1 << 14)
+    with pytest.raises(CapExceeded, match="gate cap"):
+        fq2sl_gate_count(64, 2, extra_registers=(1 << 14) - 2)
+
+
+def test_gate_cap_edges():
+    # the largest admitted network per register width: a power of two of
+    # lanes, where the bound is the exact network size
+    for M, edge in ((2, 4096), (6, 2048), (64, 1024), (1024, 512)):
+        assert _network_gate_bound(M, edge, 1) <= circuits.GATE_CAP
+        assert _network_gate_bound(M, edge + 1, 1) > circuits.GATE_CAP
+    assert _network_gate_bound(64, 512, 2) <= circuits.GATE_CAP
+    assert _network_gate_bound(64, 513, 2) > circuits.GATE_CAP
+
+
+def test_largest_admitted_network_still_counts(monkeypatch):
+    # the real edge builds about 1.7 M gates, too slow for this suite; the
+    # same check at a cap lowered to N=128's bound admits N=128 and counts it
+    monkeypatch.setattr(circuits, "GATE_CAP", _network_gate_bound(64, 128, 1))
+    g = fq2sl_gate_count(64, 128)
+    assert g.toffoli_equiv + g.cnot == 92673  # tests/data/scaling_report_wide.csv
+    with pytest.raises(CapExceeded, match="gate cap"):
+        fq2sl_gate_count(64, 129)
 
 
 def test_merge_sorted_inputs():
