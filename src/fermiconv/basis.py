@@ -71,10 +71,8 @@ class BasisMatrix:
 def register_transform_circuit(layout, U: BasisMatrix) -> Circuit:
     """One padded register unitary per register."""
     mat = U.padded(layout.b)
-    circ = Circuit(layout)
-    for r in range(layout.n_reg):
-        circ.add(regu(mat, tuple(layout.register_qubits(r))))
-    return circ
+    gates = [regu(mat, tuple(layout.register_qubits(r))) for r in range(layout.n_reg)]
+    return Circuit(layout, gates)
 
 
 def apply_register_transform(enc: EncodedState, U) -> tuple[EncodedState, GateCount]:

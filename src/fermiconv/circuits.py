@@ -26,6 +26,10 @@ compiled Program holds as is; only the text format (``serialize_circuit``,
 builds every line through its kind's constructor. Gates compare by
 identity.
 
+A Circuit is a layout and one gate list, which each builder assembles and
+wraps once. Gate qubits are checked against the layout where outside text
+enters (``parse_circuit``) and where every circuit runs (``compile_circuit``).
+
 Gate counting is purely syntactic (``count_gates``) and reads the
 Circuit, never a Program. Layouts only pack registers; each size cap sits
 where memory is spent: dense vectors in ``Statevector.from_components``
@@ -65,7 +69,6 @@ GATE_CAP = 1 << 21
 # ladder, conversion and merge programs (Python 3.11, numpy 2.4, x86-64).
 SCALAR_MAX_COMPONENTS = 64
 
-_SELF_INVERSE = {"X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP"}
 _BRANCHING = {"H", "U2", "REGU"}
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _HADAMARD.setflags(write=False)
@@ -100,10 +103,6 @@ class RegisterLayout:
 
     def reg_value(self, basis_index: int, i: int) -> int:
         return (basis_index >> (i * self.b)) & self.sentinel
-
-    def with_reg(self, basis_index: int, i: int, value: int) -> int:
-        shift = i * self.b
-        return (basis_index & ~(self.sentinel << shift)) | (value << shift)
 
     def values(self, basis_index: int) -> tuple[int, ...]:
         return tuple(self.reg_value(basis_index, i) for i in range(self.n_reg))
@@ -176,9 +175,6 @@ class Gate(tuple):
     def __repr__(self) -> str:
         return "Gate(kind={!r}, controls={!r}, targets={!r}, params={!r})".format(*self)
 
-    def qubits(self) -> tuple[int, ...]:
-        return self[1] + self[2]
-
 
 def x(t: int) -> Gate:
     return _new(Gate, ("X", (), (t,), ()))
@@ -247,45 +243,20 @@ def regu(mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
 
 @dataclass
 class Circuit:
+    """A layout and its gates, run left to right; checked where read or compiled."""
+
     layout: RegisterLayout
     gates: list[Gate] = field(default_factory=list)
 
-    def add(self, gate: Gate) -> "Circuit":
-        n = self.layout.total_qubits
-        qs = gate.qubits()
-        if len(set(qs)) != len(qs):
-            raise BadParam(f"{gate.kind} reuses a qubit: {qs}")
-        for q in qs:
-            if not 0 <= q < n:
-                raise DimMismatch(f"{gate.kind} touches qubit {q}, layout has {n}")
-        self.gates.append(gate)
-        return self
 
-    def extend(self, gates) -> "Circuit":
-        for g in gates:
-            self.add(g)
-        return self
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if other.layout != self.layout:
-            raise DimMismatch("composition needs a shared layout")
-        return Circuit(self.layout, list(self.gates) + list(other.gates))
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def inverse(self) -> "Circuit":
-        inv: list[Gate] = []
-        for g in reversed(self.gates):
-            if g.kind in _SELF_INVERSE:
-                inv.append(g)
-            elif g.kind == "PHASE":
-                inv.append(phase(-g.params[0], g.targets[0]))
-            elif g.kind in ("U2", "REGU"):
-                inv.append(_matrix_gate(g.kind, g.params.conj().T, g.targets))
-            else:
-                raise BadParam(f"unknown gate kind {g.kind}")
-        return Circuit(self.layout, inv)
+def _check_qubits(gate: Gate, n: int) -> None:
+    """Refuse a gate that reuses a qubit (BadParam) or leaves 0..n-1 (DimMismatch)."""
+    qs = gate.controls + gate.targets
+    if len(set(qs)) != len(qs):
+        raise BadParam(f"{gate.kind} reuses a qubit: {qs}")
+    for q in qs:
+        if not 0 <= q < n:
+            raise DimMismatch(f"{gate.kind} touches qubit {q}, layout has {n}")
 
 
 class Statevector:
@@ -388,7 +359,8 @@ class Program:
 
 
 def compile_circuit(circuit: Circuit) -> Program:
-    """Reduce every gate to masks; layouts past PACKED_CAP raise CapExceeded."""
+    """Reduce every gate to masks; layouts past PACKED_CAP raise CapExceeded,
+    and a gate's qubits are checked against the layout first."""
     n = circuit.layout.total_qubits
     if n > PACKED_CAP:
         raise CapExceeded(f"{n} qubits > packed-index cap {PACKED_CAP}")
@@ -403,7 +375,9 @@ def compile_circuit(circuit: Circuit) -> Program:
             rows.append((_FLIP, 0, 0, pending & bits))
             pending &= ~bits
 
-    for k, cs, ts, params in circuit.gates:
+    for g in circuit.gates:
+        _check_qubits(g, n)
+        k, cs, ts, params = g
         controls = sum(1 << q for q in cs)
         targets = sum(1 << q for q in ts)
         if k == "X":
@@ -612,7 +586,8 @@ def _numbers(text: str, cast: type) -> tuple:
 def parse_circuit(text: str) -> Circuit:
     """Inverse of serialize_circuit. Each gate line is built by its kind's
     constructor and must come out as written: other lines, unparsable or
-    non-finite numbers included, raise BadParam naming the line."""
+    non-finite numbers included, raise BadParam naming the line. A gate
+    whose qubits the layout refuses raises BadParam or DimMismatch."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise BadParam("empty circuit text")
@@ -623,7 +598,8 @@ def parse_circuit(text: str) -> Circuit:
     layout = build_layout(M, n_reg, n_anc)
     if layout.b != b:
         raise BadParam(f"header B={b} inconsistent with M={M} (want {layout.b})")
-    circ = Circuit(layout)
+    n = layout.total_qubits
+    gates: list[Gate] = []
     for ln in lines[1:]:
         g = _GATE_RE.match(ln)
         if not g:
@@ -642,5 +618,6 @@ def parse_circuit(text: str) -> Circuit:
         built = (gate.kind, gate.controls, gate.targets, _floats(gate))
         if built != (kind, controls, targets, params):
             raise BadParam(f"{kind} constructor builds a different gate: {ln!r}")
-        circ.add(gate)
-    return circ
+        _check_qubits(gate, n)
+        gates.append(gate)
+    return Circuit(layout, gates)

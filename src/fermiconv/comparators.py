@@ -8,8 +8,6 @@ registers unchanged unless the operation's contract is a swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuits import Circuit, Gate, RegisterLayout, cnot, cswap, cz, mcx, x, z
 from .errors import BadConstant, BadParam
 
@@ -64,9 +62,9 @@ def swap_values_circuit(layout, reg, a, b, anc) -> Circuit:
     for c in (a, b):
         if not 0 <= c <= layout.sentinel:
             raise BadConstant(f"constant {c} wider than the register")
-    qs = list(layout.register_qubits(reg))
     mark = _eq_gates(layout, reg, a, anc) + _eq_gates(layout, reg, b, anc)
-    flips = [cnot(anc, qs[k]) for k in range(layout.b) if ((a ^ b) >> k) & 1]
+    qs = layout.register_qubits(reg)
+    flips = [cnot(anc, q) for k, q in enumerate(qs) if ((a ^ b) >> k) & 1]
     return Circuit(layout, mark + flips + mark)
 
 
@@ -88,9 +86,8 @@ def bubble_gates(layout, reg_a, reg_b, p, ancs) -> list[Gate]:
         )
 
     both = predicate(reg_a, reg_b) + predicate(reg_b, reg_a)
-    qa = list(layout.register_qubits(reg_a))
-    qb = list(layout.register_qubits(reg_b))
-    swaps = [cswap(flag, qa[k], qb[k]) for k in range(layout.b)]
+    qa, qb = layout.register_qubits(reg_a), layout.register_qubits(reg_b)
+    swaps = [cswap(flag, a, c) for a, c in zip(qa, qb)]
     return both + swaps + both
 
 
@@ -196,46 +193,23 @@ def odd_even_transposition_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class SortingNetworkSpec:
-    """A fixed comparator schedule over register lanes."""
-
-    n_lanes: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def batcher(cls, n_lanes: int) -> "SortingNetworkSpec":
-        return cls(n_lanes, tuple(batcher_pairs(n_lanes)))
-
-    @classmethod
-    def adjacent(cls, n_lanes: int) -> "SortingNetworkSpec":
-        return cls(n_lanes, tuple(odd_even_transposition_pairs(n_lanes)))
-
-    @property
-    def n_comparators(self) -> int:
-        return len(self.pairs)
-
-
 def sorting_network_circuit(
     layout: RegisterLayout,
-    spec: SortingNetworkSpec,
+    pairs: list[tuple[int, int]],
     with_z: bool = True,
     exempt_anc: int | None = None,
 ) -> Circuit:
-    """Sort all registers ascending, comparator t recording in ancilla t.
+    """Sort the registers ascending along pairs, the schedule batcher_pairs or
+    odd_even_transposition_pairs returns, comparator t recording in ancilla t.
 
     Sentinels order above every orbital value, so occupied values collect in
     the leading registers. With with_z each comparator phases its swapped
     branch by -1 (sentinel-exempt given exempt_anc, see compare_swap_gates).
+    A lane or record ancilla past the layout raises BadParam.
     """
-    if spec.n_lanes != layout.n_reg:
-        raise BadParam("network lane count disagrees with the layout")
     gates: list[Gate] = []
-    for t, (i, j) in enumerate(spec.pairs):
-        gates += compare_swap_gates(
-            layout, i, j, layout.anc_qubit(t),
-            with_z=with_z, exempt_anc=exempt_anc,
-        )
+    for t, (i, j) in enumerate(pairs):
+        gates += compare_swap_gates(layout, i, j, layout.anc_qubit(t), with_z, exempt_anc)
     return Circuit(layout, gates)
 
 

@@ -52,10 +52,11 @@ from .circuits import (
     z,
 )
 from .comparators import (
-    SortingNetworkSpec,
+    batcher_pairs,
     batcher_size_bound,
     compute_greater_gates,
     equality_flag_gates,
+    odd_even_transposition_pairs,
     sorting_network_circuit,
 )
 from .encodings import (
@@ -142,14 +143,12 @@ def _network_gate_bound(M: int, n_lanes: int, stages: int) -> int:
 def _fq2sl_circuit(M: int, N: int, n_out: int) -> Circuit:
     """Sentinel fill of registers N..n_out-1, then the recorded sort."""
     check_gates(_network_gate_bound(M, n_out, 1), f"fq2sl M={M} on {n_out} registers")
-    spec = SortingNetworkSpec.batcher(n_out)
-    layout = build_layout(M, n_out, spec.n_comparators)
-    circ = Circuit(layout)
-    for r in range(N, n_out):
-        for q in layout.register_qubits(r):
-            circ.add(x(q))  # all-zeros register -> all-ones sentinel
-    circ.gates += sorting_network_circuit(layout, spec, with_z=True).gates
-    return circ
+    pairs = batcher_pairs(n_out)
+    layout = build_layout(M, n_out, len(pairs))
+    # all-zeros registers -> all-ones sentinels
+    gates = [x(q) for q in range(N * layout.b, n_out * layout.b)]
+    gates += sorting_network_circuit(layout, pairs, with_z=True).gates
+    return Circuit(layout, gates)
 
 
 @functools.lru_cache(maxsize=32)
@@ -163,24 +162,23 @@ def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
     recorded sort and N - 1 collision flags; then the inverse network over N
     system registers, driven by the same records, which supplies the sign."""
     check_gates(_network_gate_bound(M, N, 2), f"sl2fq M={M} N={N}")
-    spec = SortingNetworkSpec.batcher(N)
-    T = spec.n_comparators
+    pairs = batcher_pairs(N)
+    T = len(pairs)
     seed = build_layout(M, N, T + N - 1)
-    seed_stage = Circuit(seed).extend(h(q) for q in range(N * seed.b))
-    seed_stage = seed_stage + sorting_network_circuit(seed, spec, with_z=False)
+    seed_gates = [h(q) for q in range(N * seed.b)]
+    seed_gates += sorting_network_circuit(seed, pairs, with_z=False).gates
     for k in range(N - 1):
-        seed_stage.extend(equality_flag_gates(seed, k, k + 1, seed.anc_qubit(T + k)))
+        seed_gates += equality_flag_gates(seed, k, k + 1, seed.anc_qubit(T + k))
     work = build_layout(M, N, T)
-    unsort = Circuit(work)
+    unsort = []
     for t in reversed(range(T)):
-        i, j = spec.pairs[t]
+        i, j = pairs[t]
         rec = work.anc_qubit(t)
-        qi = list(work.register_qubits(i))
-        qj = list(work.register_qubits(j))
-        unsort.add(z(rec))
-        unsort.extend(cswap(rec, qi[k], qj[k]) for k in range(work.b))
-        unsort.extend(compute_greater_gates(work, i, j, rec))
-    return seed_stage, unsort
+        qi, qj = work.register_qubits(i), work.register_qubits(j)
+        unsort.append(z(rec))
+        unsort += [cswap(rec, a, c) for a, c in zip(qi, qj)]
+        unsort += compute_greater_gates(work, i, j, rec)
+    return Circuit(seed, seed_gates), Circuit(work, unsort)
 
 
 @functools.lru_cache(maxsize=32)
@@ -383,26 +381,22 @@ def _merge_circuit(M: int, n_out: int) -> Circuit:
 
     Ancillas: T records, n_out - 1 equality flags, 1 sentinel marker, 1 flag.
     """
-    spec = SortingNetworkSpec.adjacent(n_out)
-    T = spec.n_comparators
+    pairs = odd_even_transposition_pairs(n_out)
+    T = len(pairs)
     layout = build_layout(M, n_out, T + n_out + 1)
     eqs = [layout.anc_qubit(T + k) for k in range(n_out - 1)]
     tmp = layout.anc_qubit(T + n_out - 1)
     flag = layout.anc_qubit(T + n_out)
-    circ = sorting_network_circuit(layout, spec, with_z=True, exempt_anc=tmp)
-    dup = Circuit(layout)
+    gates = sorting_network_circuit(layout, pairs, with_z=True, exempt_anc=tmp).gates
+    dup = []
     for k in range(n_out - 1):
-        dup.extend(equality_flag_gates(layout, k, k + 1, eqs[k]))
-        both = list(layout.register_qubits(k)) + list(layout.register_qubits(k + 1))
-        dup.add(mcx(both, eqs[k]))  # subtract the sentinel-sentinel case
-    orgate = Circuit(layout)
-    for q in eqs:
-        orgate.add(x(q))
-    orgate.add(mcx(eqs, flag))
-    orgate.add(x(flag))
-    for q in eqs:
-        orgate.add(x(q))
-    return circ + dup + orgate + dup.inverse()
+        dup += equality_flag_gates(layout, k, k + 1, eqs[k])
+        both = (*layout.register_qubits(k), *layout.register_qubits(k + 1))
+        dup.append(mcx(both, eqs[k]))  # subtract the sentinel-sentinel case
+    flips = [x(q) for q in eqs]
+    # dup holds X, CNOT and MCX gates only, each its own inverse
+    gates += [*dup, *flips, mcx(eqs, flag), x(flag), *flips, *reversed(dup)]
+    return Circuit(layout, gates)
 
 
 @functools.lru_cache(maxsize=16)
@@ -445,7 +439,7 @@ def tensor_product_merge(a: EncodedState, b: EncodedState) -> MergeResult:
         raise BasisMismatch(f"orbital counts differ: {a.M} vs {b.M}")
     M = a.M
     n_out = a.layout.n_reg + b.layout.n_reg
-    T = SortingNetworkSpec.adjacent(n_out).n_comparators
+    T = len(odd_even_transposition_pairs(n_out))
 
     # joint input: products of the nonzero components, a in the low registers
     check_branches(len(a.keys) * len(b.keys), "merge joint input")

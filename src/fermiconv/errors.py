@@ -18,7 +18,7 @@ class CapExceeded(FermiconvError):
 
 
 class DimMismatch(FermiconvError):
-    """Statevector length does not match the circuit's layout."""
+    """A statevector's length, or a gate's qubit, does not fit the circuit's layout."""
 
 
 class TooManyElectrons(FermiconvError):

@@ -24,7 +24,6 @@ trade are involutions conditioned on exchange-symmetric predicates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +45,11 @@ def sgn_rank_circuit(layout, p: int, anc: int) -> Circuit:
     """
     if not 0 <= p <= layout.M:
         raise BadConstant(f"rank constant {p} not in 0..{layout.M}")
-    circ = Circuit(layout)
-    if p == 0:
-        return circ
-    for r in range(layout.n_reg):
+    gates: list[Gate] = []
+    for r in range(layout.n_reg if p else 0):
         le = _le_gates(layout, r, p, anc)
-        circ.extend(le + [z(anc)] + le)
-    return circ
+        gates += [*le, z(anc), *le]
+    return Circuit(layout, gates)
 
 
 def bit_flip_circuit(layout, p: int, ancs) -> Circuit:
@@ -79,16 +76,8 @@ def bit_flip_circuit(layout, p: int, ancs) -> Circuit:
     return Circuit(layout, gates)
 
 
-@dataclass(frozen=True)
-class ScaledCircuit:
-    """A circuit together with a scalar prefactor (|scalar| = 1 here)."""
-
-    circuit: Circuit
-    scalar: complex
-
-
-def majorana_circuit(layout, mu: int) -> ScaledCircuit:
-    """Majorana operator mu in 1..2M as a phase circuit plus toggle."""
+def majorana_circuit(layout, mu: int) -> tuple[Circuit, complex]:
+    """Majorana operator mu in 1..2M as (phase circuit plus toggle, scalar)."""
     if not 1 <= mu <= 2 * layout.M:
         raise BadParam(f"Majorana index {mu} not in 1..{2 * layout.M}")
     if layout.n_anc < N_WORK_ANCILLAS:
@@ -97,14 +86,14 @@ def majorana_circuit(layout, mu: int) -> ScaledCircuit:
     p = (mu + 1) // 2
     rank_to = p - 1 if mu % 2 else p
     scalar = 1.0 + 0.0j if mu % 2 else 1.0j
-    circ = sgn_rank_circuit(layout, rank_to, ancs[0]) + bit_flip_circuit(layout, p, ancs)
-    return ScaledCircuit(circ, scalar)
+    rank = sgn_rank_circuit(layout, rank_to, ancs[0])
+    return Circuit(layout, rank.gates + bit_flip_circuit(layout, p, ancs).gates), scalar
 
 
 @functools.lru_cache(maxsize=64)
 def _majorana_program(layout, mu: int) -> Program:
     """majorana_circuit compiled; its scalar is not kept."""
-    return compile_circuit(majorana_circuit(layout, mu).circuit)
+    return compile_circuit(majorana_circuit(layout, mu)[0])
 
 
 def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:

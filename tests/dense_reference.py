@@ -3,7 +3,8 @@
 It applies every gate kind to the full 2^n amplitude array through numpy
 slice assignments on a (2,)*n view, independently of ``sparse_action``'s
 component-list bookkeeping. Qubit q lives on axis n-1-q, so a basis index
-carries qubit q as bit q, as in the package.
+carries qubit q as bit q, as in the package. ``inverse`` builds a circuit's
+inverse for the reversibility tests.
 """
 
 import math
@@ -11,7 +12,10 @@ import math
 import numpy as np
 
 from fermiconv import Circuit, Statevector
+from fermiconv.circuits import phase, regu, u2
 from fermiconv.errors import BadParam, DimMismatch
+
+_SELF_INVERSE = {"X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP"}
 
 
 def _ix(n: int, fixed: dict[int, int]) -> tuple:
@@ -80,3 +84,20 @@ def apply_dense(state: Statevector, circuit: Circuit) -> Statevector:
     for g in circuit.gates:
         _apply_gate(a, n, g)
     return Statevector(a)
+
+
+def inverse(circuit: Circuit) -> Circuit:
+    """The gates reversed, each inverted: PHASE negated, a matrix conjugate-transposed."""
+    inv = []
+    for g in reversed(circuit.gates):
+        if g.kind in _SELF_INVERSE:
+            inv.append(g)
+        elif g.kind == "PHASE":
+            inv.append(phase(-g.params[0], g.targets[0]))
+        elif g.kind == "U2":
+            inv.append(u2(g.params.conj().T, g.targets[0]))
+        elif g.kind == "REGU":
+            inv.append(regu(g.params.conj().T, g.targets))
+        else:
+            raise BadParam(f"unknown gate kind {g.kind}")
+    return Circuit(circuit.layout, inv)

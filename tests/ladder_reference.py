@@ -24,8 +24,8 @@ from fermiconv.majorana import N_WORK_ANCILLAS, majorana_circuit
 @functools.lru_cache(maxsize=64)
 def _majorana_program(layout, mu: int) -> tuple[Program, complex]:
     """majorana_circuit compiled, with its scalar."""
-    g = majorana_circuit(layout, mu)
-    return compile_circuit(g.circuit), g.scalar
+    circ, scalar = majorana_circuit(layout, mu)
+    return compile_circuit(circ), scalar
 
 
 def apply_ladder(enc: EncodedState, p: int, kind: str) -> EncodedState:

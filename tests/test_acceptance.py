@@ -102,7 +102,7 @@ def test_01_encoding_faithfulness():
 def _gamma_matrix(M, n_reg, mu):
     """Dense Majorana action over the whole valid sorted-list subspace."""
     lay = build_layout(M, n_reg, N_WORK_ANCILLAS)
-    g = majorana_circuit(lay, mu)
+    circ, scalar = majorana_circuit(lay, mu)
     states = list(range(1 << M))
     slots = {}
     for k, mask in enumerate(states):
@@ -113,8 +113,8 @@ def _gamma_matrix(M, n_reg, mu):
     for k, mask in enumerate(states):
         x = OccupationBitstring(M, mask)
         vals = tuple(x.indices()) + (lay.sentinel,) * (n_reg - x.N)
-        out, ph = basis_image(g.circuit, lay.basis_index(vals))
-        mat[slots[out], k] = g.scalar * ph
+        out, ph = basis_image(circ, lay.basis_index(vals))
+        mat[slots[out], k] = scalar * ph
     return mat
 
 

@@ -36,8 +36,9 @@ from fermiconv.circuits import (
 )
 from fermiconv.errors import BadParam, DimMismatch
 
-from dense_reference import apply_dense
+from dense_reference import apply_dense, inverse
 from loops import basis_image, run_both_loops
+from validate_reference import with_reg
 
 
 def test_layout_examples():
@@ -74,7 +75,7 @@ def test_layout_register_placement():
     idx = lay.basis_index((1, 3, 7), anc=2)
     assert lay.values(idx) == (1, 3, 7)
     assert lay.reg_value(idx, 1) == 3
-    assert lay.with_reg(idx, 1, 5) == lay.basis_index((1, 5, 7), anc=2)
+    assert with_reg(lay, idx, 1, 5) == lay.basis_index((1, 5, 7), anc=2)
 
 
 def test_apply_x_on_zero():
@@ -127,7 +128,7 @@ def test_count_additivity():
     lay = build_layout(4, 2, 2)
     a = Circuit(lay, [x(0), cswap(6, 0, 3), mcx([0, 1, 2], 7)])
     b = Circuit(lay, [cnot(1, 2), z(4), toffoli(0, 1, 5)])
-    assert count_gates(a + b) == count_gates(a) + count_gates(b)
+    assert count_gates(Circuit(lay, a.gates + b.gates)) == count_gates(a) + count_gates(b)
 
 
 def test_mcx_normalizes_small_fanin():
@@ -207,10 +208,10 @@ def test_unitarity(circ, state):
 @given(circ=random_circuits(), state=random_states())
 def test_reversibility(circ, state):
     fwd = apply_circuit(state, circ)
-    back = apply_circuit(fwd, circ.inverse())
+    back = apply_circuit(fwd, inverse(circ))
     assert np.linalg.norm(back.amps - state.amps) < 1e-10
     np.testing.assert_allclose(
-        back.amps, apply_dense(fwd, circ.inverse()).amps, atol=1e-10
+        back.amps, apply_dense(fwd, inverse(circ)).amps, atol=1e-10
     )
 
 
@@ -295,7 +296,7 @@ def test_serialization_round_trip():
 def test_inverse_reverses_and_conjugates():
     lay = build_layout(2, 1, 1)
     circ = Circuit(lay, [phase(0.5, 0), x(1)])
-    inv = circ.inverse()
+    inv = inverse(circ)
     assert [g.kind for g in inv.gates] == ["X", "PHASE"]
     assert inv.gates[1].params[0] == -0.5
 
@@ -327,7 +328,7 @@ def _matrix_circuit():
 def test_matrix_gate_text_is_pinned():
     circ = _matrix_circuit()
     assert serialize_circuit(circ) == _PINNED_MATRIX_TEXT
-    assert serialize_circuit(circ.inverse()) == _PINNED_MATRIX_INVERSE_TEXT
+    assert serialize_circuit(inverse(circ)) == _PINNED_MATRIX_INVERSE_TEXT
     assert serialize_circuit(parse_circuit(_PINNED_MATRIX_INVERSE_TEXT)) == (
         _PINNED_MATRIX_INVERSE_TEXT
     )
@@ -359,7 +360,7 @@ def test_matrix_gate_constructor_errors():
 
 def test_compiled_branches_are_the_gates_matrices():
     circ = _matrix_circuit()
-    circ.add(h(1))
+    circ.gates.append(h(1))
     prog = compile_circuit(circ)
     assert [b[3] is g.params for b, g in zip(prog.branches, circ.gates[:2])] == [True, True]
     assert not prog.branches[2][3].flags.writeable
@@ -368,7 +369,7 @@ def test_compiled_branches_are_the_gates_matrices():
 def test_gate_is_an_immutable_tuple_read_by_name():
     g = cswap(0, 1, 2)
     assert (g.kind, g.controls, g.targets, g.params) == ("CSWAP", (0,), (1, 2), ())
-    assert tuple(g) == ("CSWAP", (0,), (1, 2), ()) and g.qubits() == (0, 1, 2)
+    assert tuple(g) == ("CSWAP", (0,), (1, 2), ())
     for name in ("kind", "controls", "targets", "params", "extra"):
         with pytest.raises(AttributeError):
             setattr(g, name, ())
@@ -389,7 +390,7 @@ def test_gate_is_an_immutable_tuple_read_by_name():
 
 def test_inverse_conjugate_transposes_held_matrices():
     circ = _matrix_circuit()
-    inv = circ.inverse()
+    inv = inverse(circ)
     assert [g.kind for g in inv.gates] == ["REGU", "U2"]
     for g, i in zip(reversed(circ.gates), inv.gates):
         assert i.targets == g.targets
@@ -426,3 +427,30 @@ def test_parse_refuses_lines_unlike_their_constructor(line):
     with pytest.raises(BadParam) as exc:
         parse_circuit(f"LAYOUT M=4 NREG=1 B=3 NANC=1\n{line}\n")
     assert repr(line) in str(exc.value)
+
+
+@pytest.mark.parametrize("line,error", [
+    ("X controls=[] targets=[3] params=[]", DimMismatch),  # past the layout
+    ("CNOT controls=[0] targets=[7] params=[]", DimMismatch),
+    ("X controls=[] targets=[-1] params=[]", DimMismatch),
+    ("CNOT controls=[1] targets=[1] params=[]", BadParam),  # a reused qubit
+    ("CSWAP controls=[0] targets=[2,0] params=[]", BadParam),
+])
+def test_parse_refuses_qubits_the_layout_refuses(line, error):
+    # both classes are precondition failures: `fermiconv count` exits 3
+    with pytest.raises(error):
+        parse_circuit(f"LAYOUT M=2 NREG=1 B=2 NANC=1\n{line}\n")
+
+
+@pytest.mark.parametrize("gate,error", [
+    (x(40), DimMismatch),
+    (x(70), DimMismatch),
+    (x(-1), DimMismatch),
+    (cnot(0, 0), BadParam),
+])
+def test_compiling_refuses_qubits_the_layout_refuses(gate, error):
+    circ = Circuit(build_layout(2, 1), [gate])
+    with pytest.raises(error):
+        compile_circuit(circ)
+    with pytest.raises(error):
+        sparse_action(circ, np.array([0]), np.array([1.0 + 0j]))

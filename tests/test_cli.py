@@ -445,6 +445,13 @@ def test_count_refuses_malformed_circuit_exit_3(capsys, tmp_path):
     path.write_text("LAYOUT M=2 NREG=1 B=2 NANC=0\nMCX controls=[] targets=[0] params=[]\n")
     rc, out, err = _run(capsys, ["count", "--circuit", str(path)])
     assert rc == 3 and out == "" and err.startswith("error:") and "MCX controls=[]" in err
+    # counting never compiles: the reader refuses qubits the layout refuses
+    for line, says in (("X controls=[] targets=[2]", "touches qubit 2"),
+                       ("X controls=[] targets=[-1]", "touches qubit -1"),
+                       ("CNOT controls=[1] targets=[1]", "reuses a qubit")):
+        path.write_text(f"LAYOUT M=2 NREG=1 B=2 NANC=0\n{line} params=[]\n")
+        rc, out, err = _run(capsys, ["count", "--circuit", str(path)])
+        assert rc == 3 and out == "" and says in err
 
 
 def test_convert_refuses_non_finite_state_exit_3(capsys, tmp_path):

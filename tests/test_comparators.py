@@ -7,7 +7,6 @@ import pytest
 
 from fermiconv import Circuit, build_layout
 from fermiconv.comparators import (
-    SortingNetworkSpec,
     _eq_gates,
     _gt_gates,
     _le_gates,
@@ -23,6 +22,7 @@ from fermiconv.comparators import (
 )
 from fermiconv.errors import BadConstant, BadParam
 
+from dense_reference import inverse
 from loops import basis_image
 
 LAY1 = build_layout(4, 1, 1)  # one 3-bit register plus a target ancilla
@@ -207,9 +207,9 @@ def _perm_sign(perm):
 
 
 def test_sorting_network_phase_is_permutation_sign():
-    spec = SortingNetworkSpec.batcher(3)
-    lay = build_layout(4, 3, spec.n_comparators)
-    circ = sorting_network_circuit(lay, spec)
+    pairs = batcher_pairs(3)
+    lay = build_layout(4, 3, len(pairs))
+    circ = sorting_network_circuit(lay, pairs)
     values = (1, 2, 4)
     for perm in itertools.permutations(range(3)):
         inp = tuple(values[perm[k]] for k in range(3))
@@ -222,9 +222,9 @@ def test_sorting_network_phase_is_permutation_sign():
 
 
 def test_sorting_network_4_lanes_all_signs():
-    spec = SortingNetworkSpec.batcher(4)
-    lay = build_layout(6, 4, spec.n_comparators)
-    circ = sorting_network_circuit(lay, spec)
+    pairs = batcher_pairs(4)
+    lay = build_layout(6, 4, len(pairs))
+    circ = sorting_network_circuit(lay, pairs)
     values = (1, 3, 4, 6)
     for perm in itertools.permutations(range(4)):
         inp = tuple(values[perm[k]] for k in range(4))
@@ -234,27 +234,27 @@ def test_sorting_network_4_lanes_all_signs():
 
 
 def test_sorting_network_with_sentinels():
-    spec = SortingNetworkSpec.batcher(3)
-    lay = build_layout(4, 3, spec.n_comparators)
-    circ = sorting_network_circuit(lay, spec)
+    pairs = batcher_pairs(3)
+    lay = build_layout(4, 3, len(pairs))
+    circ = sorting_network_circuit(lay, pairs)
     out, ph = basis_image(circ, lay.basis_index((3, 1, 7)))
     assert lay.values(out)[:3] == (1, 3, 7)
     assert ph == -1
 
 
 def test_sorting_network_needs_enough_records():
-    spec = SortingNetworkSpec.batcher(3)
+    pairs = batcher_pairs(3)
     with pytest.raises(BadParam):
-        sorting_network_circuit(build_layout(4, 3, 1), spec)  # too few ancillas
+        sorting_network_circuit(build_layout(4, 3, 1), pairs)  # too few ancillas
     with pytest.raises(BadParam):
-        sorting_network_circuit(build_layout(4, 2, 3), spec)  # lane mismatch
+        sorting_network_circuit(build_layout(4, 2, 3), pairs)  # a lane past the layout
 
 
 def test_network_involution_property():
     # compare-swap is self-inverse only on the record-extended space; check
     # circuit o inverse = identity on every 2-register basis input instead
     circ = Circuit(LAY2, compare_swap_gates(LAY2, 0, 1, LAY2.anc_qubit(0)))
-    full = circ + circ.inverse()
+    full = Circuit(LAY2, circ.gates + inverse(circ).gates)
     for u, w in itertools.product(range(8), repeat=2):
         idx = LAY2.basis_index((u, w))
         out, ph = basis_image(full, idx)

@@ -45,7 +45,7 @@ def test_majorana_programs_agree_on_both_loops(M, n_reg):
     rng = np.random.default_rng(M)
     reg_bits = n_reg * lay.b
     for mu in range(1, 2 * M + 1):
-        prog = compile_circuit(majorana_circuit(lay, mu).circuit)
+        prog = compile_circuit(majorana_circuit(lay, mu)[0])
         for k in (1, 4, 64):
             keys = rng.choice(1 << reg_bits, size=k, replace=False)
             amps = rng.normal(size=k) + 1j * rng.normal(size=k)
@@ -91,7 +91,7 @@ def test_mutating_a_built_circuit_leaves_ladders_alone():
     before = apply_ladder(sl, 2, "create").state.amps.copy()
     work = build_layout(4, 3, N_WORK_ANCILLAS)
     for mu in (3, 4):  # the two Majorana branches of orbital 2
-        majorana_circuit(work, mu).circuit.gates.clear()
+        majorana_circuit(work, mu)[0].gates.clear()
     after = apply_ladder(sl, 2, "create").state.amps
     assert after.tobytes() == before.tobytes()
 

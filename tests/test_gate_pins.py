@@ -44,7 +44,7 @@ def cases():
         yield f"merge M={M} n_out={n_out}", _merge_circuit(M, n_out)
     for M, n_reg, mu in ((4, 3, 1), (4, 3, 4), (6, 4, 7), (14, 5, 28)):
         layout = build_layout(M, n_reg, N_WORK_ANCILLAS)
-        yield f"majorana M={M} n_reg={n_reg} mu={mu}", majorana_circuit(layout, mu).circuit
+        yield f"majorana M={M} n_reg={n_reg} mu={mu}", majorana_circuit(layout, mu)[0]
     for M, n_reg in ((4, 2), (8, 3)):
         U = BasisMatrix(dft_matrix(M))
         yield f"qft M={M} n_reg={n_reg}", register_transform_circuit(build_layout(M, n_reg), U)

@@ -44,7 +44,7 @@ def _enc(M, indices, n_reg, n_anc=0):
 
 def test_sgn_rank_zero_is_identity():
     lay = build_layout(4, 3, 1)
-    assert len(sgn_rank_circuit(lay, 0, lay.anc_qubit(0))) == 0
+    assert sgn_rank_circuit(lay, 0, lay.anc_qubit(0)).gates == []
 
 
 def test_sgn_rank_phases():
@@ -94,15 +94,15 @@ def test_bit_flip_involution_exhaustive():
 def test_majorana_on_vacuum():
     vac = _enc(2, (), 2, N_WORK_ANCILLAS)
     one = _enc(2, (1,), 2, N_WORK_ANCILLAS)
-    g1 = majorana_circuit(vac.layout, 1)
-    assert g1.scalar == 1.0 + 0.0j
+    c1, s1 = majorana_circuit(vac.layout, 1)
+    assert s1 == 1.0 + 0.0j
     np.testing.assert_allclose(
-        apply_circuit(vac.state, g1.circuit).amps * g1.scalar, one.state.amps, atol=1e-12
+        apply_circuit(vac.state, c1).amps * s1, one.state.amps, atol=1e-12
     )
-    g2 = majorana_circuit(vac.layout, 2)
-    assert g2.scalar == 1.0j
+    c2, s2 = majorana_circuit(vac.layout, 2)
+    assert s2 == 1.0j
     np.testing.assert_allclose(
-        apply_circuit(vac.state, g2.circuit).amps * g2.scalar, 1.0j * one.state.amps, atol=1e-12
+        apply_circuit(vac.state, c2).amps * s2, 1.0j * one.state.amps, atol=1e-12
     )
 
 
@@ -119,7 +119,7 @@ def test_majorana_validation():
 def _gamma_matrix(M, n_reg, mu):
     """Dense Majorana action on the valid sorted-list subspace."""
     lay = build_layout(M, n_reg, N_WORK_ANCILLAS)
-    g = majorana_circuit(lay, mu)
+    circ, scalar = majorana_circuit(lay, mu)
     states = [
         OccupationBitstring(M, mask)
         for mask in range(1 << M)
@@ -132,8 +132,8 @@ def _gamma_matrix(M, n_reg, mu):
     mat = np.zeros((len(states), len(states)), dtype=complex)
     for k, x in enumerate(states):
         vals = tuple(x.indices()) + (lay.sentinel,) * (n_reg - x.N)
-        out, ph = basis_image(g.circuit, lay.basis_index(vals))
-        mat[slots[out], k] = g.scalar * ph
+        out, ph = basis_image(circ, lay.basis_index(vals))
+        mat[slots[out], k] = scalar * ph
     return mat
 
 

@@ -3,7 +3,7 @@
 These are the loops ``encodings`` ran before its rules became array checks
 over one register decode: every component is decoded with
 ``layout.values`` and judged on its own, and the antisymmetry check swaps
-registers one component at a time with ``layout.with_reg``.
+registers one component at a time with ``with_reg``.
 ``with_ancillas`` widens a state's ancilla block for tests that need one.
 """
 
@@ -60,6 +60,12 @@ def decode_basis_component(component, discipline, layout):
     raise BadParam(f"unknown discipline {discipline!r}")
 
 
+def with_reg(layout, basis_index: int, i: int, value: int) -> int:
+    """basis_index with register i set to value."""
+    shift = i * layout.b
+    return (basis_index & ~(layout.sentinel << shift)) | (value << shift)
+
+
 def validate_violations(enc):
     """The violations list validate reports, built one component at a time."""
     layout = enc.layout
@@ -78,7 +84,7 @@ def validate_violations(enc):
                     comp = int(comp)
                     vr = layout.reg_value(comp, r)
                     vs = layout.reg_value(comp, s)
-                    swapped = layout.with_reg(layout.with_reg(comp, r, vs), s, vr)
+                    swapped = with_reg(layout, with_reg(layout, comp, r, vs), s, vr)
                     if abs(amps[swapped] + amps[comp]) > 1e-10:
                         violations.append(
                             (comp, layout.values(comp),
