@@ -286,10 +286,20 @@ def test_program_caches_are_bounded():
 
 
 def test_dense_hamiltonian_build_peak():
-    # the 256x256 complex H and its Hermiticity check hold about 3 MiB; one
-    # broadcast over all M^4 two-body terms would add arrays of 1M entries
+    # the 256x256 complex H, its real and imaginary halves and one gathered
+    # weight array hold about 2.3 MiB, the cold call's term table 0.7 MiB
+    # more; one broadcast over all M^4 two-body terms would add arrays of 1M
+    # entries
     space = fci.FockSpace(8)
     H = random_toy_hamiltonian(np.random.default_rng(0), 8)
+    fci._hamiltonian_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        H.dense_matrix(space)
+        assert tracemalloc.get_traced_memory()[1] / MIB <= 3.5
+    finally:
+        tracemalloc.stop()
+    assert sum(part.nbytes for part in fci._hamiltonian_terms(8)) / MIB <= 0.75
     assert _peak_mib(lambda: H.dense_matrix(space)) <= 3.5
 
 
