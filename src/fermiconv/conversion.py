@@ -8,19 +8,18 @@ permutation, and the per-branch phase cancels the permutation sign).
 
 Sorted-list-to-antisymmetric seeds the permutation the other way round: a
 seed stage on N seed registers alone sorts a uniform superposition without
-phases to mint one record pattern per permutation, a projective measurement
-discards colliding seeds (the stage is traced from |0> once per (M, N) and
-process, and only its success probability and record factor are kept),
-the records (x) system drive the inverse network (one Z per record supplies
-the sign), and each record is erased right after its comparator is undone,
-by recomputing it.
+phases to mint one record pattern per permutation, and a projective
+measurement discards colliding seeds. The stage runs once per (M, N) and
+process, on one representative per ordering, never on its H layer's
+2^(N b) branches. The records (x) system drive the inverse network (one Z
+per record supplies the sign), and each record is erased right after its
+comparator is undone, by recomputing it.
 
-Every stage is permutation plus phase (the seed's H layer aside, which the
-tracer branches), so all of them run on component lists through
-``sparse_action`` on work layouts of any width up to the packed-index cap.
-Inputs, outputs and the record state that fq2sl reports are component
-lists too, so no stage builds a dense vector; the sl2fq seeds, the joint
-merge input and the split matrices obey the tracer's BRANCH_CAP.
+Every stage that runs is permutation plus phase, on component lists
+through ``sparse_action``, on work layouts up to the packed-index cap, so
+no conversion builds a dense vector or branches. The seed orderings, the
+records (x) system, the merge's joint input and the split matrices obey the
+tracer's BRANCH_CAP.
 
 The merge concatenates two sorted lists, resorts with an adjacent-only
 network whose swap phase is withheld for sentinel moves, and flags
@@ -64,6 +63,8 @@ from .encodings import (
     FIRST_QUANTIZED,
     SORTED_LIST,
     EncodedState,
+    OccupationBitstring,
+    encode_first_quantized_determinant,
     validate,
 )
 from .errors import (
@@ -187,26 +188,30 @@ def _sl2fq_programs(
 ) -> tuple[tuple[float, np.ndarray, np.ndarray], Program, GateCount]:
     """((p_success, rec_keys, rec), unsort, summed count) for N >= 2.
 
-    The seed stage never touches the system, so its trace from |0> is kept
-    only as what the unsort needs: the collision-free probability and the
-    record factor left after the seed values are split off (read-only). The
-    caller holds the seed's branching to BRANCH_CAP before the first call.
+    The seed stage never touches the system, so only its collision-free
+    probability prod_k (1 - k/2^b) and read-only record factor are kept.
+    Post-selected seeds are a uniform superposition over the N! orderings of
+    distinct values (the symmetrization of Berry et al., npj Quantum Inf. 4,
+    22 (2018)), and the records depend only on the ordering. So the stage
+    past its H layer runs on the orderings of orbitals 1..N at 1/sqrt(N!),
+    refused past BRANCH_CAP orderings before any is built.
     """
     seed_stage, unsort = _sl2fq_circuits(M, N)
     sys_bits = N * unsort.layout.b
-    T = unsort.layout.n_anc
-    oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
-    keep = (oi >> np.int64(sys_bits + T)) == 0  # no collision flag raised
-    p_success = float(np.sum(np.abs(oa[keep]) ** 2))
-    # the seed factorizes as (uniform over distinct sorted values) x records,
-    # because record patterns depend only on the seeding permutation, never
-    # on which distinct values were drawn
-    ki = oi[keep]
-    _, _, rec_keys, rec = _rank_one_split(
-        ki & np.int64((1 << sys_bits) - 1), ki >> np.int64(sys_bits), oa[keep]
-    )
-    rec_keys.setflags(write=False)
-    rec.setflags(write=False)
+    seeds = encode_first_quantized_determinant(OccupationBitstring(M, (1 << N) - 1))
+    past_h = Circuit(seed_stage.layout, seed_stage.gates[sys_bits:])
+    oi, rec = sparse_action(past_h, seeds.keys, np.abs(seeds.amps))
+    order = np.argsort(oi)
+    oi, rec = oi[order], rec[order]
+    # outside the records, every ordering must leave 1..N sorted, flags clear
+    rec_bits = np.int64(((1 << unsort.layout.n_anc) - 1) << sys_bits)
+    if np.any((oi & ~rec_bits) != seed_stage.layout.basis_index(tuple(range(1, N + 1)))):
+        raise EntangledAncilla("seed records do not split off the sorted seed values")
+    rec_keys = oi >> np.int64(sys_bits)
+    for arr in (rec_keys, rec):
+        arr.setflags(write=False)
+    # the collision-free share of the 2^(N b) seeds, rounded once
+    p_success = math.perm(1 << unsort.layout.b, N) / (1 << sys_bits)
     gc = count_gates(seed_stage) + count_gates(unsort)
     return (p_success, rec_keys, rec), compile_circuit(unsort), gc
 
@@ -277,9 +282,9 @@ def second_to_first(
 ) -> tuple[EncodedState, ConversionReport]:
     """Sorted list with a fixed electron count -> antisymmetric N registers.
 
-    Pipeline: slice off the all-sentinel tail; take the seed stage (H on N
-    seed registers, phase-free recorded sort, collision flags), traced from
-    |0> once per (M, N) and process, with the seed already split off;
+    Pipeline: slice off the all-sentinel tail; take the seed stage's record
+    factor (H on N seed registers, phase-free recorded sort, collision
+    flags), computed once per (M, N) and process from the N! orderings;
     measure away seed collisions (success probability prod_k (1 - k/2^b),
     retried up to retry_budget >= 1 times; by default the smallest budget,
     and at least 16, that runs out with probability <= 1e-9); drive the
@@ -324,28 +329,16 @@ def second_to_first(
     amp0 = amps[on_tail]
 
     fq_layout = build_layout(enc.M, N, 0)
-    if N == 1:
-        result = EncodedState.from_components(idx0, amp0, FIRST_QUANTIZED, fq_layout, N)
-        report = ConversionReport(
-            direction="sorted-list-to-antisymmetric",
-            gate_count=GateCount(),
-            record_ancillas=0,
-            success_probability=1.0,
-            attempts=0,
-        )
-        return result, report
+    if N == 1:  # one register passes through: no gates, records or draws
+        report = ConversionReport("sorted-list-to-antisymmetric", GateCount(), record_ancillas=0,
+                                  success_probability=1.0, attempts=0)
+        return EncodedState.from_components(idx0, amp0, FIRST_QUANTIZED, fq_layout, N), report
 
-    # the seed's H layer branches to 2^(N b) components: refuse before tracing
-    check_branches(1 << (N * b), "seed stage")
     if rng is None:
         rng = np.random.default_rng(0)
     (p_success, rec_keys, rec), unsort, gate_count = _sl2fq_programs(enc.M, N)
-    T = unsort.n_qubits - N * b
-    if retry_budget is None:
-        retry_budget = 16
-        if 0 < p_success < 1:
-            retry_budget = max(16, math.ceil(math.log(1e-9) / math.log1p(-p_success)))
-    attempts = 0
+    if retry_budget is None:  # 0 < p_success < 1, since N <= M < 2^b
+        retry_budget = max(16, math.ceil(math.log(1e-9) / math.log1p(-p_success)))
     for attempts in range(1, retry_budget + 1):
         if rng.random() < p_success:
             break
@@ -354,8 +347,7 @@ def second_to_first(
             f"{retry_budget} attempts at success probability {p_success:.3f}"
         )
 
-    # records x system holds at most N! C(M, N) <= 2^(N b) components, which
-    # the seed stage's check has already held to BRANCH_CAP
+    check_branches(len(rec_keys) * len(idx0), "records x system")
     keys = (rec_keys[:, None] << np.int64(N * b)) | idx0
     fi, fa = sparse_action(unsort, keys.ravel(), np.outer(rec, amp0).ravel())
 
@@ -369,7 +361,7 @@ def second_to_first(
     report = ConversionReport(
         direction="sorted-list-to-antisymmetric",
         gate_count=gate_count,
-        record_ancillas=T,
+        record_ancillas=unsort.n_qubits - N * b,
         success_probability=p_success,
         attempts=attempts,
     )

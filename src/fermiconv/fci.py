@@ -405,7 +405,7 @@ class ToyHamiltonian:
         from +0.0 in the table's term-major (p, q[, r, s]) order, so H is the
         per-term loop's sum bit for bit; a zero coefficient adds +-0.0, which
         leaves it unchanged. Coefficients are read, and checked finite, on
-        every call, since the tables are mutable."""
+        every call, since the tables are mutable; an overflowing sum is refused."""
         if space.M != self.M:
             raise BadParam("space and Hamiltonian disagree on M")
         for name in ("h1", "h2"):
@@ -414,6 +414,10 @@ class ToyHamiltonian:
         flat, term, sign = _hamiltonian_terms(self.M)
         coef = np.concatenate((self.h1.ravel(), 0.5 * self.h2.ravel()))
         real, imag = (np.bincount(flat, c[term] * sign, space.dim**2) for c in (coef.real, coef.imag))
+        # an entry sums a coefficient at most once: scan only if count x largest part overflows
+        big = not np.isfinite(float(np.abs(coef.view(float)).max()) * len(coef))
+        if big and not (np.isfinite(real).all() and np.isfinite(imag).all()):
+            raise BadParam("dense Hamiltonian overflows: an entry is not finite")
         H = np.empty((space.dim, space.dim), dtype=complex)  # allocated last: a lower peak
         H.real, H.imag = real.reshape(H.shape), imag.reshape(H.shape)
         band = max(1, (1 << 13) >> space.M)  # rows of 8,192 entries: 128 KiB temporaries

@@ -9,7 +9,8 @@ operator string per nonzero coefficient to every mask, in (p, q[, r, s])
 order, and ``rotate_determinants`` takes one determinant per (target,
 source) pair of index sets. ``ladder_matrix`` and ``determinant_vector``
 build the dense ladder matrices and basis vectors the tests compare against,
-and ``random_toy_hamiltonian`` the seeded Hamiltonians they diagonalize.
+``random_toy_hamiltonian`` the seeded Hamiltonians they diagonalize, and
+``coefficient_deviation`` compares two coefficient lists entrywise.
 """
 
 from itertools import combinations
@@ -147,3 +148,15 @@ def random_toy_hamiltonian(rng: np.random.Generator, M: int, two_body: bool = Tr
     else:
         g = np.zeros((M,) * 4)
     return ToyHamiltonian(M, h1, g)
+
+
+def coefficient_deviation(want, got) -> float:
+    """Largest entrywise gap between two (keys, amps) coefficient lists, a
+    key that only one holds read as zero there, once the global phase of
+    got is removed."""
+    keys = np.union1d(want[0], got[0])
+    w, g = np.zeros((2, len(keys)), dtype=complex)
+    w[np.searchsorted(keys, want[0])] = want[1]
+    g[np.searchsorted(keys, got[0])] = got[1]
+    ov = np.vdot(w, g)
+    return float(np.max(np.abs(g - ov / abs(ov) * w)))

@@ -35,6 +35,7 @@ from fermiconv.comparators import (
 )
 from fermiconv.encodings import (
     first_quantized_to_fock,
+    occupation_components,
     sorted_list_to_fock,
 )
 from fermiconv.fci import (
@@ -46,7 +47,7 @@ from fermiconv.fci import (
 )
 from fermiconv.majorana import N_WORK_ANCILLAS, majorana_circuit
 from fermiconv.report import MODEL_SORT, conversion_count_grid, fit_scaling
-from fock_reference import ladder_matrix, random_toy_hamiltonian
+from fock_reference import coefficient_deviation, ladder_matrix, random_toy_hamiltonian
 from loops import basis_image
 
 FID_FLOOR = 1.0 - 1e-9
@@ -135,20 +136,21 @@ def test_02_majorana_anticommutators():
     assert ok
 
 
-def _round_trip_fidelity(sl):
+def _round_trip(sl):
+    """(fidelity, largest entrywise coefficient deviation) of sl2fq then fq2sl."""
     fq, _ = second_to_first(sl)
     back, _ = first_to_second(fq)
-    return _fid(back.state.amps, sl.state.amps)
+    dev = coefficient_deviation(occupation_components(sl), occupation_components(back))
+    return _fid(back.state.amps, sl.state.amps), dev
 
 
 def test_03_round_trip_identity():
-    worst = 1.0
-    n_det = 0
+    runs = []
     for M in range(2, 6):
         for N in range(1, min(3, M) + 1):
             for combo in itertools.combinations(range(1, M + 1), N):
-                worst = min(worst, _round_trip_fidelity(_sl(M, combo, N)))
-                n_det += 1
+                runs.append(_round_trip(_sl(M, combo, N)))
+    n_det = len(runs)
     rng = np.random.default_rng(0)
     M = 5
     for _ in range(50):
@@ -157,14 +159,14 @@ def test_03_round_trip_identity():
         c = rng.standard_normal(len(dets)) + 1j * rng.standard_normal(len(dets))
         c /= np.linalg.norm(c)
         sl = _sl(M, dets[0], N)
-        sl = EncodedState(Statevector(sum(
+        runs.append(_round_trip(EncodedState(Statevector(sum(
             ci * _sl(M, d, N).state.amps for ci, d in zip(c, dets)
-        )), sl.discipline, sl.layout, sl.N)
-        worst = min(worst, _round_trip_fidelity(sl))
-    ok = worst >= FID_FLOOR
+        )), sl.discipline, sl.layout, sl.N)))
+    worst, worst_dev = min(f for f, _ in runs), max(d for _, d in runs)
+    ok = worst >= FID_FLOOR and worst_dev <= 1e-10
     _verdict(3, ok, f"min round-trip fidelity {worst:.12f} over {n_det} "
                     f"determinants (M<=5, N<=3) + 50 superpositions, "
-                    f"floor 1-1e-9")
+                    f"floor 1-1e-9; max entrywise deviation {worst_dev:.3e}, bound 1e-10")
     assert ok
 
 
@@ -175,16 +177,18 @@ def test_04_record_disentanglement():
             for combo in itertools.combinations(range(1, M + 1), N):
                 _, rep = first_to_second(_fq(M, combo))
                 groups.setdefault(N, []).append(rep.record_state)
-    worst = 1.0
+    worst, worst_dev = 1.0, 0.0
     n_pairs = 0
     for recs in groups.values():
         for i in range(len(recs)):
             for j in range(i + 1, len(recs)):
                 worst = min(worst, _record_fid(recs[i], recs[j]))
+                worst_dev = max(worst_dev, coefficient_deviation(recs[i], recs[j]))
                 n_pairs += 1
-    ok = worst >= FID_FLOOR
+    ok = worst >= FID_FLOOR and worst_dev <= 1e-10
     _verdict(4, ok, f"min pairwise record fidelity {worst:.12f} over "
-                    f"{n_pairs} same-N pairs, floor 1-1e-9")
+                    f"{n_pairs} same-N pairs, floor 1-1e-9; max entrywise "
+                    f"deviation {worst_dev:.3e}, bound 1e-10")
     assert ok
 
 

@@ -21,7 +21,8 @@ from fermiconv import (
     tensor_product_merge,
     write_state,
 )
-from fermiconv.circuits import Program, compile_circuit, sparse_action
+from fermiconv import conversion
+from fermiconv.circuits import Circuit, Program, compile_circuit, sparse_action, x
 from fermiconv.conversion import (
     _fq2sl_circuit,
     _fq2sl_program,
@@ -109,6 +110,7 @@ def test_cached_sl2fq_count_is_the_circuit_count(M, N):
 
 @pytest.mark.parametrize("M,N", [(4, 2), (6, 3), (14, 4)])
 def test_cached_seed_factor_is_a_fresh_trace(M, N):
+    # the reference traces the whole seed stage, H layer included, from |0>
     seed_stage, unsort = _sl2fq_circuits(M, N)
     sys_bits = N * unsort.layout.b
     oi, oa = sparse_action(seed_stage, np.zeros(1, np.int64), np.ones(1, complex))
@@ -117,10 +119,32 @@ def test_cached_seed_factor_is_a_fresh_trace(M, N):
         oi[keep] & np.int64((1 << sys_bits) - 1), oi[keep] >> np.int64(sys_bits), oa[keep]
     )
     p_cached, keys_cached, rec_cached = _sl2fq_programs(M, N)[0]
-    assert p_cached == float(np.sum(np.abs(oa[keep]) ** 2))
+    # the trace's float sum of |amplitude|^2 rounds; its branch count does not
+    assert p_cached == np.count_nonzero(keep) / (1 << sys_bits)
     np.testing.assert_array_equal(keys_cached, keys)
-    assert rec_cached.tobytes() == rec.tobytes()
+    np.testing.assert_allclose(rec_cached, rec, rtol=0, atol=1e-15)
     assert len(keys) == math.factorial(N)
+
+
+@pytest.mark.parametrize("extra", ["flag", "system"])
+def test_seed_factor_refuses_a_raised_flag_or_unsorted_seed(monkeypatch, extra):
+    # one extra X after the sort raises a collision flag or moves a sorted
+    # seed value on every ordering: the factor no longer splits off
+    build = conversion._sl2fq_circuits
+
+    def spoiled(M, N):
+        seed_stage, unsort = build(M, N)
+        lay = seed_stage.layout
+        q = lay.anc_qubit(lay.n_anc - 1) if extra == "flag" else 0
+        return Circuit(lay, seed_stage.gates + [x(q)]), unsort
+
+    monkeypatch.setattr(conversion, "_sl2fq_circuits", spoiled)
+    _sl2fq_programs.cache_clear()
+    try:
+        with pytest.raises(EntangledAncilla, match="seed records"):
+            _sl2fq_programs(6, 3)
+    finally:
+        _sl2fq_programs.cache_clear()
 
 
 @pytest.mark.parametrize("amps, refusal", [

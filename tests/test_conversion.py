@@ -1,9 +1,12 @@
 """Conversion circuits between the two encodings, plus the merge."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from fermiconv import (
+    SORTED_LIST,
     EncodedState,
     OccupationBitstring,
     Statevector,
@@ -16,6 +19,7 @@ from fermiconv import (
     tensor_product_merge,
 )
 from fermiconv import circuits, comparators
+from fermiconv.circuits import build_layout
 from fermiconv.comparators import batcher_pairs, batcher_size_bound
 from fermiconv.conversion import (
     _fq2sl_circuit,
@@ -26,6 +30,7 @@ from fermiconv.conversion import (
 from fermiconv.encodings import (
     FIRST_QUANTIZED,
     first_quantized_to_fock,
+    occupation_components,
     sorted_list_to_fock,
 )
 from fermiconv.errors import (
@@ -37,6 +42,7 @@ from fermiconv.errors import (
     RetryBudgetExceeded,
 )
 from fermiconv.fci import FockSpace, creation_string
+from fock_reference import coefficient_deviation
 from validate_reference import with_ancillas
 
 
@@ -134,7 +140,7 @@ def test_backward_determinant():
     out, rep = second_to_first(_sl(4, (1, 3), 2))
     np.testing.assert_allclose(out.state.amps, _fq(4, (1, 3)).state.amps, atol=1e-10)
     assert rep.direction == "sorted-list-to-antisymmetric"
-    assert abs(rep.success_probability - 7 / 8) < 1e-12  # two seeds over 2^3
+    assert rep.success_probability == 7 / 8  # two distinct seeds over 2^3
     assert rep.attempts >= 1 and rep.record_ancillas == 1
 
 
@@ -144,7 +150,7 @@ def test_backward_success_probability_ignores_input_norm():
     for scale in (1.0, 0.5):
         amps = Statevector(scale * sl.state.amps)
         _, rep = second_to_first(EncodedState(amps, sl.discipline, sl.layout))
-        assert abs(rep.success_probability - 0.65625) < 1e-12
+        assert rep.success_probability == 0.65625
 
 
 def test_backward_slices_sentinel_tail():
@@ -211,7 +217,7 @@ def test_backward_retry_budget():
     sl = _sl(6, range(1, 7), 6)
     out, rep = second_to_first(sl, rng=np.random.default_rng(3))
     assert rep.attempts > 16
-    np.testing.assert_allclose(rep.success_probability, 2520 / 32768, rtol=1e-12)
+    assert rep.success_probability == 2520 / 32768
     np.testing.assert_allclose(sorted_list_to_fock(sl), first_quantized_to_fock(out), atol=1e-10)
 
 
@@ -224,7 +230,7 @@ def test_backward_rejects_budget_below_one():
     for budget in (0, -2):
         with pytest.raises(BadParam, match=f"retry_budget={budget} < 1"):
             second_to_first(_sl(4, (1, 3), 2), rng=NoDraws(), retry_budget=budget)
-    assert _sl2fq_programs.cache_info().misses == misses  # nothing traced
+    assert _sl2fq_programs.cache_info().misses == misses  # nothing built
 
 
 def test_round_trips():
@@ -254,7 +260,7 @@ def test_round_trips():
     (14, [(1, 2, 3, 4), (2, 5, 9, 13), (3, 7, 11, 14)]),
 ])
 def test_backward_envelope_matches_fock_oracle(M, kets):
-    # seed layouts of 20, 28, 17 and 24 qubits: traced, never dense
+    # seed layouts of 20, 28, 17 and 24 qubits: run on their orderings, never dense
     N = len(kets[0])
     rng = np.random.default_rng(M + N)
     c = rng.standard_normal(len(kets)) + 1j * rng.standard_normal(len(kets))
@@ -267,6 +273,35 @@ def test_backward_envelope_matches_fock_oracle(M, kets):
     assert _phase_free_dev(want, first_quantized_to_fock(fq)) <= 1e-10
     back, _ = first_to_second(fq)
     assert _phase_free_dev(want, sorted_list_to_fock(back)) <= 1e-10
+
+
+# (7, 6) and (10, 6) would seed 2^24 branches if the seed stage were traced
+FULL_SECTORS = ((6, 3), (8, 4), (14, 4), (10, 5), (7, 6), (10, 6))
+
+
+@pytest.mark.parametrize("M,N", FULL_SECTORS)
+def test_full_sector_round_trip_entrywise(M, N):
+    # one random complex superposition over all C(M, N) determinants checks
+    # every determinant's sign in one state, through sl2fq and then fq2sl
+    rng = np.random.default_rng(100 * M + N)
+    dets = list(itertools.combinations(range(1, M + 1), N))
+    c = rng.standard_normal(len(dets)) + 1j * rng.standard_normal(len(dets))
+    c /= np.linalg.norm(c)
+    lay = build_layout(M, N)
+    keys = [lay.basis_index(d) for d in dets]
+    sl = EncodedState.from_components(keys, c, SORTED_LIST, lay, N)
+    fq, _ = second_to_first(sl)
+    back, _ = first_to_second(fq)
+    want = occupation_components(sl)
+    for enc in (fq, back):
+        assert coefficient_deviation(want, occupation_components(enc)) <= 1e-10
+    if M <= 12:  # the oracle's creation strings, on a 2^M Fock vector
+        space = FockSpace(M)
+        oracle = sum(ci * creation_string(space, d) for ci, d in zip(c, dets))
+        masks = np.flatnonzero(oracle)
+        for enc in (fq, back):
+            got = occupation_components(enc)
+            assert coefficient_deviation((masks, oracle[masks]), got) <= 1e-10
 
 
 def test_forward_envelope_matches_fock_oracle():

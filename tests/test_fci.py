@@ -298,10 +298,12 @@ def test_non_finite_edit_refused_before_the_build(name, bad):
 
 def test_overflowing_hamiltonian_refused():
     # finite coefficients whose sum overflows: the doubly occupied diagonal
-    # entry is inf, and inf - inf fails the Hermiticity check as NaN
+    # entry is inf, refused before the Hermiticity check would subtract it
     H = ToyHamiltonian(2, 1e308 * np.eye(2))
-    with np.errstate(invalid="ignore"), pytest.raises(BadParam, match="not Hermitian"):
+    with pytest.raises(BadParam, match="overflows: an entry is not finite"):
         H.dense_matrix(FockSpace(2))
+    # coefficients large enough to need the scan, whose sums stay finite, build
+    assert ToyHamiltonian(2, 1e307 * np.eye(2)).dense_matrix(FockSpace(2))[3, 3] == 2e307
 
 
 def test_sector_eigensystem_refuses_another_spaces_matrix():

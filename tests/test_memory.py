@@ -98,10 +98,11 @@ def test_merge_refuses_wide_inputs_without_allocating():
 
 
 def test_branch_cap_refuses_before_growing(monkeypatch):
-    # the seed's 15 H gates would grow the list to 2^15 components
-    monkeypatch.setattr(circuits, "BRANCH_CAP", 1 << 10)
+    # the seed factor runs one representative per ordering: 5! = 120 of them
+    conversion._sl2fq_programs.cache_clear()
+    monkeypatch.setattr(circuits, "BRANCH_CAP", 119)
     sl = encode_sorted_list(OccupationBitstring.from_indices(6, (1, 2, 4, 5, 6)), 5)
-    with pytest.raises(CapExceeded, match="branch"):
+    with pytest.raises(CapExceeded, match="N! orderings: 120 components > branch cap 119"):
         second_to_first(sl)
 
 
@@ -119,25 +120,18 @@ def test_backward_superposition_peak():
     assert _peak_mib(lambda: second_to_first(sl, rng=np.random.default_rng(0))) <= 8
 
 
-def test_warm_backward_call_skips_the_seed_trace():
-    # a cold M=14 N=4 call traces 2^16 seed branches (about 6 MiB at peak);
-    # a warm one reuses the cached record factor of 4! entries
+def test_cold_backward_call_peak():
+    # filling the M=14 N=4 seed factor runs its 4! orderings, never the
+    # 2^16 branches of the seed's H layer (about 6 MiB at peak when traced)
     sl = _sl_superposition(14, [(1, 2, 3, 4), (2, 5, 9, 13), (3, 7, 11, 14)])
     second_to_first(sl)  # imports and every other cache
-
-    def peak(cold):
-        if cold:
-            conversion._sl2fq_programs.cache_clear()
-        tracemalloc.start()
-        try:
-            second_to_first(sl)
-            return tracemalloc.get_traced_memory()[1] / MIB
-        finally:
-            tracemalloc.stop()
-
-    cold, warm = peak(cold=True), peak(cold=False)
-    assert cold >= 2
-    assert warm <= cold / 10
+    conversion._sl2fq_programs.cache_clear()
+    tracemalloc.start()
+    try:
+        second_to_first(sl)
+        assert tracemalloc.get_traced_memory()[1] / MIB <= 0.5
+    finally:
+        tracemalloc.stop()
 
 
 def test_merge_refuses_large_joint_input_without_allocating():
@@ -181,30 +175,48 @@ def test_forward_conversion_past_dense_cap_peak():
     out, _ = first_to_second(fq)
     assert out.keys.tolist() == [encode_sorted_list(x, 7).keys[0]]
     assert np.allclose(np.abs(out.amps), 1)
+    # and back: 7! seed orderings, where the seed's H layer would branch 2^28 ways
+    assert _peak_mib(lambda: second_to_first(out)) <= 16
+    back, _ = second_to_first(out)
+    np.testing.assert_array_equal(back.keys, fq.keys)
+    np.testing.assert_allclose(back.amps, fq.amps * out.amps[0], rtol=0, atol=1e-12)
 
 
-def test_backward_refuses_wide_seed_before_tracing():
-    # the seed's 28 H gates would grow the list to 2^28 components
-    sl = encode_sorted_list(OccupationBitstring.from_indices(14, (1, 3, 4, 7, 9, 12, 14)), 7)
+def test_backward_refuses_many_orderings_before_building():
+    # 11! = 39,916,800 orderings would hold about 3 GiB of seed keys
+    occ = OccupationBitstring.from_indices(14, (1, 2, 3, 4, 5, 7, 9, 10, 12, 13, 14))
+    sl = encode_sorted_list(occ, 11)
 
     def refuse():
-        with pytest.raises(CapExceeded, match="seed stage"):
+        with pytest.raises(CapExceeded, match="N! orderings: 39916800 components"):
             second_to_first(sl)
 
     assert _peak_mib(refuse) <= 16
 
 
+def test_backward_refuses_records_times_system_past_branch_cap(monkeypatch):
+    # 3! record patterns times 4 determinants: 24 unsort components
+    sl = _sl_superposition(6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 6)])
+    monkeypatch.setattr(circuits, "BRANCH_CAP", 23)
+    with pytest.raises(CapExceeded, match="records x system: 24 components"):
+        second_to_first(sl)
+
+
 def test_convert_past_dense_cap(capsys, tmp_path):
     # M=62 N=5: a 30-qubit input and a 39-qubit work layout, verified on
-    # occupation masks; the way back would seed 2^30 components
+    # occupation masks both ways; the seed's H layer alone would branch
+    # to 2^30 components
     fq, sl = tmp_path / "fq.txt", tmp_path / "sl.txt"
     assert cli.main(["encode", "--M", "62", "--occ", "2,17,30,44,61", "--out", str(fq)]) == 0
     argv = ["convert", "--dir", "fq2sl", "--in", str(fq), "--out", str(sl), "--verify"]
     assert _peak_mib(lambda: cli.main(argv)) <= 16
     assert capsys.readouterr().out.splitlines()[-1] == "fidelity 1.000000"
     assert cli.main(argv) == 0
-    assert cli.main(["convert", "--dir", "sl2fq", "--in", str(sl)]) == 5
-    assert "seed stage" in capsys.readouterr().err
+    back = ["convert", "--dir", "sl2fq", "--in", str(sl), "--verify"]
+    assert _peak_mib(lambda: cli.main(back)) <= 16
+    capsys.readouterr()
+    assert cli.main(back) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "fidelity 1.000000"
 
 
 def test_forward_record_state_past_dense_cap():

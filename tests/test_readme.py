@@ -14,7 +14,7 @@ def test_library_quick_start_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README quick start", "exec"), {})
     p_success, overlap = capsys.readouterr().out.split()
-    assert abs(float(p_success) - 7 / 8) < 1e-12
+    assert float(p_success) == 7 / 8
     assert abs(float(overlap) - 1.0) < 1e-12
 
 
