@@ -7,24 +7,23 @@ computational-basis index n therefore carries register i as
 
 Circuits are evaluated by one route, ``sparse_action``: it carries a
 component list (packed int64 indices plus amplitudes) through a compiled
-``Program``. ``compile_circuit`` reduces each permutation or phase gate to
-one mask test and an action (flip bits, swap two bits, negate, or
-multiply by a phase), folding X gates into the tests that follow them.
-The runs of such gates between branching gates take one of two loops over
-the same masks: Python ints, one component at a time, for lists of up to
+``Program``. ``compile_circuit`` reduces each permutation or sign gate to
+one mask test and an action (flip bits, swap two bits, or negate),
+folding X gates into the tests that follow them. The runs of such gates
+between branching gates take one of two loops over the same masks:
+Python ints, one component at a time, for lists of up to
 SCALAR_MAX_COMPONENTS (the measured crossover), and one numpy pass per
-gate above it. H, U2 and REGU branch through one kernel that applies
-their matrix to a contiguous qubit run. Every conversion, ladder, merge
+gate above it. H and REGU branch through one kernel that applies their
+matrix to a contiguous qubit run. Every conversion, ladder, merge
 and basis change runs on it, the fixed ones as programs their modules
 cache per builder key; ``apply_circuit`` is its wrapper for dense states.
 Unit tests pin it to a dense reference engine kept with the tests.
 
-A gate's params are (theta,) for PHASE, () for H and the permutation
-gates, and for U2 and REGU the gate's own read-only matrix, which the
-compiled Program holds as is; only the text format (``serialize_circuit``,
-``parse_circuit``) spells a matrix as (re, im) float pairs, and the reader
-builds every line through its kind's constructor. Gates compare by
-identity.
+A gate's params are () for H and the permutation gates, and for REGU
+the gate's own read-only matrix, which the compiled Program holds as is;
+only the text format (``serialize_circuit``, ``parse_circuit``) spells a
+matrix as (re, im) float pairs, and the reader builds every line through
+its kind's constructor. Gates compare by identity.
 
 A Circuit is a layout and one gate list, which each builder assembles and
 wraps once. Gate qubits are checked against the layout where outside text
@@ -62,14 +61,14 @@ BRANCH_CAP = 1 << (QUBIT_CAP - 2)
 # N=512, where every qubit index is a fresh int. This many gates then peak
 # near 380 MiB, inside a 512 MiB budget.
 GATE_CAP = 1 << 21
-# Longest list that a permutation-plus-phase run traces one component at a
+# Longest list that a permutation-plus-sign run traces one component at a
 # time in Python ints; longer lists take one numpy pass per gate instead.
 # A gate costs about 70 ns per component in the first loop and about 5 us
 # per list in the second, so the two meet at 66-79 components on the
 # ladder, conversion and merge programs (Python 3.11, numpy 2.4, x86-64).
 SCALAR_MAX_COMPONENTS = 64
 
-_BRANCHING = {"H", "U2", "REGU"}
+_BRANCHING = {"H", "REGU"}
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _HADAMARD.setflags(write=False)
 
@@ -147,11 +146,10 @@ class Gate(tuple):
     """One gate: the immutable tuple (kind, controls, targets, params), its
     fields read by name.
 
-    params: (theta,) for PHASE, () for H and the permutation gates, and for
-    U2 and REGU the gate's read-only, C-contiguous complex d x d matrix
-    (d = 2^len(targets)), which the compiler hands on as is. The
-    constructors below build the tuple directly. Assigning a field raises
-    AttributeError. Gates compare and hash by identity, never by fields: a
+    params: () for H and the permutation gates, and for REGU the gate's
+    read-only, C-contiguous complex d x d matrix (d = 2^len(targets)),
+    which the compiler hands on as is. The constructors below build the
+    tuple directly. Assigning a field raises AttributeError. Gates compare and hash by identity, never by fields: a
     matrix field has no truth-valued ==.
     """
 
@@ -188,10 +186,6 @@ def h(t: int) -> Gate:
     return _new(Gate, ("H", (), (t,), ()))
 
 
-def phase(theta: float, t: int) -> Gate:
-    return _new(Gate, ("PHASE", (), (t,), (float(theta),)))
-
-
 def cnot(c: int, t: int) -> Gate:
     return _new(Gate, ("CNOT", (c,), (t,), ()))
 
@@ -219,26 +213,18 @@ def cswap(c: int, t1: int, t2: int) -> Gate:
     return _new(Gate, ("CSWAP", (c,), (t1, t2), ()))
 
 
-def _matrix_gate(kind: str, mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
-    """U2 or REGU holding a frozen C-contiguous copy of mat."""
+def regu(mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
+    """REGU holding a frozen C-contiguous copy of mat."""
     ts = tuple(targets)
     d = 1 << len(ts)
     m = np.array(mat, dtype=complex, order="C")
     if m.shape != (d, d):
-        raise BadParam(f"{kind} on {len(ts)} qubits wants a {d}x{d} matrix")
+        raise BadParam(f"REGU on {len(ts)} qubits wants a {d}x{d} matrix")
     # contiguous ascending run (a register): the branching kernel's field
     if not ts or ts != tuple(range(ts[0], ts[0] + len(ts))):
-        raise BadParam(f"{kind} targets must be a contiguous ascending qubit run")
+        raise BadParam("REGU targets must be a contiguous ascending qubit run")
     m.setflags(write=False)
-    return _new(Gate, (kind, (), ts, m))
-
-
-def u2(mat: np.ndarray, t: int) -> Gate:
-    return _matrix_gate("U2", mat, (t,))
-
-
-def regu(mat: np.ndarray, targets: tuple[int, ...]) -> Gate:
-    return _matrix_gate("REGU", mat, targets)
+    return _new(Gate, ("REGU", (), ts, m))
 
 
 @dataclass
@@ -331,8 +317,8 @@ def _branch(
     return rest[keep >> w] | ((keep & (d - 1)) << lo), out[keep]
 
 
-# Opcodes of a compiled permutation-plus-phase gate; see Program.
-_FLIP, _SIGN, _PHASE, _SWAP = range(4)
+# Opcodes of a compiled permutation-plus-sign gate; see Program.
+_FLIP, _SIGN, _SWAP = range(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,20 +327,18 @@ class Program:
 
     Each row of gates is (op, cmask, cval, fmask), and acts on index i
     where ``i & cmask == cval``: _FLIP sets ``i ^= fmask`` (CNOT, TOFFOLI,
-    MCX), _SIGN negates the amplitude (Z, CZ), _PHASE multiplies it by
-    ``phases[fmask]``, and _SWAP (CSWAP) flips the two bits of fmask where
-    ``i & fmask`` is neither 0 nor fmask. X gates get no row of their own:
-    a pending flip mask absorbs them, later tests read a flipped control
-    as 0 through cval, and one unconditional _FLIP row applies the pending
-    bits before a branching gate, before a swap of a flipped qubit, and at
-    the end. Each branching gate (H, U2, REGU) is (pos, lo, w, mat) in
+    MCX), _SIGN negates the amplitude (Z, CZ), and _SWAP (CSWAP) flips the
+    two bits of fmask where ``i & fmask`` is neither 0 nor fmask. X gates
+    get no row of their own: a pending flip mask absorbs them, later tests
+    read a flipped control as 0 through cval, and one unconditional _FLIP
+    row applies the pending bits before a branching gate, before a swap of
+    a flipped qubit, and at the end. Each branching gate (H, REGU) is (pos, lo, w, mat) in
     branches: mat applies to qubits lo..lo+w-1 before row pos. Arrays are
     read-only, so a cached program cannot be edited.
     """
 
     n_qubits: int
     gates: np.ndarray
-    phases: tuple[complex, ...]
     branches: tuple[tuple[int, int, int, np.ndarray], ...]
 
 
@@ -365,7 +349,6 @@ def compile_circuit(circuit: Circuit) -> Program:
     if n > PACKED_CAP:
         raise CapExceeded(f"{n} qubits > packed-index cap {PACKED_CAP}")
     rows: list[tuple[int, int, int, int]] = []
-    phases: list[complex] = []
     branches = []
     pending = 0  # X flips not yet applied to the index
 
@@ -392,9 +375,6 @@ def compile_circuit(circuit: Circuit) -> Program:
             op, c, f = _FLIP, controls, targets
         elif k in ("Z", "CZ"):
             op, c, f = _SIGN, targets, 0
-        elif k == "PHASE":
-            op, c, f = _PHASE, targets, len(phases)
-            phases.append(complex(math.cos(params[0]), math.sin(params[0])))
         elif k == "CSWAP":
             flush(targets)
             op, c, f = _SWAP, controls, targets
@@ -404,7 +384,7 @@ def compile_circuit(circuit: Circuit) -> Program:
     flush(pending)
     masks = np.array(rows, dtype=np.int64).reshape(-1, 4)
     masks.setflags(write=False)
-    return Program(n, masks, tuple(phases), tuple(branches))
+    return Program(n, masks, tuple(branches))
 
 
 def sparse_action(
@@ -414,20 +394,19 @@ def sparse_action(
 
     The pair (indices, amps) describes sum_k amps[k] |indices[k]>. A
     Circuit is compiled first (compile_circuit); a Program runs as given.
-    Between branching gates the program is a run of permutation-plus-phase
+    Between branching gates the program is a run of permutation-plus-sign
     gates, and each run takes one of two loops over the same masks, chosen
     by the list's length when the run starts: up to SCALAR_MAX_COMPONENTS
     components, a loop over Python ints, one component at a time through
     the whole run; above it, one numpy pass per gate over the whole list.
-    The loops agree bit for bit, except that a PHASE product may differ in
-    the last bit (CPython and numpy round complex products differently).
-    H, U2 and REGU go through one branching kernel that applies their
-    matrix to a contiguous qubit run and merges collisions, so a circuit
-    with a small branching layer stays cheap on layouts far above the
-    dense comfort zone. Exact: only exact zeros are dropped. Layouts wider
-    than PACKED_CAP qubits raise CapExceeded, since their indices would not
-    fit the packed int64 arrays, and so does a list (given, or grown by a
-    branching gate) of more than BRANCH_CAP components.
+    The loops agree bit for bit. H and REGU go through one branching
+    kernel that applies their matrix to a contiguous qubit run and merges
+    collisions, so a circuit with a small branching layer stays cheap on
+    layouts far above the dense comfort zone. Exact: only exact zeros are
+    dropped. Layouts wider than PACKED_CAP qubits raise CapExceeded, since
+    their indices would not fit the packed int64 arrays, and so does a list
+    (given, or grown by a branching gate) of more than BRANCH_CAP
+    components.
     """
     prog = circuit if isinstance(circuit, Program) else compile_circuit(circuit)
     check_branches(len(indices), "input list")
@@ -446,10 +425,8 @@ def sparse_action(
                         elif op == _SWAP:
                             if 0 != (i & f) != f:
                                 i ^= f
-                        elif op == _SIGN:
-                            a = -a
                         else:
-                            a *= prog.phases[f]
+                            a = -a
                 out_i.append(i)
                 out_a.append(a)
             idx = np.array(out_i, dtype=np.int64)
@@ -465,10 +442,8 @@ def sparse_action(
                     on &= (m != 0) & (m != f)
                 if op in (_FLIP, _SWAP):
                     np.bitwise_xor(idx, f, out=idx, where=on)
-                elif op == _SIGN:
-                    np.negative(amp, out=amp, where=on)
                 else:
-                    np.multiply(amp, prog.phases[f], out=amp, where=on)
+                    np.negative(amp, out=amp, where=on)
         if mat is not None:
             idx, amp = _branch(idx, amp, lo, w, mat)
         start = pos
@@ -522,7 +497,7 @@ def count_gates(circuit: Circuit) -> GateCount:
             cn += 2
         elif k == "TOFFOLI":
             tof += 1
-        elif k in ("Z", "H", "PHASE", "U2"):
+        elif k in ("Z", "H"):
             sq += 1
         elif k == "CZ":
             cn += 1
@@ -553,13 +528,11 @@ _READERS = {
     "X": lambda cs, ts, ps: x(*ts),
     "Z": lambda cs, ts, ps: z(*ts),
     "H": lambda cs, ts, ps: h(*ts),
-    "PHASE": lambda cs, ts, ps: phase(*ps, *ts),
     "CNOT": lambda cs, ts, ps: cnot(*cs, *ts),
     "CZ": lambda cs, ts, ps: cz(*ts),
     "TOFFOLI": lambda cs, ts, ps: toffoli(*cs, *ts),
     "MCX": lambda cs, ts, ps: mcx(cs, *ts),
     "CSWAP": lambda cs, ts, ps: cswap(*cs, *ts),
-    "U2": lambda cs, ts, ps: u2(_square(ps), *ts),
     "REGU": lambda cs, ts, ps: regu(_square(ps), ts),
 }
 
@@ -606,7 +579,7 @@ def parse_circuit(text: str) -> Circuit:
             raise BadParam(f"bad gate line: {ln!r}")
         kind, cs, ts, ps = g.groups()
         if kind not in _READERS:
-            raise BadParam(f"unknown gate kind {kind}")
+            raise BadParam(f"unknown gate kind {kind}: {ln!r}")
         try:
             controls, targets = _numbers(cs, int), _numbers(ts, int)
             params = _numbers(ps, float)

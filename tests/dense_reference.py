@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from fermiconv import Circuit, Statevector
-from fermiconv.circuits import phase, regu, u2
+from fermiconv.circuits import regu
 from fermiconv.errors import BadParam, DimMismatch
 
 _SELF_INVERSE = {"X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "MCX", "CSWAP"}
@@ -31,8 +31,6 @@ def _apply_gate(a: np.ndarray, n: int, g) -> None:
     k = g.kind
     if k == "Z":
         v[_ix(n, {g.targets[0]: 1})] *= -1.0
-    elif k == "PHASE":
-        v[_ix(n, {g.targets[0]: 1})] *= np.exp(1j * g.params[0])
     elif k == "H":
         t = g.targets[0]
         i0, i1 = _ix(n, {t: 0}), _ix(n, {t: 1})
@@ -40,13 +38,6 @@ def _apply_gate(a: np.ndarray, n: int, g) -> None:
         s = 1.0 / math.sqrt(2.0)
         v[i0] = (a0 + a1) * s
         v[i1] = (a0 - a1) * s
-    elif k == "U2":
-        t = g.targets[0]
-        m = g.params
-        i0, i1 = _ix(n, {t: 0}), _ix(n, {t: 1})
-        a0, a1 = v[i0].copy(), v[i1].copy()
-        v[i0] = m[0, 0] * a0 + m[0, 1] * a1
-        v[i1] = m[1, 0] * a0 + m[1, 1] * a1
     elif k == "CZ":
         qa, qb = g.targets
         v[_ix(n, {qa: 1, qb: 1})] *= -1.0
@@ -87,15 +78,11 @@ def apply_dense(state: Statevector, circuit: Circuit) -> Statevector:
 
 
 def inverse(circuit: Circuit) -> Circuit:
-    """The gates reversed, each inverted: PHASE negated, a matrix conjugate-transposed."""
+    """The gates reversed, each inverted: a matrix conjugate-transposed."""
     inv = []
     for g in reversed(circuit.gates):
         if g.kind in _SELF_INVERSE:
             inv.append(g)
-        elif g.kind == "PHASE":
-            inv.append(phase(-g.params[0], g.targets[0]))
-        elif g.kind == "U2":
-            inv.append(u2(g.params.conj().T, g.targets[0]))
         elif g.kind == "REGU":
             inv.append(regu(g.params.conj().T, g.targets))
         else:

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine numbered criteria, one pass/fail line each.
+"""Acceptance gate: ten numbered criteria, one pass/fail line each.
 
 Every criterion checks instrumented circuits against the dense classical
 oracle at the stated tolerance; runtimes stay desk scale by construction
@@ -6,10 +6,12 @@ oracle at the stated tolerance; runtimes stay desk scale by construction
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from fermiconv import (
+    SORTED_LIST,
     EncodedState,
     FockSpace,
     OccupationBitstring,
@@ -24,6 +26,7 @@ from fermiconv import (
     second_to_first,
     tensor_product_merge,
 )
+from fermiconv.basis import mo_to_pw_matrix
 from fermiconv.circuits import Circuit, build_layout
 from fermiconv.comparators import (
     _eq_gates,
@@ -362,4 +365,83 @@ def test_09_primitive_truth_tables():
     ok = worst_cases == 0
     _verdict(9, ok, f"{checked - worst_cases}/{checked} truth-table rows "
                     f"match at b in {{2,3,4}}")
+    assert ok
+
+
+def _random_unitary(rng, M):
+    U, r = np.linalg.qr(rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    return U * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _ground_state_registers(rng, M):
+    """(Fock ground state, its first-quantized registers) at half filling:
+    the second-quantized state, written as a sorted list, then run sl2fq."""
+    space, N = FockSpace(M), M // 2
+    _, vecs = sector_eigensystem(random_toy_hamiltonian(rng, M).dense_matrix(space), space, N)
+    psi = vecs[:, 0]
+    lay = build_layout(M, N)
+    masks = space.sector_indices(N)
+    keys = [lay.basis_index(OccupationBitstring(M, int(m)).indices()) for m in masks]
+    sl = EncodedState.from_components(keys, psi[masks], SORTED_LIST, lay, N)
+    assert np.max(np.abs(sorted_list_to_fock(sl) - psi)) < 1e-15
+    fq, _ = second_to_first(sl)
+    return psi, fq
+
+
+def _marginal_deviation(psi, out, U, registers):
+    """Largest gap between the joint distribution of the first `registers`
+    registers of out, read off its components, and the oracle's.
+
+    The k-register density matrix of an N-electron first-quantized state
+    has <p1..pk|rho|q1..qk> = <Psi| (|q1><p1|)_1 ... (|qk><pk|)_k |Psi>. A
+    sum over ordered k-tuples of distinct registers of one-register
+    operators is the string a_q1^dag ... a_qk^dag a_pk ... a_p1, so each
+    tuple carries 1/(N!/(N-k)!) of k_rdm((q1..qk), (p1..pk)); k_rdm_tensor
+    indexes that entry [q1, .., qk, p1, .., pk], hence the transpose. The
+    registers rotate by U, so rho -> (U (x) ... (x) U) rho (same)^dag.
+    """
+    M, N = out.M, out.N
+    space = FockSpace(M)
+    k = registers
+    gamma = k_rdm_tensor(psi, k, space)
+    rho = np.transpose(gamma, tuple(range(k, 2 * k)) + tuple(range(k)))
+    rho = rho.reshape(M**k, M**k) * (math.factorial(N - k) / math.factorial(N))
+    Uk = U
+    for _ in range(k - 1):
+        Uk = np.kron(Uk, U)
+    want = np.diag(Uk @ rho @ Uk.conj().T)
+    vals = out.layout.decode(out.keys)[:, :k] - 1
+    flat = vals @ (M ** np.arange(k - 1, -1, -1))
+    got = np.bincount(flat, weights=np.abs(out.amps) ** 2, minlength=M**k)
+    return float(np.max(np.abs(got - want)))
+
+
+def test_10_first_quantized_measurement():
+    worst, runs = 0.0, 0
+    for M, seed in ((4, 10), (6, 11), (6, 12), (8, 13)):
+        rng = np.random.default_rng(seed)
+        psi, fq = _ground_state_registers(rng, M)
+        U = _random_unitary(rng, M)
+        out, _ = apply_register_transform(fq, U)
+        for k in (1, 2):
+            worst = max(worst, _marginal_deviation(psi, out, U, k))
+            runs += 1
+        if M in (4, 8):  # the label QFT wants M a power of two
+            out, _ = qft_register_transform(fq)
+            worst = max(worst, _marginal_deviation(psi, out, dft_matrix(M), 1))
+            runs += 1
+    # molecular orbitals as rows of a rectangular table, completed to a
+    # unitary over the full orbital space
+    rng = np.random.default_rng(14)
+    psi, fq = _ground_state_registers(rng, 6)
+    table = _random_unitary(rng, 6)[:4]
+    bm = mo_to_pw_matrix(table)
+    assert np.array_equal(bm.core[:4], table)
+    out, _ = apply_register_transform(fq, bm)
+    for k in (1, 2):
+        worst = max(worst, _marginal_deviation(psi, out, bm.core, k))
+        runs += 1
+    ok = worst <= 1e-12
+    _verdict(10, ok, f"max marginal deviation {worst:.3e} over {runs} register "
+                     f"readouts of rotated sl2fq ground states (M<=8), bound 1e-12")
     assert ok

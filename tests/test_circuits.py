@@ -26,11 +26,9 @@ from fermiconv.circuits import (
     cz,
     h,
     mcx,
-    phase,
     regu,
     sparse_action,
     toffoli,
-    u2,
     x,
     z,
 )
@@ -149,14 +147,14 @@ def _random_unitary(draw, d):
 
 def _random_gate(draw, n):
     kind = draw(st.sampled_from(
-        ["X", "Z", "H", "PHASE", "CNOT", "CZ", "TOFFOLI", "CSWAP", "MCX", "U2", "REGU"]
+        ["X", "Z", "H", "CNOT", "CZ", "TOFFOLI", "CSWAP", "MCX", "REGU"]
     ))
     if kind == "REGU":
         w = draw(st.integers(1, 3))
         lo = draw(st.integers(0, n - w))
         return regu(_random_unitary(draw, 1 << w), tuple(range(lo, lo + w)))
-    need = {"X": 1, "Z": 1, "H": 1, "PHASE": 1, "CNOT": 2, "CZ": 2,
-            "TOFFOLI": 3, "CSWAP": 3, "MCX": 4, "U2": 1}[kind]
+    need = {"X": 1, "Z": 1, "H": 1, "CNOT": 2, "CZ": 2,
+            "TOFFOLI": 3, "CSWAP": 3, "MCX": 4}[kind]
     qs = draw(st.lists(st.integers(0, n - 1), unique=True,
                        min_size=need, max_size=need))
     if kind == "X":
@@ -165,8 +163,6 @@ def _random_gate(draw, n):
         return z(qs[0])
     if kind == "H":
         return h(qs[0])
-    if kind == "PHASE":
-        return phase(draw(st.floats(-3.0, 3.0)), qs[0])
     if kind == "CNOT":
         return cnot(qs[0], qs[1])
     if kind == "CZ":
@@ -175,8 +171,6 @@ def _random_gate(draw, n):
         return toffoli(qs[0], qs[1], qs[2])
     if kind == "CSWAP":
         return cswap(qs[0], qs[1], qs[2])
-    if kind == "U2":
-        return u2(_random_unitary(draw, 2), qs[0])
     return mcx(qs[:3], qs[3])
 
 
@@ -231,14 +225,8 @@ def test_tracers_match_dense(circ, index):
 def test_scalar_and_numpy_loops_agree(circ, state, k):
     keys = np.random.default_rng(k).permutation(1 << N_RAND)[:k]
     (ni, na), (si, sa) = run_both_loops(compile_circuit(circ), keys, state.amps[keys])
-    if any(g.kind == "PHASE" for g in circ.gates):
-        # CPython and numpy round a complex product differently in the last bit
-        dense = [np.zeros(1 << N_RAND, dtype=complex) for _ in range(2)]
-        dense[0][ni], dense[1][si] = na, sa
-        np.testing.assert_allclose(dense[1], dense[0], rtol=0, atol=1e-15)
-    else:
-        np.testing.assert_array_equal(si, ni)
-        assert sa.tobytes() == na.tobytes()
+    np.testing.assert_array_equal(si, ni)
+    assert sa.tobytes() == na.tobytes()
 
 
 def test_tracers_refuse_packed_index_overflow():
@@ -274,9 +262,9 @@ def test_serialization_round_trip():
     mat = np.linalg.qr(rng.standard_normal((2, 2))
                        + 1j * rng.standard_normal((2, 2)))[0]
     circ = Circuit(lay, [
-        x(0), z(3), h(5), phase(0.75, 2), cnot(1, 4), cz(2, 5),
+        x(0), z(3), h(5), cnot(1, 4), cz(2, 5),
         toffoli(0, 1, 6), mcx([0, 2, 4], 7), cswap(6, 0, 3),
-        u2(mat, 5), regu(np.kron(mat, mat.T), (3, 4)),
+        regu(mat, (5,)), regu(np.kron(mat, mat.T), (3, 4)),
     ])
     text = serialize_circuit(circ)
     back = parse_circuit(text)
@@ -293,19 +281,10 @@ def test_serialization_round_trip():
     )
 
 
-def test_inverse_reverses_and_conjugates():
-    lay = build_layout(2, 1, 1)
-    circ = Circuit(lay, [phase(0.5, 0), x(1)])
-    inv = inverse(circ)
-    assert [g.kind for g in inv.gates] == ["X", "PHASE"]
-    assert inv.gates[1].params[0] == -0.5
-
-
-# Written by serialize_circuit before U2 and REGU held their matrices; the
-# text format must not move.
+# Written by serialize_circuit before REGU held its matrix; the text
+# format must not move.
 _PINNED_MATRIX_TEXT = """\
 LAYOUT M=2 NREG=1 B=2 NANC=1
-U2 controls=[] targets=[2] params=[0.6,0.0,0.0,0.8,0.0,0.8,0.6,0.0]
 REGU controls=[] targets=[0,1] params=[0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,\
 0.0,0.0,0.0,0.0,0.0,1.0,0.0,0.0,-1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,\
 0.0,0.0,0.0,0.0,0.0,0.0,1.0,0.0]
@@ -315,14 +294,12 @@ LAYOUT M=2 NREG=1 B=2 NANC=1
 REGU controls=[] targets=[0,1] params=[0.0,-0.0,0.0,-0.0,-1.0,-0.0,0.0,-0.0,\
 1.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-1.0,0.0,-0.0,0.0,-0.0,\
 0.0,-0.0,0.0,-0.0,0.0,-0.0,1.0,-0.0]
-U2 controls=[] targets=[2] params=[0.6,-0.0,0.0,-0.8,0.0,-0.8,0.6,-0.0]
 """
 
 
 def _matrix_circuit():
-    a = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     b = np.array([[0, 1, 0, 0], [0, 0, 1j, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])
-    return Circuit(build_layout(2, 1, 1), [u2(a, 2), regu(b, (0, 1))])
+    return Circuit(build_layout(2, 1, 1), [regu(b, (0, 1))])
 
 
 def test_matrix_gate_text_is_pinned():
@@ -336,21 +313,21 @@ def test_matrix_gate_text_is_pinned():
 
 def test_matrix_gates_hold_a_frozen_copy():
     mat = np.array([[0.0, 1.0], [1j, 0.0]])
-    for g in (u2(mat, 0), regu(mat, (3,)), u2(mat.T, 0)):
+    for g in (regu(mat, (0,)), regu(mat, (3,)), regu(mat.T, (0,))):
         assert g.params.dtype == complex and g.params.flags.c_contiguous
         assert not g.params.flags.writeable
         with pytest.raises(ValueError):
             g.params[0, 0] = 2.0
-    g = u2(mat, 0)
+    g = regu(mat, (0,))
     mat[0, 0] = 5.0  # the caller's array stays the caller's
     assert g.params[0, 0] == 0.0
     # gates compare by identity: a matrix field has no truth-valued ==
-    assert g == g and g != u2(mat, 0)
+    assert g == g and g != regu(mat, (0,))
 
 
 def test_matrix_gate_constructor_errors():
     with pytest.raises(BadParam, match="2x2"):
-        u2(np.eye(4), 0)
+        regu(np.eye(4), (0,))
     with pytest.raises(BadParam, match="4x4"):
         regu(np.eye(2), (0, 1))
     for ts in ((0, 2), (1, 0), ()):
@@ -362,8 +339,8 @@ def test_compiled_branches_are_the_gates_matrices():
     circ = _matrix_circuit()
     circ.gates.append(h(1))
     prog = compile_circuit(circ)
-    assert [b[3] is g.params for b, g in zip(prog.branches, circ.gates[:2])] == [True, True]
-    assert not prog.branches[2][3].flags.writeable
+    assert prog.branches[0][3] is circ.gates[0].params
+    assert not prog.branches[1][3].flags.writeable
 
 
 def test_gate_is_an_immutable_tuple_read_by_name():
@@ -390,8 +367,9 @@ def test_gate_is_an_immutable_tuple_read_by_name():
 
 def test_inverse_conjugate_transposes_held_matrices():
     circ = _matrix_circuit()
+    circ.gates.append(regu(np.array([[0.6, 0.8j], [0.8j, 0.6]]), (2,)))
     inv = inverse(circ)
-    assert [g.kind for g in inv.gates] == ["REGU", "U2"]
+    assert [g.targets for g in inv.gates] == [(2,), (0, 1)]
     for g, i in zip(reversed(circ.gates), inv.gates):
         assert i.targets == g.targets
         assert i.params.tobytes() == g.params.conj().T.copy().tobytes()
@@ -422,6 +400,8 @@ _REGU_PAIRS = ",".join(["1.0", "0.0"] * 16)
     "PHASE controls=[] targets=[0] params=[abc]",
     "X controls=[] targets=[a] params=[]",
     "X controls=[] targets=[0,] params=[]",
+    "FOO controls=[] targets=[0] params=[]",  # kinds the reader does not know
+    "Y controls=[] targets=[0] params=[]",
 ])
 def test_parse_refuses_lines_unlike_their_constructor(line):
     with pytest.raises(BadParam) as exc:

@@ -120,6 +120,17 @@ def test_forward_record_state_is_input_independent():
         assert _record_fid(recs[0], r) > 1 - 1e-9
 
 
+@pytest.mark.parametrize("M,N", [(4, 2), (6, 3), (14, 4), (6, 5), (30, 3), (62, 5), (14, 6)])
+def test_forward_records_are_the_backward_seed_factor(M, N):
+    # the forward sort leaves its records in the state the backward seed
+    # stage prepares, which is why the two conversions are inverse
+    _, rep = first_to_second(_fq(M, tuple(range(M - N + 1, M + 1))))
+    rec_keys, rec = _sl2fq_programs(M, N)[0][1:]
+    keys, amps = rep.record_state
+    np.testing.assert_array_equal(keys, rec_keys)
+    assert _phase_free_dev(rec, amps) < 1e-12
+
+
 def test_forward_rejects_bad_inputs():
     with pytest.raises(BadParam):
         first_to_second(_sl(4, (1, 3), 2))
