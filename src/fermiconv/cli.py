@@ -1,7 +1,8 @@
 """Batch command surface tying the library together for scripted runs.
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure, 4
-verification mismatch, 5 size cap exceeded. All output is plain
+verification mismatch, 5 size cap exceeded, 141 (128 + SIGPIPE) stdout
+closed by its reader, with nothing on stderr. All output is plain
 text with no ANSI styling, so NO_COLOR is honored by construction.
 
 State files use the format of stateio; circuit files the format of
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import re
 import sys
 
@@ -381,7 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 5

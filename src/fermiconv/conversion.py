@@ -6,14 +6,13 @@ along with every swap, and for a properly antisymmetrized input the record
 register provably factorizes (outcomes depend only on the ordering
 permutation, and the per-branch phase cancels the permutation sign).
 
-Sorted-list-to-antisymmetric seeds the permutation the other way round: a
-seed stage on N seed registers alone sorts a uniform superposition without
-phases to mint one record pattern per permutation, and a projective
-measurement discards colliding seeds. The stage runs once per (M, N) and
-process, on one representative per ordering, never on its H layer's
-2^(N b) branches. The records (x) system drive the inverse network (one Z
-per record supplies the sign), and each record is erased right after its
-comparator is undone, by recomputing it.
+Sorted-list-to-antisymmetric undoes that circuit. Its seed stage (H layer,
+phase-free sort, collision flags) is only counted: post-selected, it holds
+the records the forward sort leaves behind, so the record factor is fq2sl's
+program traced once per (M, N) and process on the signed orderings of
+orbitals 1..N. The records (x) system run through fq2sl's gates reversed,
+each its own inverse: the Z per record supplies the sign, and recomputing
+each comparison erases its record.
 
 Every stage that runs is permutation plus phase, on component lists
 through ``sparse_action``, on work layouts up to the packed-index cap, so
@@ -43,17 +42,14 @@ from .circuits import (
     check_gates,
     compile_circuit,
     count_gates,
-    cswap,
     h,
     mcx,
     sparse_action,
     x,
-    z,
 )
 from .comparators import (
     batcher_pairs,
     batcher_size_bound,
-    compute_greater_gates,
     equality_flag_gates,
     odd_even_transposition_pairs,
     sorting_network_circuit,
@@ -160,8 +156,8 @@ def _fq2sl_program(M: int, N: int, n_out: int) -> tuple[Program, GateCount]:
 
 def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
     """(seed stage, unsort) for N >= 2: H on N seed registers, their phase-free
-    recorded sort and N - 1 collision flags; then the inverse network over N
-    system registers, driven by the same records, which supplies the sign."""
+    recorded sort and N - 1 collision flags; then fq2sl's circuit on N
+    registers reversed, which undoes it since every gate is its own inverse."""
     check_gates(_network_gate_bound(M, N, 2), f"sl2fq M={M} N={N}")
     pairs = batcher_pairs(N)
     T = len(pairs)
@@ -170,16 +166,8 @@ def _sl2fq_circuits(M: int, N: int) -> tuple[Circuit, Circuit]:
     seed_gates += sorting_network_circuit(seed, pairs, with_z=False).gates
     for k in range(N - 1):
         seed_gates += equality_flag_gates(seed, k, k + 1, seed.anc_qubit(T + k))
-    work = build_layout(M, N, T)
-    unsort = []
-    for t in reversed(range(T)):
-        i, j = pairs[t]
-        rec = work.anc_qubit(t)
-        qi, qj = work.register_qubits(i), work.register_qubits(j)
-        unsort.append(z(rec))
-        unsort += [cswap(rec, a, c) for a, c in zip(qi, qj)]
-        unsort += compute_greater_gates(work, i, j, rec)
-    return Circuit(seed, seed_gates), Circuit(work, unsort)
+    fwd = _fq2sl_circuit(M, N, N)
+    return Circuit(seed, seed_gates), Circuit(fwd.layout, fwd.gates[::-1])
 
 
 @functools.lru_cache(maxsize=32)
@@ -192,27 +180,29 @@ def _sl2fq_programs(
     probability prod_k (1 - k/2^b) and read-only record factor are kept.
     Post-selected seeds are a uniform superposition over the N! orderings of
     distinct values (the symmetrization of Berry et al., npj Quantum Inf. 4,
-    22 (2018)), and the records depend only on the ordering. So the stage
-    past its H layer runs on the orderings of orbitals 1..N at 1/sqrt(N!),
-    refused past BRANCH_CAP orderings before any is built.
+    22 (2018)), and the records depend only on the ordering, as fq2sl's do.
+    So the factor is fq2sl's program traced on the signed orderings of
+    orbitals 1..N, refused past BRANCH_CAP orderings before any is built;
+    each must sort to 1..N at +1/sqrt(N!), its Z phases cancelling its sign.
     """
-    seed_stage, unsort = _sl2fq_circuits(M, N)
-    sys_bits = N * unsort.layout.b
     seeds = encode_first_quantized_determinant(OccupationBitstring(M, (1 << N) - 1))
-    past_h = Circuit(seed_stage.layout, seed_stage.gates[sys_bits:])
-    oi, rec = sparse_action(past_h, seeds.keys, np.abs(seeds.amps))
+    seed_stage, unsort = _sl2fq_circuits(M, N)
+    fwd, fwd_count = _fq2sl_program(M, N, N)
+    sys_bits = N * unsort.layout.b
+    oi, oa = sparse_action(fwd, seeds.keys, seeds.amps)
     order = np.argsort(oi)
-    oi, rec = oi[order], rec[order]
-    # outside the records, every ordering must leave 1..N sorted, flags clear
-    rec_bits = np.int64(((1 << unsort.layout.n_anc) - 1) << sys_bits)
-    if np.any((oi & ~rec_bits) != seed_stage.layout.basis_index(tuple(range(1, N + 1)))):
+    oi, oa = oi[order], oa[order]
+    sorted_seed = unsort.layout.basis_index(tuple(range(1, N + 1)))
+    if np.any((oi & np.int64((1 << sys_bits) - 1)) != sorted_seed) or np.any(oa != np.abs(oa)):
         raise EntangledAncilla("seed records do not split off the sorted seed values")
     rec_keys = oi >> np.int64(sys_bits)
+    rec = np.abs(oa).astype(complex)
     for arr in (rec_keys, rec):
         arr.setflags(write=False)
     # the collision-free share of the 2^(N b) seeds, rounded once
     p_success = math.perm(1 << unsort.layout.b, N) / (1 << sys_bits)
-    gc = count_gates(seed_stage) + count_gates(unsort)
+    # reversing a circuit keeps its count
+    gc = count_gates(seed_stage) + fwd_count
     return (p_success, rec_keys, rec), compile_circuit(unsort), gc
 
 
@@ -287,8 +277,8 @@ def second_to_first(
     flags), computed once per (M, N) and process from the N! orderings;
     measure away seed collisions (success probability prod_k (1 - k/2^b),
     retried up to retry_budget >= 1 times; by default the smallest budget,
-    and at least 16, that runs out with probability <= 1e-9); drive the
-    inverse network over records (x) system, one Z per record.
+    and at least 16, that runs out with probability <= 1e-9); run fq2sl's
+    circuit backwards over records (x) system, one Z per record.
     Once comparator t is undone the system orders like the seed did before
     comparator t, so recomputing comparison t right there erases its record.
     """

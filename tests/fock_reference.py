@@ -9,11 +9,14 @@ operator string per nonzero coefficient to every mask, in (p, q[, r, s])
 order, and ``rotate_determinants`` takes one determinant per (target,
 source) pair of index sets. ``ladder_matrix`` and ``determinant_vector``
 build the dense ladder matrices and basis vectors the tests compare against,
-``random_toy_hamiltonian`` the seeded Hamiltonians they diagonalize, and
-``coefficient_deviation`` compares two coefficient lists entrywise.
+``random_toy_hamiltonian`` the seeded Hamiltonians they diagonalize,
+``signed_orderings`` the first-quantized components of a determinant
+superposition, and ``coefficient_deviation`` compares two coefficient lists
+entrywise.
 """
 
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -148,6 +151,25 @@ def random_toy_hamiltonian(rng: np.random.Generator, M: int, two_body: bool = Tr
     else:
         g = np.zeros((M,) * 4)
     return ToyHamiltonian(M, h1, g)
+
+
+def signed_orderings(M: int, dets, c) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, amps) of sum_k c[k] |dets[k]> in first quantization: each
+    ordering of each determinant's ascending orbitals at c[k] / sqrt(N!)
+    times the ordering's sign, (-1)^(inversions). Register i holds the i-th
+    orbital of the ordering in bits i*b .. i*b + b - 1, b = ceil(log2(M + 2))."""
+    dets = np.asarray(dets, dtype=np.int64)
+    N = dets.shape[1]
+    b = (M + 1).bit_length()
+    perms = np.array(list(permutations(range(N))), dtype=np.int64)
+    inversions = np.zeros(len(perms), dtype=np.int64)
+    for i, j in combinations(range(N), 2):
+        inversions += perms[:, i] > perms[:, j]
+    signs = 1 - 2 * (inversions & 1)
+    values = dets[:, perms]  # (determinant, ordering, register)
+    keys = np.sum(values << (b * np.arange(N, dtype=np.int64)), axis=2)
+    amps = np.asarray(c, dtype=complex)[:, None] * signs / math.sqrt(math.factorial(N))
+    return keys.ravel(), amps.ravel()
 
 
 def coefficient_deviation(want, got) -> float:

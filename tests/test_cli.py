@@ -1,7 +1,9 @@
 """End-to-end command-line runs through main(argv)."""
 
 import dataclasses
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from fermiconv.stateio import write_state
 DEFAULT_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_default.csv"
 WIDE_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_wide.csv"
 WIDE_GRID = "N=2,4,8,16,32,64,128;M=64,1024"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, argv):
@@ -574,3 +577,24 @@ def test_output_is_plain_text(capsys, tmp_path):
         rc, out, err = _run(capsys, argv)
         assert rc == 0
         assert "\x1b" not in out and "\x1b" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # the reader is gone before the verb writes: exit as SIGPIPE would
+    # (128 + 13), with no error line and no "Exception ignored" at exit,
+    # whether stdout is flushed at every write or only at the end
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermiconv", "encode", "--sl", "--M", "4", "--occ", "1,3",
+             "--nreg", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -126,24 +126,23 @@ def test_cached_seed_factor_is_a_fresh_trace(M, N):
     assert len(keys) == math.factorial(N)
 
 
-@pytest.mark.parametrize("extra", ["flag", "system"])
-def test_seed_factor_refuses_a_raised_flag_or_unsorted_seed(monkeypatch, extra):
-    # one extra X after the sort raises a collision flag or moves a sorted
-    # seed value on every ordering: the factor no longer splits off
-    build = conversion._sl2fq_circuits
+def test_seed_factor_refuses_an_unsorted_seed(monkeypatch):
+    # one extra X after fq2sl's sort moves a sorted value on every ordering:
+    # the factor no longer splits off
+    build = conversion._fq2sl_circuit
 
-    def spoiled(M, N):
-        seed_stage, unsort = build(M, N)
-        lay = seed_stage.layout
-        q = lay.anc_qubit(lay.n_anc - 1) if extra == "flag" else 0
-        return Circuit(lay, seed_stage.gates + [x(q)]), unsort
+    def spoiled(M, N, n_out):
+        circ = build(M, N, n_out)
+        return Circuit(circ.layout, circ.gates + [x(0)])
 
-    monkeypatch.setattr(conversion, "_sl2fq_circuits", spoiled)
+    monkeypatch.setattr(conversion, "_fq2sl_circuit", spoiled)
+    _fq2sl_program.cache_clear()
     _sl2fq_programs.cache_clear()
     try:
         with pytest.raises(EntangledAncilla, match="seed records"):
             _sl2fq_programs(6, 3)
     finally:
+        _fq2sl_program.cache_clear()
         _sl2fq_programs.cache_clear()
 
 

@@ -17,6 +17,7 @@ from fermiconv import (
     second_to_first,
     sl2fq_gate_count,
     tensor_product_merge,
+    write_state,
 )
 from fermiconv import circuits, comparators
 from fermiconv.circuits import build_layout
@@ -42,7 +43,7 @@ from fermiconv.errors import (
     RetryBudgetExceeded,
 )
 from fermiconv.fci import FockSpace, creation_string
-from fock_reference import coefficient_deviation
+from fock_reference import coefficient_deviation, signed_orderings
 from validate_reference import with_ancillas
 
 
@@ -56,12 +57,8 @@ def _fq(M, indices):
     )
 
 
-def _fid(x, y):
-    return abs(np.vdot(x, y))
-
-
 def _record_fid(x, y):
-    """_fid of two (keys, amps) component lists: a key only one holds adds
+    """|<x|y>| of two (keys, amps) component lists: a key only one holds adds
     nothing to the overlap."""
     _, i, j = np.intersect1d(x[0], y[0], return_indices=True)
     return abs(np.vdot(x[1][i], y[1][j]))
@@ -250,7 +247,7 @@ def test_round_trips():
         sl = _sl(5, indices, len(indices))
         fq, _ = second_to_first(sl)
         back, _ = first_to_second(fq)
-        assert _fid(back.state.amps, sl.state.amps) > 1 - 1e-9
+        assert write_state(back) == write_state(sl)
     # random 3-electron superposition both ways
     kets = [(1, 2, 3), (1, 3, 5), (2, 4, 5), (1, 4, 5)]
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -261,7 +258,30 @@ def test_round_trips():
     )), sl.discipline, sl.layout, sl.N)
     fq, _ = second_to_first(sl)
     back, _ = first_to_second(fq)
-    assert _fid(back.state.amps, sl.state.amps) > 1 - 1e-9
+    assert _phase_free_dev(sl.state.amps, back.state.amps) <= 1e-12
+
+
+def test_both_directions_reach_the_same_sizes():
+    # the widest N that fq2sl converts at each M: sl2fq's work layout is
+    # fq2sl's, so both stop where packed keys end; 8! orderings make (30, 8)
+    # the slowest, so it runs one determinant
+    for M, N, n_dets in ((62, 7, 2), (254, 6, 2), (1022, 5, 2), (30, 8, 1)):
+        dets = [tuple(range(M - N + 1, M + 1)), tuple(range(1, 2 * N, 2))][:n_dets]
+        c = np.array([0.6, -0.8j])[:n_dets]
+        c /= np.linalg.norm(c)
+        lay = build_layout(M, N)
+        keys = [lay.basis_index(d) for d in dets]
+        sl = EncodedState.from_components(keys, c, SORTED_LIST, lay, N)
+        fq, _ = second_to_first(sl)
+        assert coefficient_deviation(signed_orderings(M, dets, c), (fq.keys, fq.amps)) <= 1e-12
+        back, _ = first_to_second(fq)
+        np.testing.assert_array_equal(back.keys, sl.keys)
+        assert coefficient_deviation((sl.keys, sl.amps), (back.keys, back.amps)) <= 1e-12
+    occ = tuple(range(1, 9))
+    with pytest.raises(CapExceeded):
+        first_to_second(_fq(62, occ))
+    with pytest.raises(CapExceeded):
+        second_to_first(_sl(62, occ, 8))
 
 
 @pytest.mark.parametrize("M, kets", [
@@ -303,6 +323,8 @@ def test_full_sector_round_trip_entrywise(M, N):
     sl = EncodedState.from_components(keys, c, SORTED_LIST, lay, N)
     fq, _ = second_to_first(sl)
     back, _ = first_to_second(fq)
+    # every ordering of every determinant, signed without any circuit code
+    assert coefficient_deviation(signed_orderings(M, dets, c), (fq.keys, fq.amps)) <= 1e-10
     want = occupation_components(sl)
     for enc in (fq, back):
         assert coefficient_deviation(want, occupation_components(enc)) <= 1e-10

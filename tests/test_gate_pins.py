@@ -61,15 +61,15 @@ PINS = {
     "fq2sl M=62 N=16 extra=0": ("605fcdeceb5a18ad", (1701, 1512, 1953, 0)),
     "fq2sl M=1024 N=5 extra=3": ("9a4c03f30cb26e7c", (1463, 836, 2142, 0)),
     "sl2fq seed M=4 N=2": ("43609a9d7249773a", (11, 18, 18, 0)),
-    "sl2fq unsort M=4 N=2": ("44d0c120c7c2de29", (9, 12, 7, 0)),
+    "sl2fq unsort M=4 N=2": ("14756380e7e01299", (9, 12, 7, 0)),
     "sl2fq seed M=6 N=3": ("946e2e585f39ecc5", (31, 48, 39, 0)),
-    "sl2fq unsort M=6 N=3": ("2a86e13474256878", (27, 36, 21, 0)),
+    "sl2fq unsort M=6 N=3": ("17943467725e62e8", (27, 36, 21, 0)),
     "sl2fq seed M=14 N=4": ("ea6a5325aa8f22ab", (79, 104, 100, 0)),
-    "sl2fq unsort M=14 N=4": ("bc95149adcd266c1", (70, 80, 65, 0)),
+    "sl2fq unsort M=14 N=4": ("ff4551f37f4641c5", (70, 80, 65, 0)),
     "sl2fq seed M=62 N=5": ("4b6c7bc2b1b11146", (263, 264, 348, 0)),
-    "sl2fq unsort M=62 N=5": ("e4605410fabf8f2b", (243, 216, 279, 0)),
+    "sl2fq unsort M=62 N=5": ("44040fcaf9be8d2d", (243, 216, 279, 0)),
     "sl2fq seed M=64 N=8": ("4c18f0923dcfa055", (707, 630, 952, 0)),
-    "sl2fq unsort M=64 N=8": ("df7667f5bcfb4524", (665, 532, 817, 0)),
+    "sl2fq unsort M=64 N=8": ("ebd67dccce0f883f", (665, 532, 817, 0)),
     "merge M=4 n_out=2": ("c9168a06f1b21054", (27, 26, 22, 0)),
     "merge M=6 n_out=4": ("4d35a11a848a09c9", (122, 114, 85, 0)),
     "merge M=14 n_out=5": ("f17de90f87efb070", (283, 234, 203, 0)),
