@@ -33,6 +33,7 @@ from .encodings import (
     SORTED_LIST,
     EncodedState,
     OccupationBitstring,
+    determinants,
     drop_clear_ancillas,
     encode_first_quantized_determinant,
     encode_sorted_list,
@@ -127,8 +128,8 @@ def _gates_line(gc) -> str:
 
 
 def _compare(expected, actual, phase_free: bool, dev: float = 0.0):
-    """(fidelity, max deviation) of two (masks, amps) lists, compared on the
-    union of their masks. phase_free (convert) normalizes both sides and
+    """(fidelity, max deviation) of two (keys, amps) lists, compared on the
+    union of their keys. phase_free (convert) normalizes both sides and
     removes the global phase. Otherwise (tensor, basis) the deviation is
     entrywise on the raw amplitudes and at least dev, one measured outside
     the lists; a zero expected state then passes iff that deviation does."""
@@ -176,6 +177,15 @@ def _occupations(enc: EncodedState):
     return occupation_components(drop_clear_ancillas(enc))
 
 
+def _determinant_keys(enc: EncodedState):
+    """enc's determinants keyed by their ascending orbitals packed b bits
+    apiece: the sorted-list key with its sentinel registers cleared. Unlike
+    an occupation mask it fits int64 wherever the layout packs."""
+    orbitals, amps = determinants(enc)
+    shifts = enc.layout.b * np.arange(orbitals.shape[1])
+    return np.bitwise_or.reduce(orbitals << shifts, axis=1), amps
+
+
 def _fock(space: FockSpace, enc: EncodedState) -> np.ndarray:
     """enc's vector in the oracle's space."""
     vec = np.zeros(space.dim, dtype=complex)
@@ -188,10 +198,7 @@ def cmd_convert(args) -> int:
     if args.dir == "fq2sl":
         result, rep = first_to_second(enc, extra_registers=args.extra_registers)
     else:
-        rng = np.random.default_rng(args.seed)
-        result, rep = second_to_first(
-            enc, N=args.N, rng=rng, retry_budget=args.retry_budget
-        )
+        result, rep = second_to_first(enc, N=args.N, rng=np.random.default_rng(args.seed))
     print(f"direction {rep.direction}")
     print(_gates_line(rep.gate_count))
     print(f"record_ancillas {rep.record_ancillas}")
@@ -200,7 +207,8 @@ def cmd_convert(args) -> int:
     if args.out:
         _emit(args.out, write_state(result))
     if args.verify:
-        return _verdict(*_compare(_occupations(enc), _occupations(result), phase_free=True))
+        return _verdict(*_compare(_determinant_keys(enc), _determinant_keys(result),
+                                  phase_free=True))
     return 0
 
 
@@ -335,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra sentinel registers for fq2sl")
     p.add_argument("--N", type=_int_at_least(1), help="electron count for sl2fq")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="seed for the sl2fq measurement draws")
-    p.add_argument("--retry-budget", type=_int_at_least(1),
-                   help="sl2fq attempts (default: fails with probability <= 1e-9)")
+                   help="seed for sl2fq's attempts draw only; the state does not depend on it")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check against the dense oracle")
+                   help="compare input and output determinant by determinant")
     p.set_defaults(func=cmd_convert, parser=p)
 
     p = sub.add_parser("rdm", help="reduced density matrix of a state file")

@@ -70,7 +70,6 @@ from .errors import (
     MalformedComponent,
     MixedParticleNumber,
     NotAntisymmetric,
-    RetryBudgetExceeded,
 )
 
 # rank-1 split residual bound: fidelity of the kept factor >= 1 - 1e-9
@@ -268,16 +267,15 @@ def second_to_first(
     enc: EncodedState,
     N: int | None = None,
     rng: np.random.Generator | None = None,
-    retry_budget: int | None = None,
 ) -> tuple[EncodedState, ConversionReport]:
     """Sorted list with a fixed electron count -> antisymmetric N registers.
 
     Pipeline: slice off the all-sentinel tail; take the seed stage's record
     factor (H on N seed registers, phase-free recorded sort, collision
     flags), computed once per (M, N) and process from the N! orderings;
-    measure away seed collisions (success probability prod_k (1 - k/2^b),
-    retried up to retry_budget >= 1 times; by default the smallest budget,
-    and at least 16, that runs out with probability <= 1e-9); run fq2sl's
+    measure away seed collisions (success probability p = prod_k (1 - k/2^b),
+    repeated until one succeeds; the state does not depend on the count, and
+    attempts is the index of the first rng.random() draw below p); run fq2sl's
     circuit backwards over records (x) system, one Z per record.
     Once comparator t is undone the system orders like the seed did before
     comparator t, so recomputing comparison t right there erases its record.
@@ -286,8 +284,6 @@ def second_to_first(
         raise BadParam("input must be a sorted list")
     if enc.layout.n_anc:
         raise BadParam("input must not carry ancillas")
-    if retry_budget is not None and retry_budget < 1:
-        raise BadParam(f"retry_budget={retry_budget} < 1")
     validate(enc).require(MalformedComponent, "{count} bad components; first: {first}")
     layout = enc.layout
     b = layout.b
@@ -327,15 +323,9 @@ def second_to_first(
     if rng is None:
         rng = np.random.default_rng(0)
     (p_success, rec_keys, rec), unsort, gate_count = _sl2fq_programs(enc.M, N)
-    if retry_budget is None:  # 0 < p_success < 1, since N <= M < 2^b
-        retry_budget = max(16, math.ceil(math.log(1e-9) / math.log1p(-p_success)))
-    for attempts in range(1, retry_budget + 1):
-        if rng.random() < p_success:
-            break
-    else:
-        raise RetryBudgetExceeded(
-            f"{retry_budget} attempts at success probability {p_success:.3f}"
-        )
+    attempts = 1  # p_success > 0, since N <= M < 2^b
+    while rng.random() >= p_success:
+        attempts += 1
 
     check_branches(len(rec_keys) * len(idx0), "records x system")
     keys = (rec_keys[:, None] << np.int64(N * b)) | idx0

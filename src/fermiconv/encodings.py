@@ -134,11 +134,11 @@ class EncodedState:
         return Statevector(amps)
 
 
-def encode_sorted_list(x: OccupationBitstring, n_reg: int, n_anc: int = 0) -> EncodedState:
+def encode_sorted_list(x: OccupationBitstring, n_reg: int) -> EncodedState:
     """Basis state |i1,...,iN, inf, ..., inf> with ascending occupied orbitals."""
     if x.N > n_reg:
         raise TooManyElectrons(f"{x.N} electrons but only {n_reg} registers")
-    layout = build_layout(x.M, n_reg, n_anc)
+    layout = build_layout(x.M, n_reg)
     values = list(x.indices()) + [layout.sentinel] * (n_reg - x.N)
     key = layout.basis_index(values)
     return EncodedState.from_components([key], [1.0], SORTED_LIST, layout, x.N)
@@ -276,26 +276,33 @@ def drop_clear_ancillas(enc: EncodedState) -> EncodedState:
 # --- bridges to the dense Fock oracle ------------------------------------
 
 
-def occupation_components(enc: EncodedState) -> tuple[np.ndarray, np.ndarray]:
-    """int64 occupation masks (bit p-1 for orbital p) of the state's
-    determinants and their Fock coefficients: sorted-list states drop clear
-    ancillas first, and a first-quantized determinant is read off its
-    ascending component times sqrt(N!). Raises what the bridges raise for a
-    malformed state, then CapExceeded past PACKED_CAP orbitals."""
+def determinants(enc: EncodedState) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending orbitals of the state's determinants, one row each with
+    sorted-list sentinel registers read as 0, and their Fock coefficients:
+    sorted-list states drop clear ancillas first, and a first-quantized
+    determinant is read off its ascending component times sqrt(N!). Raises
+    what the bridges raise for a malformed state."""
     sorted_list = enc.discipline == SORTED_LIST
     if sorted_list:
         enc = drop_clear_ancillas(enc)
     amps, values, violations = _checked_components(enc)
     error = MalformedComponent if sorted_list else NotAntisymmetric
     ValidationReport(violations).require(error, "{count} invalid components: {first}")
+    if sorted_list:
+        return np.where(values != enc.layout.sentinel, values, 0), amps
+    up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
+    return values[up], math.sqrt(math.factorial(enc.layout.n_reg)) * amps[up]
+
+
+def occupation_components(enc: EncodedState) -> tuple[np.ndarray, np.ndarray]:
+    """int64 occupation masks (bit p-1 for orbital p) of the state's
+    determinants and their Fock coefficients, as read by determinants;
+    CapExceeded past PACKED_CAP orbitals."""
+    orbitals, amps = determinants(enc)
     if enc.M > PACKED_CAP:
         raise CapExceeded(f"M={enc.M} orbitals > packed-mask cap {PACKED_CAP}")
-    if sorted_list:
-        bits = np.where(values != enc.layout.sentinel, 1 << (values - 1), 0)
-        return np.bitwise_or.reduce(bits, axis=1), amps
-    up = np.all(values[:, 1:] >= values[:, :-1], axis=1)
-    scale = math.sqrt(math.factorial(enc.layout.n_reg))
-    return np.bitwise_or.reduce(1 << (values[up] - 1), axis=1), scale * amps[up]
+    # a sentinel's 0 lands on bit 0, which the shift drops
+    return np.bitwise_or.reduce(np.int64(1) << orbitals, axis=1) >> 1, amps
 
 
 def sorted_list_to_fock(enc: EncodedState) -> np.ndarray:

@@ -45,10 +45,6 @@ class MixedParticleNumber(FermiconvError):
     """Sorted-list state spans more than one particle-number sector."""
 
 
-class RetryBudgetExceeded(FermiconvError):
-    """Collision-rejection measurement failed on every allowed retry."""
-
-
 class BasisMismatch(FermiconvError):
     """Operands encoded over different orbital counts."""
 

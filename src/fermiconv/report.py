@@ -322,7 +322,7 @@ def emit_report(rows, fits, sink) -> str:
     a human-readable text table.
 
     rows: iterable of (CostFormula, bindings). fits: iterable of ScalingFit,
-    appended after the formula rows. sink: a path or a writable text file.
+    appended after the formula rows. sink: the CSV's path.
     The text header restates that constants are unit; the CSV holds only
     the header line plus one row per formula or fit.
     """
@@ -346,11 +346,8 @@ def emit_report(rows, fits, sink) -> str:
     writer.writerows(records)
     text = buf.getvalue()
     try:
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        with open(sink, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as e:
         raise SinkUnwritable(str(e)) from e
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs through main(argv)."""
 
 import dataclasses
+import hashlib
 import os
 import runpy
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from fermiconv import (
+    SORTED_LIST,
     EncodedState,
     OccupationBitstring,
     Statevector,
@@ -18,6 +20,7 @@ from fermiconv import (
     encode_sorted_list,
     first_to_second,
     qft_register_transform,
+    second_to_first,
     tensor_product_merge,
 )
 from fermiconv import cli
@@ -30,7 +33,9 @@ from fermiconv.circuits import (
     toffoli,
 )
 from fermiconv.cli import _compare, _verdict, main
-from fermiconv.stateio import write_state
+from fermiconv.encodings import occupation_components
+from fermiconv.errors import CapExceeded
+from fermiconv.stateio import read_state, write_state
 
 DEFAULT_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_default.csv"
 WIDE_REPORT_CSV = Path(__file__).resolve().parent / "data" / "scaling_report_wide.csv"
@@ -101,8 +106,6 @@ def test_bad_sl2fq_arguments_exit_2(capsys, tmp_path):
     for flags, named in (
         (["--seed", "-1"], "argument --seed: -1 < 0"),
         (["--seed", "x"], "argument --seed: invalid int value 'x'"),
-        (["--retry-budget", "0"], "argument --retry-budget: 0 < 1"),
-        (["--retry-budget", "-2"], "argument --retry-budget: -2 < 1"),
         (["--N", "-2"], "argument --N: -2 < 1"),
         (["--N", "0"], "argument --N: 0 < 1"),
     ):
@@ -110,8 +113,7 @@ def test_bad_sl2fq_arguments_exit_2(capsys, tmp_path):
             main(["convert", "--dir", "sl2fq", "--in", str(sl), *flags])
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
-    rc, _, err = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(sl),
-                               "--seed", "0", "--retry-budget", "1"])
+    rc, _, err = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(sl), "--seed", "0"])
     assert rc == 0 and err == ""
 
 
@@ -241,19 +243,87 @@ def test_convert_cap_exceeded_exit_5(capsys, tmp_path):
 
 
 def test_fock_bridges_cap_exceeded_exit_5(capsys, tmp_path):
-    # convert --verify compares occupation masks, which fit int64 up to
-    # M=62; the rdm oracle would need a 2^40 Fock vector
+    # convert --verify keys determinants by packed orbitals, so it passes
+    # M=62; occupation masks stop there, and the rdm oracle would need a
+    # 2^40 Fock vector
     for M in (40, 62, 63):
         sl = tmp_path / f"m{M}.txt"
         _run(capsys, ["encode", "--sl", "--M", str(M), "--occ", "3,17", "--nreg", "2",
                       "--out", str(sl)])
-        rc, out, err = _run(capsys, ["convert", "--dir", "sl2fq", "--verify", "--in", str(sl)])
-        if M < 63:
-            assert rc == 0 and out.splitlines()[-1] == "fidelity 1.000000"
-        else:
-            assert rc == 5 and err.startswith("error:") and "packed-mask cap 62" in err
+        rc, out, _ = _run(capsys, ["convert", "--dir", "sl2fq", "--verify", "--in", str(sl)])
+        assert rc == 0 and out.splitlines()[-1] == "fidelity 1.000000"
+    with pytest.raises(CapExceeded, match="packed-mask cap 62"):
+        occupation_components(read_state((tmp_path / "m63.txt").read_text()))
     rc, _, err = _run(capsys, ["rdm", "--state", str(tmp_path / "m40.txt")])
     assert rc == 5 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("M, occ", [(254, "3,40,77,128,200,254"), (1022, "3,40,77,700,1022")])
+def test_convert_verify_past_the_packed_mask_cap(capsys, tmp_path, M, occ):
+    # 6 registers of 8 bits and 5 of 10: the packed orbitals fit int64
+    fq, sl = tmp_path / "fq.txt", tmp_path / "sl.txt"
+    assert main(["encode", "--fq", "--M", str(M), "--occ", occ, "--out", str(fq)]) == 0
+    for d, src, dst in (("fq2sl", fq, sl), ("sl2fq", sl, tmp_path / "back.txt")):
+        rc, out, err = _run(capsys, ["convert", "--dir", d, "--in", str(src),
+                                     "--out", str(dst), "--verify"])
+        assert rc == 0 and err == "" and out.splitlines()[-1] == "fidelity 1.000000"
+
+
+def test_convert_verify_past_the_cap_checks_signs(capsys, tmp_path, monkeypatch):
+    # at M=254, flipping the sign of one of two determinants exits 4
+    layout = build_layout(254, 6)
+    keys = [layout.basis_index(o) for o in ((3, 40, 77, 128, 200, 254), (1, 2, 3, 4, 5, 6))]
+    sl, fq = tmp_path / "sl.txt", tmp_path / "fq.txt"
+    sl.write_text(write_state(EncodedState.from_components(keys, [0.6, 0.8j], SORTED_LIST,
+                                                           layout, 6)))
+    rc, _, _ = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(sl), "--out", str(fq),
+                             "--verify"])
+    assert rc == 0
+
+    def negated(convert):
+        def run(enc, *args, **kwargs):
+            result, rep = convert(enc, *args, **kwargs)
+            orbitals = np.sort(result.layout.decode(result.keys), axis=1)
+            amps = np.where(np.all(orbitals == orbitals[0], axis=1), -result.amps, result.amps)
+            return EncodedState.from_components(result.keys, amps, result.discipline,
+                                                result.layout, result.N), rep
+        return run
+
+    monkeypatch.setattr(cli, "first_to_second", negated(first_to_second))
+    monkeypatch.setattr(cli, "second_to_first", negated(second_to_first))
+    for d, src in (("fq2sl", fq), ("sl2fq", sl)):
+        rc, out, _ = _run(capsys, ["convert", "--dir", d, "--in", str(src), "--verify"])
+        assert rc == 4 and out.splitlines()[-2] == "fidelity 0.280000"
+
+
+def _sl_superposition(rng, M, N, n_reg):
+    """Three random determinants on n_reg registers (one if N == M) with
+    random complex amplitudes."""
+    layout = build_layout(M, n_reg)
+    occs = set()
+    while len(occs) < (1 if N == M else 3):
+        occs.add(tuple(sorted((rng.choice(M, N, replace=False) + 1).tolist())))
+    keys = [layout.basis_index(o + (layout.sentinel,) * (n_reg - N)) for o in sorted(occs)]
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    return EncodedState.from_components(keys, amps / np.linalg.norm(amps), SORTED_LIST,
+                                        layout, N)
+
+
+def test_sl2fq_output_pinned(capsys, tmp_path):
+    # every printed line and written byte of sl2fq on seeded superpositions
+    # from (M, N) = (4, 2) to (1022, 5), seeds 0..5; attempts run 1..52
+    rng, digest = np.random.default_rng(39), hashlib.sha256()
+    src, dst = tmp_path / "sl.txt", tmp_path / "fq.txt"
+    for M, N, n_reg in ((4, 2, 2), (4, 2, 3), (6, 3, 4), (6, 6, 6), (10, 6, 6), (62, 5, 5),
+                        (254, 6, 6), (1022, 5, 5)):
+        src.write_text(write_state(_sl_superposition(rng, M, N, n_reg)))
+        for seed in range(6):
+            rc, out, _ = _run(capsys, ["convert", "--dir", "sl2fq", "--in", str(src),
+                                       "--seed", str(seed), "--out", str(dst)])
+            assert rc == 0
+            digest.update(out.encode())
+            digest.update(dst.read_bytes())
+    assert digest.hexdigest()[:16] == "984d2e52e818fedb"
 
 
 def test_fock_oracle_cap_exceeded_exit_5(capsys, tmp_path):

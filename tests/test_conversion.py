@@ -40,7 +40,6 @@ from fermiconv.errors import (
     CapExceeded,
     MixedParticleNumber,
     NotAntisymmetric,
-    RetryBudgetExceeded,
 )
 from fermiconv.fci import FockSpace, creation_string
 from fock_reference import coefficient_deviation, signed_orderings
@@ -210,35 +209,29 @@ def test_backward_particle_number_errors():
         second_to_first(_fq(4, (1, 3)))
 
 
-def test_backward_retry_budget():
-    # M=4 N=2 succeeds per attempt with p = 7/8; seed 4 first draws above it
-    with pytest.raises(RetryBudgetExceeded, match="1 attempts"):
-        second_to_first(_sl(4, (1, 3), 2), rng=np.random.default_rng(4), retry_budget=1)
-    # a generator that always draws high still succeeds within a fat budget
-    out, rep = second_to_first(
-        _sl(4, (1, 3), 2), rng=np.random.default_rng(123), retry_budget=50
-    )
-    assert 1 <= rep.attempts <= 50
-    np.testing.assert_allclose(out.state.amps, _fq(4, (1, 3)).state.amps, atol=1e-10)
+def test_backward_attempts_follow_the_draws():
+    # attempts is the index of the first draw below p, and the state the
+    # conversion returns does not depend on it
+    for M, N in ((4, 2), (6, 6)):
+        sl = _sl(M, range(1, N + 1), N)
+        p = _sl2fq_programs(M, N)[0][0]
+        for s in range(16):
+            draws = np.random.default_rng(s)
+            first = 1
+            while draws.random() >= p:
+                first += 1
+            assert second_to_first(sl, rng=np.random.default_rng(s))[1].attempts == first
     # M=6 N=6 succeeds per attempt with p = 2520/32768; seed 3 needs 21
-    # attempts, so a flat budget of 16 would run out
     sl = _sl(6, range(1, 7), 6)
     out, rep = second_to_first(sl, rng=np.random.default_rng(3))
-    assert rep.attempts > 16
-    assert rep.success_probability == 2520 / 32768
+    assert rep.attempts == 21 and rep.success_probability == 2520 / 32768
     np.testing.assert_allclose(sorted_list_to_fock(sl), first_quantized_to_fock(out), atol=1e-10)
-
-
-def test_backward_rejects_budget_below_one():
-    class NoDraws:
-        def random(self):
-            raise AssertionError("drew before refusing the budget")
-
-    misses = _sl2fq_programs.cache_info().misses
-    for budget in (0, -2):
-        with pytest.raises(BadParam, match=f"retry_budget={budget} < 1"):
-            second_to_first(_sl(4, (1, 3), 2), rng=NoDraws(), retry_budget=budget)
-    assert _sl2fq_programs.cache_info().misses == misses  # nothing built
+    sup = EncodedState(Statevector((_sl(5, (1, 3), 2).state.amps
+                                    - 1j * _sl(5, (2, 5), 2).state.amps) / np.sqrt(2)),
+                       SORTED_LIST, build_layout(5, 2), 2)
+    runs = [second_to_first(sup, rng=np.random.default_rng(s)) for s in range(10)]
+    assert len({rep.attempts for _, rep in runs}) > 1
+    assert len({write_state(out) for out, _ in runs}) == 1
 
 
 def test_round_trips():

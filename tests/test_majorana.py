@@ -37,8 +37,8 @@ from validate_reference import with_ancillas
 
 
 def _enc(M, indices, n_reg, n_anc=0):
-    return encode_sorted_list(
-        OccupationBitstring.from_indices(M, indices), n_reg, n_anc
+    return with_ancillas(
+        encode_sorted_list(OccupationBitstring.from_indices(M, indices), n_reg), n_anc
     )
 
 

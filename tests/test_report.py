@@ -1,6 +1,5 @@
 """Resource-formula catalog, scaling fits, and the report emitter."""
 
-import io
 import math
 
 import numpy as np
@@ -167,16 +166,16 @@ def test_measured_grid_fits_sort_model():
     assert fit_scaling(grid, MODEL_LINLOG).r_squared > 0.9
 
 
-def test_emit_report_csv_shape():
-    sink = io.StringIO()
+def test_emit_report_csv_shape(tmp_path):
+    sink = tmp_path / "empty.csv"
     text = emit_report([], [], sink)
-    assert sink.getvalue() == "name,citation,parameters,value\n"
+    assert sink.read_text() == "name,citation,parameters,value\n"
     assert text.startswith("cost report (big-O constants are fixed to 1")
 
-    sink = io.StringIO()
+    sink = tmp_path / "one.csv"
     f = formula("ground-state-whole", "second-quantized simulation")
     text = emit_report([(f, dict(M_MO=10, eps_QPE=1))], [], sink)
-    lines = sink.getvalue().splitlines()
+    lines = sink.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("ground-state-whole: second-quantized simulation,")
     assert "M_MO=10 eps_QPE=1" in lines[1]
@@ -184,13 +183,13 @@ def test_emit_report_csv_shape():
     assert "second-quantized simulation" in text
 
 
-def test_emit_report_includes_fits():
+def test_emit_report_includes_fits(tmp_path):
     fit = fit_scaling(
         [(n, m, n * m) for n in (2, 4, 8) for m in (8, 16)], MODEL_LINLOG
     )
-    sink = io.StringIO()
+    sink = tmp_path / "fits.csv"
     emit_report([], [fit], sink)
-    lines = sink.getvalue().splitlines()
+    lines = sink.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("fit: N*log2(N)*log2(M),measured gate counts,")
     assert "R2=" in lines[1] and "2,8,16;" in lines[1]
