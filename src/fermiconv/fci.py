@@ -32,12 +32,17 @@ through more strings than a bounded LRU holds would miss on every call. A
 refusal is never stored, so every check runs on every call.
 Which entries of H a Hamiltonian term reaches, and with what sign, also
 depends only on M: ``_hamiltonian_terms`` builds that table once per M, on
-the first ``dense_matrix`` call, as read-only arrays of 9 B an entry (the
-entry's flat index, its coefficient's index and its sign). It holds 81,664
-entries at M=8 (0.70 MiB, against H's 1 MiB) and 6,174,720 at M=12 (53 MiB,
-against H's 256 MiB); coefficients are read on every call.
-``rotate_determinants`` stacks its determinants over a chunk of target
-sets, each stack at most DET_STACK_CAP matrix entries (128 KiB).
+the first ``dense_matrix`` call, as read-only arrays of 5 B an entry (the
+entry's flat index and its sign) in term-major order, plus each
+coefficient's entry count, so np.repeat lines the coefficients up with the
+entries. It holds 81,664 entries at M=8 (0.41 MiB, against H's 1 MiB) and
+6,174,720 at M=12 (30 MiB, against H's 256 MiB); coefficients are read on
+every call.
+``rotate_determinants`` builds every minor of a sector's source columns
+level by level, each k x k minor a Laplace sum over (k-1) x (k-1) ones, with
+no LAPACK call. Which (k-1)-subset each term reads depends only on (M, k):
+``_minor_rows`` holds it, one read-only table per (M, k). The minors of one
+chunk of sources hold at most DET_STACK_CAP entries (128 KiB).
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .errors import (
 FOCK_CAP = 12  # dense 4096-dim cap
 RDM_ENTRY_CAP = 1 << 20  # entries of a k-RDM tensor, and of its annihilation batch
 KEPT_CAP = 1 << 18  # entries k_rdm's string table holds, 32 B each: 8 MiB
-DET_STACK_CAP = 1 << 13  # complex matrix entries of one stacked det call: 128 KiB
+DET_STACK_CAP = 1 << 13  # complex entries of one rotation chunk's minors: 128 KiB
 _STRING_COST = 48  # entries charged per stored string for its key and headers (1.5 KiB)
 _NO_MASKS, _NO_SIGNS = np.empty(0, dtype=np.int64), np.empty(0)  # what a dead string keeps
 
@@ -98,6 +103,20 @@ def _sector_sets(M: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     keys = (1 << sets).sum(axis=1)
     sets.flags.writeable = keys.flags.writeable = False
     return sets, keys
+
+
+@lru_cache(maxsize=None)
+def _minor_rows(M: int, k: int) -> np.ndarray:
+    """Read-only (C(M, k), k) table, k >= 2: entry [t, i] is the rank of the
+    t-th k-subset minus its i-th orbital among the (k-1)-subsets, both in
+    ``_sector_sets`` order."""
+    sets, keys = _sector_sets(M, k)
+    below = _sector_sets(M, k - 1)[1]
+    rank = np.zeros(1 << M, dtype=np.int64)
+    rank[below] = np.arange(len(below))
+    table = rank[keys[:, None] ^ (1 << sets)]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -202,8 +221,11 @@ def _check_state(state: np.ndarray, space: FockSpace, normalized: bool = True) -
     if state.shape != (space.dim,):
         raise BadParam(f"state must have length 2^{space.M} = {space.dim}, "
                        f"not shape {state.shape}")
-    if normalized and not abs(np.vdot(state, state).real ** 0.5 - 1.0) <= 1e-8:  # NaN, inf too
-        raise BadParam("state must be normalized")
+    if normalized:
+        if not abs(np.vdot(state, state).real ** 0.5 - 1.0) <= 1e-8:  # NaN, inf too
+            raise BadParam("state must be normalized")
+    elif not np.isfinite(state).all():
+        raise BadParam("state has a non-finite amplitude")
 
 
 class _StringTable(dict):
@@ -299,11 +321,13 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
 
     Each N-particle sector transforms by the N-th compound matrix of U:
     |S> -> sum_T det(U[T, S]) |T> over ascending index sets. The vacuum
-    sector is invariant. One np.linalg.det call stacks U[T, S] over a chunk
-    of target sets T and the sector's nonzero source sets S; a chunk takes
-    DET_STACK_CAP // (len(S) * N^2) target sets, at least one, so a stack
-    holds at most DET_STACK_CAP entries (128 KiB), or one target's matrices
-    where those alone exceed it.
+    sector is invariant. The minors of the sector's nonzero source sets S
+    are built column by column: D_1 = U[:, S_0], then D_k[T, s] = sum_{i<k}
+    (-1)^(i+k-1) U[T_i, S_{k-1}] D_{k-1}[T minus T_i, s] over every k-subset
+    T, and D_N @ c is the sector. A chunk takes DET_STACK_CAP // (C(M, 1) +
+    ... + C(M, N)) sources, at least one, so its minors hold at most
+    DET_STACK_CAP entries (128 KiB), or one source's where those alone
+    exceed it.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (space.M, space.M):
@@ -323,37 +347,52 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
         S, c = sets[src], amps[src]
         if not len(c):
             continue
-        rows = max(1, DET_STACK_CAP // (len(S) * n * n))
-        for lo in range(0, len(sets), rows):
-            # U[T][:, :, S][t, i, s, j] = U[T[t, i], S[s, j]]: one matrix per
-            # (target, source) pair, freed once its determinant is taken
-            dets = np.linalg.det(U[sets[lo : lo + rows]][:, :, S].swapaxes(1, 2))
-            out[keys[lo : lo + rows]] = dets @ c
+        levels = [(_sector_sets(space.M, k)[0], _minor_rows(space.M, k)) for k in range(2, n + 1)]
+        width = max(1, DET_STACK_CAP // (space.M + sum(len(T) for T, _ in levels)))
+        for lo in range(0, len(c), width):
+            chunk = S[lo : lo + width]
+            D = U[:, chunk[:, 0]]  # D[t, s] = det U[T_t, S_s[:k]], here k = 1
+            for k, (T, rows) in enumerate(levels, 2):
+                col = U[:, chunk[:, k - 1]]
+                Dk = D[rows[:, k - 1]]
+                Dk *= col[T[:, k - 1]]
+                for i in range(k - 2, -1, -1):
+                    term = D[rows[:, i]]
+                    term *= col[T[:, i]]
+                    if (k - i) % 2:  # (-1)^(i+k-1) = +1
+                        Dk += term
+                    else:
+                        Dk -= term
+                D = Dk
+            out[keys] += D @ c[lo : lo + width]
     return out
 
 
 @lru_cache(maxsize=None)
 def _hamiltonian_terms(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (flat, term, sign) of every entry a Hamiltonian term reaches:
-    its index row * 2^M + col into H (int32), its coefficient's index into
-    concat(h1.ravel(), 0.5 * h2.ravel()) (int32) and its +-1 (int8), in
-    term-major order: one-body (p, q), then two-body (p, q, r, s). The pairs
-    a_r a_s act on every mask once, then each p's creation pairs on what they
-    keep; each chunk is made compact before it is kept."""
+    """Read-only (flat, counts, sign): the index row * 2^M + col into H
+    (int32) and the +-1 (int8) of every entry a Hamiltonian term reaches, in
+    term-major order (one-body (p, q), then two-body (p, q, r, s)), and how
+    many entries each coefficient of concat(h1.ravel(), 0.5 * h2.ravel())
+    reaches (int32), so np.repeat(coef, counts) lines the coefficients up with
+    the entries. The pairs a_r a_s act on every mask once, then each p's
+    creation pairs on what they keep; each chunk is made compact before it
+    is kept."""
     space = FockSpace(M)
     a, b = np.divmod(np.arange(M * M), M)  # (p, q) and (r, s) pairs, term-major
 
-    def chunk(x, out, term, sign):
-        return (out << M | x).astype(np.int32), term.astype(np.int32), sign.astype(np.int8)
+    def chunk(x, out, term, terms, sign):
+        counts = np.bincount(term, minlength=terms).astype(np.int32)
+        return (out << M | x).astype(np.int32), counts, sign.astype(np.int8)
 
     (t, x), out, sign = _string_action(space, (("annihilate", b + 1), ("create", a + 1)), space.masks())
-    chunks = [chunk(x, out, t, sign)]
+    chunks = [chunk(x, out, t, M * M, sign)]
     pairs = (("annihilate", b + 1), ("annihilate", a + 1))
     (rs, x), mid, pair_sign = _string_action(space, pairs, space.masks())
     orbitals = np.arange(1, M + 1)
-    for p in range(M):
+    for p in range(M):  # p's M^3 two-body terms (q, r, s) follow every term before them
         (q, e), out, sign = _string_action(space, (("create", orbitals), ("create", p + 1)), mid)
-        chunks.append(chunk(x[e], out, M * M + (p * M + q) * M * M + rs[e], pair_sign[e] * sign))
+        chunks.append(chunk(x[e], out, q * M * M + rs[e], M**3, pair_sign[e] * sign))
     table = tuple(np.concatenate(parts) for parts in zip(*chunks))
     for part in table:
         part.flags.writeable = False
@@ -399,21 +438,23 @@ class ToyHamiltonian:
 
     def dense_matrix(self, space: FockSpace) -> np.ndarray:
         """Dense H on the Fock space from the term table of its M
-        (``_hamiltonian_terms``, 9 B an entry: 0.70 MiB at M=8, 53 MiB at
-        M=12 against H's 256 MiB): one gather of the signed coefficients and
-        one np.bincount each for H.real and H.imag. bincount sums each entry
-        from +0.0 in the table's term-major (p, q[, r, s]) order, so H is the
-        per-term loop's sum bit for bit; a zero coefficient adds +-0.0, which
-        leaves it unchanged. Coefficients are read, and checked finite, on
+        (``_hamiltonian_terms``, 5 B an entry: 0.41 MiB at M=8, 30 MiB at
+        M=12 against H's 256 MiB): the signed coefficients, repeated by their
+        entry counts, and one np.bincount each for H.real and H.imag.
+        bincount sums each entry from +0.0 in the table's term-major
+        (p, q[, r, s]) order, so H is the per-term loop's sum bit for bit; a
+        zero coefficient adds +-0.0, which leaves it unchanged. Coefficients are read, and checked finite, on
         every call, since the tables are mutable; an overflowing sum is refused."""
         if space.M != self.M:
             raise BadParam("space and Hamiltonian disagree on M")
         for name in ("h1", "h2"):
             if not np.isfinite(getattr(self, name)).all():
                 raise BadParam(f"non-finite coefficient in {name}")
-        flat, term, sign = _hamiltonian_terms(self.M)
+        flat, counts, sign = _hamiltonian_terms(self.M)
         coef = np.concatenate((self.h1.ravel(), 0.5 * self.h2.ravel()))
-        real, imag = (np.bincount(flat, c[term] * sign, space.dim**2) for c in (coef.real, coef.imag))
+        real, imag = (
+            np.bincount(flat, np.repeat(c, counts) * sign, space.dim**2) for c in (coef.real, coef.imag)
+        )
         # an entry sums a coefficient at most once: scan only if count x largest part overflows
         big = not np.isfinite(float(np.abs(coef.view(float)).max()) * len(coef))
         if big and not (np.isfinite(real).all() and np.isfinite(imag).all()):

@@ -7,7 +7,10 @@ mask, ``k_rdm`` scatters the string's image of the state into a fresh vector
 and takes its inner product with the state, ``dense_matrix`` applies one
 operator string per nonzero coefficient to every mask, in (p, q[, r, s])
 order, and ``rotate_determinants`` takes one determinant per (target,
-source) pair of index sets. ``ladder_matrix`` and ``determinant_vector``
+source) pair of index sets. ``stacked_rotate_determinants`` is the rotation
+``fci`` ran before it built minors column by column: the same determinants,
+stacked over chunks of target sets into one np.linalg.det call each, fast
+enough to pin a full M=10 sector. ``ladder_matrix`` and ``determinant_vector``
 build the dense ladder matrices and basis vectors the tests compare against,
 ``random_toy_hamiltonian`` the seeded Hamiltonians they diagonalize,
 ``signed_orderings`` the first-quantized components of a determinant
@@ -21,7 +24,14 @@ from itertools import combinations, permutations
 import numpy as np
 
 from fermiconv.errors import BadParam, NotUnitary
-from fermiconv.fci import FockSpace, ToyHamiltonian, _parity_signs
+from fermiconv.fci import (
+    DET_STACK_CAP,
+    FockSpace,
+    ToyHamiltonian,
+    _check_state,
+    _parity_signs,
+    _sector_sets,
+)
 
 
 def string_action(space: FockSpace, ops, masks: np.ndarray):
@@ -129,6 +139,37 @@ def rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> n
                     continue
                 acc += np.linalg.det(U[np.ix_(T, S)]) * c
             out[sum(1 << p for p in T)] = acc
+    return out
+
+
+def stacked_rotate_determinants(state: np.ndarray, U: np.ndarray, space: FockSpace) -> np.ndarray:
+    """One np.linalg.det call stacks U[T, S] over a chunk of target sets T
+    and the sector's nonzero source sets S; a chunk takes DET_STACK_CAP //
+    (len(S) * N^2) target sets, at least one."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (space.M, space.M):
+        raise BadParam(f"U must be {space.M}x{space.M}")
+    if not np.isfinite(U).all():  # the SVD behind the norm would not converge
+        raise NotUnitary("single-particle matrix has a non-finite entry")
+    if np.linalg.norm(U.conj().T @ U - np.eye(space.M), ord=2) > 1e-10:
+        raise NotUnitary("single-particle matrix fails unitarity at 1e-10")
+    state = np.asarray(state, dtype=complex)
+    _check_state(state, space, normalized=False)
+    out = np.zeros_like(state)
+    out[0] = state[0]
+    for n in range(1, space.M + 1):
+        sets, keys = _sector_sets(space.M, n)
+        amps = state[keys]
+        src = amps != 0
+        S, c = sets[src], amps[src]
+        if not len(c):
+            continue
+        rows = max(1, DET_STACK_CAP // (len(S) * n * n))
+        for lo in range(0, len(sets), rows):
+            # U[T][:, :, S][t, i, s, j] = U[T[t, i], S[s, j]]: one matrix per
+            # (target, source) pair, freed once its determinant is taken
+            dets = np.linalg.det(U[sets[lo : lo + rows]][:, :, S].swapaxes(1, 2))
+            out[keys[lo : lo + rows]] = dets @ c
     return out
 
 

@@ -313,15 +313,33 @@ def test_sector_eigensystem_refuses_another_spaces_matrix():
 
 
 def test_hamiltonian_terms_are_one_cached_read_only_table():
-    flat, term, sign = table = fci._hamiltonian_terms(4)
-    assert table is fci._hamiltonian_terms(4)
-    assert (flat.dtype, term.dtype, sign.dtype) == (np.int32, np.int32, np.int8)
+    M = 4
+    space = FockSpace(M)
+    flat, counts, sign = table = fci._hamiltonian_terms(M)
+    assert table is fci._hamiltonian_terms(M)
+    assert (flat.dtype, counts.dtype, sign.dtype) == (np.int32, np.int32, np.int8)
     for part in table:
         assert not part.flags.writeable
     with pytest.raises(ValueError):
         sign[0] = 0
-    # term-major: coefficient indices never decrease
-    assert np.all(np.diff(term) >= 0)
+    # one count per coefficient of concat(h1.ravel(), 0.5 * h2.ravel())
+    assert len(counts) == M * M + M**4
+    assert counts.sum() == len(flat) == len(sign)
+    # term-major: each coefficient's run holds the entries its own string
+    # reaches, in mask order, and no other
+    masks = space.masks()
+    for term, stop in enumerate(np.cumsum(counts)):
+        if term < M * M:
+            p, q = divmod(term, M)
+            ops = (("annihilate", q + 1), ("create", p + 1))
+        else:
+            p, q, r, s = np.unravel_index(term - M * M, (M,) * 4)
+            ops = (("annihilate", s + 1), ("annihilate", r + 1),
+                   ("create", q + 1), ("create", p + 1))
+        ok, out, want = ref.string_action(space, ops, masks)
+        run = slice(stop - counts[term], stop)
+        assert flat[run].tolist() == (out[ok] << M | masks[ok]).tolist()
+        assert sign[run].tolist() == want[ok].tolist()
 
 
 def test_hamiltonian_terms_hold_structure_only():
@@ -348,6 +366,8 @@ def test_rotation_matches_per_pair_reference(M):
     rng = np.random.default_rng(200 + M)
     space = FockSpace(M)
     U, _ = np.linalg.qr(rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M)))
+    # a permutation with phases: of each target set's minors, all but one are exact zeros
+    P = np.eye(M)[rng.permutation(M)] * np.exp(2j * np.pi * rng.random(M))
     full = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     # every other sector left empty, the vacuum amplitude included
     gappy = np.where(fci._popcounts(M) % 2 == 1, full, 0)
@@ -358,10 +378,33 @@ def test_rotation_matches_per_pair_reference(M):
         determinant_vector(space, range(1, M + 1, 2)),
         np.zeros(space.dim),
     ]
-    for psi in states:
-        got = rotate_determinants(psi, U, space)
-        want = ref.rotate_determinants(psi, U, space)
-        assert np.max(np.abs(got - want)) <= 1e-13
+    # superpositions of 1-4 determinants of one sector, as the basis-change
+    # round trips rotate them
+    for count in range(1, 5):
+        idx = space.sector_indices(int(rng.integers(1, M + 1)))
+        idx = rng.choice(idx, min(count, len(idx)), replace=False)
+        psi = np.zeros(space.dim, dtype=complex)
+        psi[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        states.append(psi / np.linalg.norm(psi))
+    for V in (U, P):
+        for psi in states:
+            want = ref.rotate_determinants(psi, V, space)
+            for rotate in (rotate_determinants, ref.stacked_rotate_determinants):
+                assert np.max(np.abs(rotate(psi, V, space) - want)) <= 1e-13
+
+
+def test_rotation_matches_stacked_reference_on_a_full_sector():
+    # M=10 N=5: the per-pair reference would take C(10,5)^2 = 63,504
+    # determinants one call each; the stacked reference is pinned to it above
+    rng = np.random.default_rng(310)
+    space = FockSpace(10)
+    U, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    psi = np.zeros(space.dim, dtype=complex)
+    idx = space.sector_indices(5)
+    psi[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+    psi /= np.linalg.norm(psi)
+    got = rotate_determinants(psi, U, space)
+    assert np.max(np.abs(got - ref.stacked_rotate_determinants(psi, U, space))) <= 1e-13
 
 
 def test_rotation_refusals_unchanged():
@@ -613,8 +656,9 @@ def test_dead_string_keeps_nothing():
 
 def test_non_finite_states_refused():
     space = FockSpace(2)
-    for bad in (np.nan, np.inf, complex(np.inf, np.nan)):
-        state = [bad, 0, 0, 0]
+    for bad, at in itertools.product((np.nan, np.inf, complex(np.inf, np.nan)), (0, 2)):
+        state = [0] * 4
+        state[at] = bad
         with pytest.raises(BadParam, match="normalized"):
             k_rdm(state, (1,), (1,), space)
         with pytest.raises(BadParam, match="normalized"):
@@ -623,6 +667,11 @@ def test_non_finite_states_refused():
             k_rdm_tensor(state, 2, space)
         with pytest.raises(BadParam, match="normalized"):
             k_rdm_tensor(state, 1, space)
+        # the unnormalized inputs are refused too, not rotated into NaN
+        with pytest.raises(BadParam, match="non-finite amplitude"):
+            rotate_determinants(state, np.eye(2), space)
+        with pytest.raises(BadParam, match="non-finite amplitude"):
+            fci.apply_ladder_fock(state, 1, "create", space)
 
 
 def test_oracle_imports_no_circuit_code():
@@ -662,11 +711,12 @@ def test_masks_are_one_cached_read_only_table(monkeypatch):
     rotate_determinants(psi, U, space)
     ionization_attachment_probabilities(H, 2, 2)
     assert masks.tolist() == list(range(16))
-    # k_rdm's string table and the rotation's index sets are read-only too
+    # k_rdm's string table and the rotation's index sets and minor rows are
+    # read-only too
     x, out, sign = fci._kept[(4, (1, 2), (2, 3))]
     assert len(x)  # a live string
     for entry in fci._kept.values():
         assert not any(a.flags.writeable for a in entry)
-    for a in (x, out, sign, *fci._sector_sets(4, 2)):
+    for a in (x, out, sign, *fci._sector_sets(4, 2), fci._minor_rows(4, 2)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0

@@ -316,9 +316,10 @@ def test_dense_hamiltonian_build_peak():
 
 
 def test_rotation_peak():
-    # the full M=10 N=5 sector: one stacked determinant call per target set
-    # holds C(10,5) matrices of 5x5 (0.24 MiB peak in all); every target at
-    # once would hold 252 times that
+    # the full M=10 N=5 sector: a chunk of DET_STACK_CAP // (C(10,1) + ...
+    # + C(10,5)) = 12 sources builds their minors level by level, at most
+    # 252 x 12 entries a level (0.22 MiB peak in all); all 252 sources in one
+    # chunk would peak at 3.8 MiB
     rng = np.random.default_rng(1)
     space = fci.FockSpace(10)
     U, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
@@ -357,16 +358,32 @@ def test_k_rdm_tensor_peak():
 
 
 def test_rotation_peak_every_sector():
-    # every M=8 sector occupied: a chunk takes DET_STACK_CAP // (len(S) N^2)
-    # targets, so a stack holds at most 8192 entries (128 KiB; 0.16 MiB peak
-    # in all). A chunk sized without len(S) would stack all 70 x 70 matrices
-    # of the N=4 sector at once (1.25 MiB)
+    # every M=8 sector occupied: a chunk takes DET_STACK_CAP // (C(8,1) +
+    # ... + C(8,N)) sources, so its minors hold at most 8192 entries (128 KiB;
+    # 0.22 MiB peak in all, at the N=4 sector's 50-source chunk, close to the
+    # bound). One chunk per sector would take all 70 N=4 sources (0.31 MiB)
     rng = np.random.default_rng(4)
     space = fci.FockSpace(8)
     U, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     psi /= np.linalg.norm(psi)
     assert _peak_mib(lambda: fci.rotate_determinants(psi, U, space)) <= 0.25
+
+
+def test_rotation_peak_at_fock_cap():
+    # the full M=12 N=6 sector at the oracle's cap: chunks of DET_STACK_CAP //
+    # (C(12,1) + ... + C(12,6)) = 3 sources hold at most 924 x 3 minors a
+    # level (0.30 MiB peak in all, the 4,096-amplitude vectors included),
+    # where one stacked det call per target set held 924 matrices of 6x6
+    # (0.67 MiB)
+    rng = np.random.default_rng(12)
+    space = fci.FockSpace(12)
+    U, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    psi = np.zeros(space.dim, dtype=complex)
+    idx = space.sector_indices(6)
+    psi[idx] = rng.standard_normal(len(idx))
+    psi /= np.linalg.norm(psi)
+    assert _peak_mib(lambda: fci.rotate_determinants(psi, U, space)) <= 0.5
 
 
 def test_k_rdm_string_table_holds_its_budget(monkeypatch):
